@@ -15,7 +15,8 @@ StructuralError; they are never conflated with Refuted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 from . import index as ix
@@ -34,18 +35,17 @@ from .types import (BasicType, BoundedSumWitness, LinArrow, ModalType, NatI,
                     subtype, sum_modal, well_defined)
 
 __all__ = [
-    "Derivation", "Obligation", "CheckReport", "PcfDerivation",
+    "Derivation", "Annotations", "Obligation", "CheckReport", "PcfDerivation",
     "StructuralError", "DerivationSyntaxError",
     "parse_derivation", "load_derivation", "bind", "check",
     "erase_derivation", "root_bounds",
 ]
 
-RULES = ("V", "L", "A", "S", "P", "N", "F", "R")
+# rule -> (term constructor it applies to, number of premises)
+_SHAPE = {"V": (TVar, 0), "L": (Lam, 1), "A": (App, 2), "S": (Succ, 1),
+          "P": (Pred, 1), "N": (Const, 0), "F": (IfZ, 3), "R": (Fix, 1)}
 
-_PREMISE_COUNT = {"V": 0, "L": 1, "A": 2, "S": 1, "P": 1, "N": 0, "F": 3, "R": 1}
-
-_HEAD = {"V": TVar, "L": Lam, "A": App, "S": Succ, "P": Pred,
-         "N": Const, "F": IfZ, "R": Fix}
+RULES = tuple(_SHAPE)
 
 
 class StructuralError(Exception):
@@ -65,13 +65,27 @@ def path_str(path: tuple[int, ...]) -> str:
 
 
 @dataclass(frozen=True)
+class Annotations:
+    """The rule-specific annotations of a node; None where absent."""
+    recvar: Optional[str] = None
+    selftype: Optional[ModalType] = None
+    bodytype: Optional[BasicType] = None
+    resulttype: Optional[BasicType] = None
+    unfoldbound: Optional[IndexTerm] = None
+    callcap: Optional[IndexTerm] = None
+    bodyweight: Optional[IndexTerm] = None
+    ctxsum: Optional[tuple[BoundedSumWitness, ...]] = None
+    ctxjoin: Optional[tuple[SumWitness, ...]] = None
+
+
+@dataclass(frozen=True)
 class Derivation:
     rule: str
     ctx: ConstraintSet
     context: tuple[Optional[ModalType], ...]
     weight: IndexTerm
     type: BasicType
-    annots: dict = field(default_factory=dict)
+    annots: Annotations = Annotations()
     premises: tuple["Derivation", ...] = ()
     subject: Optional[Term] = None
 
@@ -118,19 +132,22 @@ def bind(d: Derivation, subject: Term) -> Derivation:
     return _bind(d, subject, (), None)
 
 
-def _bind(d: Derivation, subject: Term, path: tuple[int, ...],
-          parent: Optional[Derivation]) -> Derivation:
-    head = _HEAD.get(d.rule)
-    if head is None:
+def _check_shape(d: Derivation, subject: Term, path: tuple[int, ...]) -> None:
+    if d.rule not in _SHAPE:
         raise StructuralError(path, f"unknown rule {d.rule!r}")
+    head, expected = _SHAPE[d.rule]
     if not isinstance(subject, head):
         raise StructuralError(
             path, f"rule {d.rule} does not apply to this subject")
-    expected = _PREMISE_COUNT[d.rule]
     if len(d.premises) != expected:
         raise StructuralError(
             path, f"rule {d.rule} takes {expected} premises, "
                   f"got {len(d.premises)}")
+
+
+def _bind(d: Derivation, subject: Term, path: tuple[int, ...],
+          parent: Optional[Derivation]) -> Derivation:
+    _check_shape(d, subject, path)
     context = _resolve_placeholders(d, path, parent)
     d = replace(d, subject=subject, context=context)
     subs = _premise_subjects(subject)
@@ -202,39 +219,41 @@ class _Checker:
     def emit(self, path, kind, payload, verdict) -> None:
         self.obligations.append(Obligation(path, kind, payload, verdict))
 
-    def entail(self, path, node, payload, lhs, rel, rhs) -> None:
+    @contextmanager
+    def structural(self, path, what: str = ""):
+        """Report an oracle or type error raised in the block as a
+        StructuralError at `path`, its message prefixed with `what`."""
         try:
+            yield
+        except (ShapeMismatch, ValueError, EquationError) as e:
+            raise StructuralError(path, f"{what}: {e}" if what else str(e)) from e
+
+    def entail(self, path, node, payload, lhs, rel, rhs) -> None:
+        with self.structural(path, payload):
             v = ix.entails(node.ctx, Constraint(lhs, rel, rhs), self.program,
                            self.bound, self.fuel)
-        except (ValueError, EquationError) as e:
-            raise StructuralError(path, f"{payload}: {e}") from e
         self.emit(path, "entailment",
                   f"{payload}: {show_index(lhs)} {rel} {show_index(rhs)}", v)
 
     def subtype_ob(self, path, ctx, payload, sub, sup) -> None:
-        try:
+        with self.structural(path, payload):
             v = subtype(ctx, sub, sup, self.program, self.bound, self.fuel,
                         self.precise)
-        except ShapeMismatch as e:
-            raise StructuralError(path, f"{payload}: {e}") from e
-        except (ValueError, EquationError) as e:
-            raise StructuralError(path, f"{payload}: {e}") from e
         rel = "==" if self.precise else "<:"
         self.emit(path, "subtyping",
                   f"{payload}: {show_type(sub)} {rel} {show_type(sup)}", v)
 
     def wd_ob(self, path, node, payload, ty) -> None:
-        try:
+        with self.structural(path, payload):
             v = well_defined(node.ctx, ty, self.program, self.bound, self.fuel)
-        except (ValueError, EquationError) as e:
-            raise StructuralError(path, f"{payload}: {e}") from e
         self.emit(path, "well-definedness", f"{payload}: {show_type(ty)}", v)
 
     def annot(self, node: Derivation, path, key: str):
-        if key not in node.annots:
+        value = getattr(node.annots, key)
+        if value is None:
             raise StructuralError(path, f"rule {node.rule} needs the "
                                         f"{key!r} annotation")
-        return node.annots[key]
+        return value
 
     def witnesses(self, node, path, key, count):
         ws = self.annot(node, path, key)
@@ -249,38 +268,26 @@ class _Checker:
     def validate_node(self, node: Derivation, path) -> None:
         if node.subject is None:
             raise StructuralError(path, "derivation is not bound to a program")
-        head = _HEAD.get(node.rule)
-        if head is None or not isinstance(node.subject, head):
-            raise StructuralError(
-                path, f"rule {node.rule} does not apply to this subject")
-        if len(node.premises) != _PREMISE_COUNT[node.rule]:
-            raise StructuralError(
-                path, f"rule {node.rule} takes {_PREMISE_COUNT[node.rule]} "
-                      f"premises, got {len(node.premises)}")
+        _check_shape(node, node.subject, path)
         if any(e is None for e in node.context):
             raise StructuralError(path, "unresolved context placeholder")
         if max_free_index(node.subject) >= len(node.context):
             raise StructuralError(
                 path, "subject has free variables outside the typing context")
         scope = set(node.ctx.variables)
-        for what, vs in (("weight", free_vars(node.weight)),
-                         ("type", free_type_vars(node.type))):
+        named = [("weight", free_vars(node.weight)),
+                 ("type", free_type_vars(node.type))]
+        named += [(f"context slot {i}", free_type_vars(entry))
+                  for i, entry in enumerate(node.context)]
+        for what, vs in named:
             stray = vs - scope
             if stray:
                 raise StructuralError(
                     path, f"{what} mentions undeclared index variables "
                           f"{sorted(stray)}")
-        for i, entry in enumerate(node.context):
-            stray = free_type_vars(entry) - scope
-            if stray:
-                raise StructuralError(
-                    path, f"context slot {i} mentions undeclared index "
-                          f"variables {sorted(stray)}")
-        for term in _index_terms_of(node):
-            try:
+        with self.structural(path):
+            for term in _index_terms_of(node):
                 ix._check_symbols(term, self.program.signature)
-            except EquationError as e:
-                raise StructuralError(path, str(e)) from e
 
     def same_ctx(self, path, got: ConstraintSet, want: ConstraintSet,
                  what: str) -> None:
@@ -393,12 +400,10 @@ class _Checker:
         modal = pf.type.dom
         self.same_type(path + (0,), pf.type.cod, node.type,
                        "application result type")
-        try:
+        with self.structural(path, "modal binder clashes with the "
+                                   "constraint context"):
             want_ctx = node.ctx.extend(
                 modal.binder, Constraint(ix.Var(modal.binder), "<", modal.bound))
-        except ValueError as e:
-            raise StructuralError(path, f"modal binder clashes with the "
-                                        f"constraint context: {e}") from e
         self.same_ctx(path, pa.ctx, want_ctx, "argument premise")
         self.same_type(path + (1,), pa.type, modal.body, "argument type")
         self.same_width(path + (0,), pf.context, node.context, "function premise")
@@ -458,12 +463,10 @@ class _Checker:
         body_weight = self.annot(node, path, "bodyweight")
         self.same_type(path, result_type, node.type,
                        "declared result type vs node type")
-        try:
+        with self.structural(path, "unfolding variable clashes with the "
+                                   "constraint context"):
             want_ctx = node.ctx.extend(
                 rec_var, Constraint(ix.Var(rec_var), "<", unfold_bound))
-        except ValueError as e:
-            raise StructuralError(path, f"unfolding variable clashes with the "
-                                        f"constraint context: {e}") from e
         self.same_ctx(path, p.ctx, want_ctx, "fixpoint premise")
         self.same_width(path + (0,), p.context, (None,) + node.context,
                         "fixpoint premise")
@@ -521,14 +524,10 @@ class _Checker:
         if not isinstance(witness, BoundedSumWitness):
             raise StructuralError(path, f"slot {slot}: expected a bounded-sum "
                                         f"witness")
-        try:
+        with self.structural(path, f"slot {slot}"):
             summed, verdict = bounded_sum_modal(
                 binder, width, entry, witness, node.ctx, self.program,
                 self.bound, self.fuel)
-        except ShapeMismatch as e:
-            raise StructuralError(path, f"slot {slot}: {e}") from e
-        except (ValueError, EquationError) as e:
-            raise StructuralError(path, f"slot {slot}: {e}") from e
         self.emit(path, "shape",
                   f"slot {slot}: context entry {show_type(entry)} sums to "
                   f"{show_type(summed)}", verdict)
@@ -537,13 +536,9 @@ class _Checker:
     def _ctx_join(self, path, node, slot, left, right, witness) -> ModalType:
         if not isinstance(witness, SumWitness):
             raise StructuralError(path, f"slot {slot}: expected a sum witness")
-        try:
+        with self.structural(path, f"slot {slot}"):
             joined, verdict = sum_modal(left, right, witness, node.ctx,
                                         self.program, self.bound, self.fuel)
-        except ShapeMismatch as e:
-            raise StructuralError(path, f"slot {slot}: {e}") from e
-        except (ValueError, EquationError) as e:
-            raise StructuralError(path, f"slot {slot}: {e}") from e
         self.emit(path, "shape",
                   f"slot {slot}: {show_type(left)} joins {show_type(right)} "
                   f"as {show_type(joined)}", verdict)
@@ -555,32 +550,36 @@ def _index_terms_of(node: Derivation):
     for c in node.ctx.constraints:
         yield c.lhs
         yield c.rhs
-    for t in (node.type,) + node.context:
-        yield from _type_index_terms(t)
-    for key in ("unfoldbound", "callcap", "bodyweight"):
-        if key in node.annots:
-            yield node.annots[key]
-    for key in ("selftype", "bodytype", "resulttype"):
-        if key in node.annots:
-            yield from _type_index_terms(node.annots[key])
-    for key in ("ctxsum", "ctxjoin"):
-        for w in node.annots.get(key, ()):
-            yield from _type_index_terms(w.body)
-            if isinstance(w, BoundedSumWitness):
-                yield w.per
+    annots = tuple(getattr(node.annots, key) for key in _ANNOT_KEYS)
+    for x in (node.type,) + node.context + annots:
+        yield from _index_terms(x)
 
 
-def _type_index_terms(t):
-    match t:
+def _index_terms(x):
+    """The index terms inside a type, witness, tuple of witnesses or
+    annotation value (an index term is its own)."""
+    match x:
         case NatI(lo, hi):
             yield lo
             yield hi
         case LinArrow(dom, cod):
-            yield from _type_index_terms(dom)
-            yield from _type_index_terms(cod)
+            yield from _index_terms(dom)
+            yield from _index_terms(cod)
         case ModalType(_, bound, body):
             yield bound
-            yield from _type_index_terms(body)
+            yield from _index_terms(body)
+        case SumWitness(_, body):
+            yield from _index_terms(body)
+        case BoundedSumWitness(_, body, per):
+            yield from _index_terms(body)
+            yield per
+        case tuple():
+            for y in x:
+                yield from _index_terms(y)
+        case str() | None:
+            pass
+        case _:
+            yield x
 
 
 def _show_ctx(ctx: ConstraintSet) -> str:
@@ -675,8 +674,7 @@ def _annotate(d: Derivation, path) -> Term:
 
 _SECTIONS = ("phi", "constraints", "context", "weight", "type", "annots",
              "premises")
-_ANNOT_KEYS = ("recvar", "selftype", "bodytype", "resulttype", "unfoldbound",
-               "callcap", "bodyweight", "ctxsum", "ctxjoin")
+_ANNOT_KEYS = tuple(f.name for f in fields(Annotations))
 
 
 def parse_derivation(text: str) -> Derivation:
@@ -740,7 +738,7 @@ def _node_from(form) -> Derivation:
         raise DerivationSyntaxError(str(e)) from e
 
 
-def _annots_from(forms) -> dict:
+def _annots_from(forms) -> Annotations:
     out: dict = {}
     for part in forms:
         if (not isinstance(part, list) or not part
@@ -764,7 +762,7 @@ def _annots_from(forms) -> dict:
             out[key] = tuple(_bounded_sum_witness(x) for x in body)
         elif key == "ctxjoin":
             out[key] = tuple(_sum_witness(x) for x in body)
-    return out
+    return Annotations(**out)
 
 
 def _bounded_sum_witness(form) -> BoundedSumWitness:

@@ -9,8 +9,8 @@ Exit codes for `check` and `soundness`: 0 verified / all rows pass,
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Optional
 
 import click
 
@@ -23,8 +23,8 @@ from .index import (EquationError, IndexUndefined, Refuted, Unknown, Verified,
                     eval_index, subst_index)
 from .types import LinArrow, NatI, show_type
 
-__all__ = ["main", "RunReport", "eval_report", "check_program",
-           "soundness_rows", "SoundnessError"]
+__all__ = ["main", "RunReport", "SoundnessRow", "eval_report",
+           "check_program", "soundness_rows", "SoundnessError"]
 
 
 @dataclass(frozen=True)
@@ -34,13 +34,19 @@ class RunReport:
     steps: int
     size: int
     max_config_size: int
-    derivation: Optional[str] = None
-    weight_value: Optional[int] = None
-    step_bound: Optional[int] = None
-    bound_ok: Optional[bool] = None
-    value_lo: Optional[int] = None
-    value_hi: Optional[int] = None
-    interval_ok: Optional[bool] = None
+
+
+@dataclass(frozen=True)
+class SoundnessRow(RunReport):
+    """A machine run of an instance of the root judgement, with the bounds
+    the derivation promises for it."""
+    derivation: str
+    weight_value: int
+    step_bound: int
+    bound_ok: bool
+    value_lo: int
+    value_hi: int
+    interval_ok: bool
 
 
 class SoundnessError(Exception):
@@ -87,7 +93,7 @@ def soundness_rows(deriv: ck.Derivation, term: pcf.Term,
                    program: ix.EquationalProgram,
                    instantiations: tuple[int, ...], fuel: int,
                    program_path: str = "<program>",
-                   deriv_path: str = "<derivation>") -> list[RunReport]:
+                   deriv_path: str = "<derivation>") -> list[SoundnessRow]:
     """Instantiate the root judgement and compare its bounds with a real
     machine run: steps <= size * (weight + 1), and the value inside the
     declared interval."""
@@ -103,7 +109,7 @@ def soundness_rows(deriv: ck.Derivation, term: pcf.Term,
             raise SoundnessError(f"{label}: cannot evaluate the root bounds: {e}")
         result = machine.run(term_n, fuel)
         step_bound = size_n * (w_v + 1)
-        return RunReport(
+        return SoundnessRow(
             program=label, value=result.value, steps=result.steps,
             size=size_n, max_config_size=result.max_config_size,
             derivation=deriv_path, weight_value=w_v, step_bound=step_bound,
@@ -127,6 +133,9 @@ def soundness_rows(deriv: ck.Derivation, term: pcf.Term,
     if deriv.ctx.variables != (var,) or deriv.ctx.constraints:
         raise SoundnessError(
             f"the root judgement must quantify exactly over {var!r}")
+    if not instantiations:
+        raise SoundnessError("an arrow-typed root needs at least one -n "
+                             "instantiation")
     rows = []
     for n in instantiations:
         term_n = pcf.App(term, pcf.Const(n))
@@ -187,7 +196,7 @@ def render_check_report(report: ck.CheckReport, fmt: str) -> str:
     return "\n".join(lines)
 
 
-def render_rows(rows: list[RunReport], fmt: str) -> str:
+def render_rows(rows: list[SoundnessRow], fmt: str) -> str:
     if fmt == "tsv":
         out = []
         for r in rows:
@@ -207,15 +216,33 @@ def render_rows(rows: list[RunReport], fmt: str) -> str:
     return "\n".join(out)
 
 
-def _pf(flag: Optional[bool]) -> str:
-    return "-" if flag is None else ("pass" if flag else "FAIL")
+def _pf(flag: bool) -> str:
+    return "pass" if flag else "FAIL"
 
 
 # ---------------------------------------------------------------------------
 # Click wiring
 
-_INPUT_ERRORS = (ix.IndexSyntaxError, pcf.PcfSyntaxError, pcf.PcfTypeError,
-                 ck.DerivationSyntaxError, EquationError, OSError, ValueError)
+# The syntax errors of every input format are ValueErrors.
+_INPUT_ERRORS = (ValueError, OSError, EquationError, pcf.PcfTypeError,
+                 SoundnessError, FuelExhausted)
+
+
+@contextmanager
+def _exit_on_input_error():
+    """Exit 3 with a one-line message on a structural or input error."""
+    try:
+        yield
+    except ck.StructuralError as e:
+        message = f"structural error: {e}"
+    except RecursionError:
+        message = "error: input nested too deeply"
+    except _INPUT_ERRORS as e:
+        message = f"error: {e}"
+    else:
+        return
+    click.echo(message, err=True)
+    sys.exit(3)
 
 
 @click.group()
@@ -237,19 +264,17 @@ def main() -> None:
               default="human", show_default=True)
 def eval_cmd(program, fuel, args, trace, debug, fmt) -> None:
     """Run a program on both the machine and the reducer."""
-    try:
-        if trace is not None:
-            with open(trace, "w", encoding="utf-8") as fh:
-                report = eval_report(program, fuel, tuple(args), trace=fh,
-                                     debug=debug)
-        else:
-            report = eval_report(program, fuel, tuple(args), debug=debug)
-    except FuelExhausted as e:
-        click.echo(f"fuel exhausted: {e}", err=True)
-        sys.exit(1)
-    except _INPUT_ERRORS as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(3)
+    with _exit_on_input_error():
+        try:
+            if trace is not None:
+                with open(trace, "w", encoding="utf-8") as fh:
+                    report = eval_report(program, fuel, tuple(args), trace=fh,
+                                         debug=debug)
+            else:
+                report = eval_report(program, fuel, tuple(args), debug=debug)
+        except FuelExhausted as e:
+            click.echo(f"fuel exhausted: {e}", err=True)
+            sys.exit(1)
     if fmt == "tsv":
         click.echo("\t".join(str(x) for x in (
             report.program, report.value, report.steps, report.size,
@@ -278,15 +303,9 @@ _eqprog_option = click.option(
               default="human", show_default=True)
 def check_cmd(derivation, program, eqprog, bound, fuel, precise, fmt) -> None:
     """Check a derivation file against a program."""
-    try:
+    with _exit_on_input_error():
         report = check_program(derivation, program, eqprog, bound, fuel,
                                precise)
-    except ck.StructuralError as e:
-        click.echo(f"structural error: {e}", err=True)
-        sys.exit(3)
-    except _INPUT_ERRORS as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(3)
     click.echo(render_check_report(report, fmt))
     sys.exit(_verdict_code(report.overall))
 
@@ -305,32 +324,18 @@ def check_cmd(derivation, program, eqprog, bound, fuel, precise, fmt) -> None:
 def soundness_cmd(derivation, program, eqprog, bound, fuel, instantiations,
                   fmt) -> None:
     """Check the derivation, then confirm its bounds on machine runs."""
-    try:
+    with _exit_on_input_error():
         eqs = ix.load_equations(eqprog)
         term = load_program(program)
         deriv = ck.bind(ck.load_derivation(derivation), term)
         report = ck.check(deriv, eqs, bound, fuel)
-    except ck.StructuralError as e:
-        click.echo(f"structural error: {e}", err=True)
-        sys.exit(3)
-    except _INPUT_ERRORS as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(3)
-    code = _verdict_code(report.overall)
-    click.echo(f"derivation: {_verdict_str(report.overall)} "
-               f"(bound {report.bound}, fuel {report.fuel})")
-    if code != 0:
-        sys.exit(code)
-    try:
+        code = _verdict_code(report.overall)
+        click.echo(f"derivation: {_verdict_str(report.overall)} "
+                   f"(bound {report.bound}, fuel {report.fuel})")
+        if code != 0:
+            sys.exit(code)
         rows = soundness_rows(deriv, term, eqs, tuple(instantiations), fuel,
                               program_path=program, deriv_path=derivation)
-    except (SoundnessError, FuelExhausted) as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(3)
-    if not rows:
-        click.echo("error: an arrow-typed root needs at least one -n "
-                   "instantiation", err=True)
-        sys.exit(3)
     click.echo(render_rows(rows, fmt))
     if not all(r.bound_ok and r.interval_ok for r in rows):
         sys.exit(1)

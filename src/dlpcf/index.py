@@ -108,16 +108,14 @@ def free_vars(t: IndexTerm) -> frozenset[str]:
     raise TypeError(f"not an index term: {t!r}")
 
 
-_FRESH = itertools.count()
-
-
 def fresh_name(base: str, avoid: frozenset[str]) -> str:
+    """`base`, or the first of base_0, base_1, ... that is not in `avoid`."""
     if base not in avoid:
         return base
-    while True:
-        cand = f"{base}_{next(_FRESH)}"
-        if cand not in avoid:
-            return cand
+    i = 0
+    while f"{base}_{i}" in avoid:
+        i += 1
+    return f"{base}_{i}"
 
 
 def subst_index(t: IndexTerm, name: str, repl: IndexTerm) -> IndexTerm:
@@ -578,21 +576,29 @@ def _outcome(term: IndexTerm, rho: Assignment, program: EquationalProgram,
         return (_FUEL, 0)
 
 
-def _constraint_true(c: Constraint, rho: Assignment,
-                     program: EquationalProgram, fuel: int) -> bool:
-    """Truth of a constraint at rho: both sides must be defined (within
-    fuel) and related.  Undefined or fuel-exhausted sides make it false."""
-    tl, vl = _outcome(c.lhs, rho, program, fuel)
-    if tl != _OK:
-        return False
-    tr, vr = _outcome(c.rhs, rho, program, fuel)
-    if tr != _OK:
-        return False
-    if c.rel == "<=":
-        return vl <= vr
-    if c.rel == "<":
-        return vl < vr
-    return vl == vr
+def _related(rel: str, a: int, b: int) -> bool:
+    return a <= b if rel == "<=" else a < b if rel == "<" else a == b
+
+
+def _satisfies(ctx: ConstraintSet, rho: Assignment,
+               program: EquationalProgram, fuel: int) -> Optional[bool]:
+    """Do ctx's constraints hold at rho?  A constraint holds when both sides
+    are defined and related, so an undefined side makes it false.  False at
+    the first false constraint; None when fuel ran out on a side of some
+    constraint and none is false."""
+    out: Optional[bool] = True
+    for c in ctx.constraints:
+        tl, vl = _outcome(c.lhs, rho, program, fuel)
+        if tl == _UNDEF:
+            return False
+        tr, vr = _outcome(c.rhs, rho, program, fuel)
+        if tr == _UNDEF:
+            return False
+        if _FUEL in (tl, tr):
+            out = None
+        elif not _related(c.rel, vl, vr):
+            return False
+    return out
 
 
 def entails(ctx: ConstraintSet, goal: Constraint | Defined,
@@ -604,7 +610,8 @@ def entails(ctx: ConstraintSet, goal: Constraint | Defined,
     Exhaustive and three-valued: Verified(bound) when the goal holds at
     every satisfying assignment, Refuted(rho) at the first definite
     counterexample, Unknown when fuel ran out on a goal evaluation at some
-    satisfying assignment (and no definite counterexample was found).
+    satisfying assignment, or on a constraint at an assignment that no
+    constraint rules out (and no definite counterexample was found).
     """
     goal_vars = (free_vars(goal.term) if isinstance(goal, Defined)
                  else free_vars(goal.lhs) | free_vars(goal.rhs))
@@ -614,10 +621,11 @@ def entails(ctx: ConstraintSet, goal: Constraint | Defined,
 
     unknown: Unknown | None = None
     for rho in _assignments(ctx.variables, bound):
-        if not all(_constraint_true(c, rho, program, fuel)
-                   for c in ctx.constraints):
+        satisfied = _satisfies(ctx, rho, program, fuel)
+        if satisfied is False:
             continue
-        verdict = _goal_at(goal, rho, program, fuel)
+        verdict = (_goal_at(goal, rho, program, fuel) if satisfied
+                   else Unknown("fuel-exhausted", tuple(sorted(rho.items()))))
         if isinstance(verdict, Refuted):
             return verdict
         if isinstance(verdict, Unknown) and unknown is None:
@@ -652,8 +660,7 @@ def _goal_at(goal: Constraint | Defined, rho: Assignment,
         return Refuted.at(rho)
     if tl == _UNDEF or tr == _UNDEF:
         return Refuted.at(rho)
-    ok = vl <= vr if goal.rel == "<=" else vl < vr if goal.rel == "<" else vl == vr
-    return None if ok else Refuted.at(rho)
+    return None if _related(goal.rel, vl, vr) else Refuted.at(rho)
 
 
 # ---------------------------------------------------------------------------
@@ -667,16 +674,19 @@ class IndexSyntaxError(ValueError):
     pass
 
 
-def _tokenize(text: str) -> list[str]:
+def _tokenize(text: str, token: re.Pattern = _TOKEN,
+              error: type[ValueError] = IndexSyntaxError) -> list[str]:
+    """Split `text` by `token`'s num/id/op groups; `error` on a character
+    no token starts with.  The type syntax passes its own regex and error."""
     tokens = []
     pos = 0
     while pos < len(text):
-        m = _TOKEN.match(text, pos)
+        m = token.match(text, pos)
         if not m or m.end() == pos:
             rest = text[pos:].strip()
             if not rest:
                 break
-            raise IndexSyntaxError(f"bad character at {rest[:10]!r}")
+            raise error(f"bad character at {rest[:10]!r}")
         tokens.append(m.group("num") or m.group("id") or m.group("op"))
         pos = m.end()
     return tokens
@@ -709,11 +719,27 @@ class _Parser:
 
 
 def parse_index(text: str) -> IndexTerm:
+    return _parse_whole(text, _parse_sum_expr)
+
+
+def parse_constraint(text: str) -> Constraint:
+    return _parse_whole(text, _parse_constraint)
+
+
+def _parse_whole(text: str, parse):
     p = _Parser(_tokenize(text), text)
-    t = _parse_sum_expr(p)
+    t = parse(p)
     if not p.done():
         raise IndexSyntaxError(f"trailing tokens after index term in {text!r}")
     return t
+
+
+def _parse_constraint(p: _Parser) -> Constraint:
+    lhs = _parse_sum_expr(p)
+    if p.peek() not in REL_SYMBOLS:
+        raise IndexSyntaxError(f"no relation in constraint {p.source!r}")
+    rel = p.next()
+    return Constraint(lhs, rel, _parse_sum_expr(p))
 
 
 def _parse_sum_expr(p: _Parser) -> IndexTerm:
@@ -792,36 +818,6 @@ def show_index(t: IndexTerm) -> str:
 
 def show_constraint(c: Constraint) -> str:
     return f"{show_index(c.lhs)} {c.rel} {show_index(c.rhs)}"
-
-
-def parse_constraint(text: str) -> Constraint:
-    for rel in ("<=", "<", "="):
-        parts = _split_rel(text, rel)
-        if parts is not None:
-            return Constraint(parse_index(parts[0]), rel, parse_index(parts[1]))
-    raise IndexSyntaxError(f"no relation in constraint {text!r}")
-
-
-def _split_rel(text: str, rel: str) -> tuple[str, str] | None:
-    depth = 0
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif depth == 0 and text.startswith(rel, i):
-            # "<" must not be the start of "<=", and "=" not the tail of "<="
-            if rel == "<" and text.startswith("<=", i):
-                i += 2
-                continue
-            if rel == "=" and i > 0 and text[i - 1] == "<":
-                i += 1
-                continue
-            return text[:i], text[i + len(rel):]
-        i += 1
-    return None
 
 
 # ---------------------------------------------------------------------------

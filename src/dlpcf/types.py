@@ -273,43 +273,30 @@ class TypeSyntaxError(ValueError):
 
 
 def parse_basic_type(text: str) -> BasicType:
-    p = ix._Parser(_tokenize_type(text), text)
-    t = _parse_type(p)
-    if not p.done():
-        raise TypeSyntaxError(f"trailing tokens in type {text!r}")
+    t = _parse_whole_type(text)
     if isinstance(t, ModalType):
         raise TypeSyntaxError(f"expected a basic type, got a modal type: {text!r}")
     return t
 
 
 def parse_modal_type(text: str) -> ModalType:
-    p = ix._Parser(_tokenize_type(text), text)
-    t = _parse_type(p)
-    if not p.done():
-        raise TypeSyntaxError(f"trailing tokens in type {text!r}")
+    t = _parse_whole_type(text)
     if not isinstance(t, ModalType):
         raise TypeSyntaxError(f"expected a modal type [a<I]..., got {text!r}")
     return t
 
 
+# The index tokens plus brackets and the lollipop.
 _TYPE_TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<id>[A-Za-z_][A-Za-z0-9_']*)"
                          r"|(?P<op>-o|<=|[-+<>=(),\[\]]))", re.ASCII)
 
 
-def _tokenize_type(text: str) -> list[str]:
-    # The index tokenizer plus brackets and the lollipop.
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TYPE_TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            rest = text[pos:].strip()
-            if not rest:
-                break
-            raise TypeSyntaxError(f"bad character at {rest[:10]!r}")
-        out.append(m.group("num") or m.group("id") or m.group("op"))
-        pos = m.end()
-    return out
+def _parse_whole_type(text: str):
+    p = ix._Parser(ix._tokenize(text, _TYPE_TOKEN, TypeSyntaxError), text)
+    t = _parse_type(p)
+    if not p.done():
+        raise TypeSyntaxError(f"trailing tokens in type {text!r}")
+    return t
 
 
 def _parse_type(p: ix._Parser):

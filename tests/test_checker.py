@@ -1,4 +1,5 @@
 import dataclasses
+import pathlib
 
 import pytest
 
@@ -6,8 +7,8 @@ from dlpcf import checker as ck
 from dlpcf import index as ix
 from dlpcf import machine
 from dlpcf import pcf
-from dlpcf.checker import (Derivation, StructuralError, bind, check,
-                           erase_derivation, load_derivation,
+from dlpcf.checker import (Annotations, Derivation, StructuralError, bind,
+                           check, erase_derivation, load_derivation,
                            parse_derivation, root_bounds)
 from dlpcf.index import (ConstraintSet, EMPTY_CTX, Lit, Refuted, Verified,
                          parse_constraint, parse_index)
@@ -29,7 +30,7 @@ def M(text):
 
 def leaf_n(value, ctx=EMPTY_CTX, context=(), weight="0", type_text=None):
     return Derivation("N", ctx, context, parse_index(weight),
-                      B(type_text or f"Nat[{value}]"), {}, (),
+                      B(type_text or f"Nat[{value}]"), Annotations(), (),
                       subject=pcf.Const(value))
 
 
@@ -56,16 +57,17 @@ def small_app_derivation():
     """(\\x. s x) 2 at type Nat[3] with weight 1 (one argument copy)."""
     entry = M("[c < 1] Nat[2, 2]")
     v = Derivation("V", EMPTY_CTX, (entry,), Lit(0), B("Nat[2, 2]"),
-                   {}, (), subject=pcf.TVar(0))
+                   Annotations(), (), subject=pcf.TVar(0))
     s = Derivation("S", EMPTY_CTX, (entry,), Lit(0), B("Nat[3, 3]"),
-                   {}, (v,), subject=pcf.Succ(pcf.TVar(0)))
+                   Annotations(), (v,), subject=pcf.Succ(pcf.TVar(0)))
     lam = Derivation("L", EMPTY_CTX, (), Lit(0),
                      B("[c < 1] Nat[2, 2] -o Nat[3, 3]"),
-                     {}, (s,), subject=pcf.Lam(pcf.Succ(pcf.TVar(0))))
+                     Annotations(), (s,),
+                     subject=pcf.Lam(pcf.Succ(pcf.TVar(0))))
     arg = Derivation("N", cs("c", "c < 1"), (), Lit(0), B("Nat[2, 2]"),
-                     {}, (), subject=pcf.Const(2))
+                     Annotations(), (), subject=pcf.Const(2))
     return Derivation("A", EMPTY_CTX, (), Lit(1), B("Nat[3, 3]"),
-                      {"ctxsum": (), "ctxjoin": ()}, (lam, arg),
+                      Annotations(ctxsum=(), ctxjoin=()), (lam, arg),
                       subject=pcf.App(pcf.Lam(pcf.Succ(pcf.TVar(0))),
                                       pcf.Const(2)))
 
@@ -96,7 +98,7 @@ def test_argument_premise_context_is_checked(arith):
 
 
 def test_missing_witness_annotation_is_structural(arith):
-    d = dataclasses.replace(small_app_derivation(), annots={})
+    d = dataclasses.replace(small_app_derivation(), annots=Annotations())
     with pytest.raises(StructuralError):
         check(d, arith)
 
@@ -115,6 +117,13 @@ def test_golden_dbl_is_precise(arith, dbl_derivation):
     # equality, so the derivation also passes precise mode
     report = check(dbl_derivation, arith, bound=3, precise=True)
     assert isinstance(report.overall, Verified)
+
+
+def test_derivations_are_hashable(dbl_term):
+    path = pathlib.Path(__file__).resolve().parent.parent / "fixtures/dbl.deriv"
+    first, second = load_derivation(path), load_derivation(path)
+    assert first == second and hash(first) == hash(second)
+    assert hash(bind(first, dbl_term)) == hash(bind(second, dbl_term))
 
 
 def test_golden_dbl_root_bounds(dbl_derivation):
@@ -148,20 +157,23 @@ def test_paper_claimed_linear_weight_is_refuted(arith, dbl_derivation):
 # Mutations (single-field corruption must never verify)
 
 def mutations(gold):
+    def annots(**changes):
+        return dataclasses.replace(gold.annots, **changes)
+
     yield "weight decremented", dataclasses.replace(
         gold, weight=parse_index("(a + sum(b < a+1, a - b)) - 1"))
     ty2 = B("[b < a] Nat[a] -o Nat[mult(2, a)]")
     yield "argument bound shrunk", dataclasses.replace(
-        gold, type=ty2, annots={**gold.annots, "resulttype": ty2})
+        gold, type=ty2, annots=annots(resulttype=ty2))
     ty3 = B("[b < a + 1] Nat[a] -o Nat[mult(2, a) - 1]")
     yield "result interval shrunk", dataclasses.replace(
-        gold, type=ty3, annots={**gold.annots, "resulttype": ty3})
+        gold, type=ty3, annots=annots(resulttype=ty3))
     yield "weight cap shrunk", dataclasses.replace(
-        gold, annots={**gold.annots, "callcap": parse_index("a")})
+        gold, annots=annots(callcap=parse_index("a")))
     yield "unfolding bound shrunk", dataclasses.replace(
-        gold, annots={**gold.annots, "unfoldbound": parse_index("a")})
+        gold, annots=annots(unfoldbound=parse_index("a")))
     yield "body weight zeroed", dataclasses.replace(
-        gold, annots={**gold.annots, "bodyweight": Lit(0)})
+        gold, annots=annots(bodyweight=Lit(0)))
 
 
 def test_mutated_derivations_never_verify(arith, dbl_derivation):

@@ -50,6 +50,17 @@ def test_eval_rejects_open_or_arrow_programs(runner, tmp_path):
     assert "unbound identifier" in result.output
 
 
+@pytest.mark.parametrize("source", ["s(" * 3000 + "0" + ")" * 3000,
+                                    "(" * 1200 + "0" + ")" * 1200],
+                         ids=["successors", "parentheses"])
+def test_eval_deeply_nested_input_exits_three(runner, tmp_path, source):
+    path = tmp_path / "deep.pcf"
+    path.write_text(source + "\n")
+    result = runner.invoke(main, ["eval", str(path)])
+    assert result.exit_code == 3
+    assert result.stderr == "error: input nested too deeply\n"
+
+
 def test_eval_trace_file(runner, tmp_path):
     trace = tmp_path / "trace.txt"
     result = runner.invoke(main, ["eval", DBL, "--arg", "1",

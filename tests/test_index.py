@@ -253,6 +253,26 @@ def test_entails_fuel_exhaustion_is_unknown():
     assert v.reason == "fuel-exhausted"
 
 
+def test_fuel_exhausted_constraint_makes_entailment_unknown():
+    # the constraint's truth is not known at any a, so the goal was never
+    # checked and may not be reported Verified
+    loop = parse_equations("loop(a) = loop(a)")
+    runs_out = Constraint(App("loop", (Var("a"),)), "<=", Lit(0))
+    ctx = ConstraintSet(("a",), (runs_out,))
+    goal = Constraint(Lit(1), "<=", Lit(0))
+    v = entails(ctx, goal, loop, bound=3, fuel=1000)
+    assert v == ix.Unknown("fuel-exhausted", (("a", 0),))
+    # a later constraint that is false everywhere still rules every a out
+    never = ctx.extend(None, Constraint(Var("a"), "<", Lit(0)))
+    assert entails(never, goal, loop, bound=3, fuel=1000) == Verified(3)
+
+
+def test_fresh_name_depends_only_on_its_arguments():
+    avoid = frozenset({"a", "a_0"})
+    assert ix.fresh_name("a", avoid) == "a_1"
+    assert ix.fresh_name("a", avoid) == "a_1"
+
+
 def test_entails_rejects_stray_goal_variables(arith):
     with pytest.raises(ValueError):
         entails(EMPTY_CTX, Constraint(Var("a"), "<=", Lit(1)), arith)
