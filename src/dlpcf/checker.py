@@ -287,7 +287,7 @@ class _Checker:
                           f"{sorted(stray)}")
         with self.structural(path):
             for term in _index_terms_of(node):
-                ix._check_symbols(term, self.program.signature)
+                ix.check_symbols(term, self.program.signature)
 
     def same_ctx(self, path, got: ConstraintSet, want: ConstraintSet,
                  what: str) -> None:
@@ -402,8 +402,7 @@ class _Checker:
                        "application result type")
         with self.structural(path, "modal binder clashes with the "
                                    "constraint context"):
-            want_ctx = node.ctx.extend(
-                modal.binder, Constraint(ix.Var(modal.binder), "<", modal.bound))
+            want_ctx = node.ctx.under(modal.binder, modal.bound)
         self.same_ctx(path, pa.ctx, want_ctx, "argument premise")
         self.same_type(path + (1,), pa.type, modal.body, "argument type")
         self.same_width(path + (0,), pf.context, node.context, "function premise")
@@ -429,8 +428,11 @@ class _Checker:
         if not isinstance(pt.type, NatI):
             raise StructuralError(path + (0,),
                                   "scrutinee premise takes an interval type")
-        zero_ctx = node.ctx.extend(None, Constraint(pt.type.lo, "<=", ix.Lit(0)))
-        succ_ctx = node.ctx.extend(None, Constraint(ix.Lit(1), "<=", pt.type.hi))
+        with self.structural(path, "scrutinee interval"):
+            zero_ctx = node.ctx.extend(
+                None, Constraint(pt.type.lo, "<=", ix.Lit(0)))
+            succ_ctx = node.ctx.extend(
+                None, Constraint(ix.Lit(1), "<=", pt.type.hi))
         self.same_ctx(path, pz.ctx, zero_ctx, "zero-branch premise")
         self.same_ctx(path, pu.ctx, succ_ctx, "successor-branch premise")
         for branch in (pz, pu):
@@ -465,8 +467,7 @@ class _Checker:
                        "declared result type vs node type")
         with self.structural(path, "unfolding variable clashes with the "
                                    "constraint context"):
-            want_ctx = node.ctx.extend(
-                rec_var, Constraint(ix.Var(rec_var), "<", unfold_bound))
+            want_ctx = node.ctx.under(rec_var, unfold_bound)
         self.same_ctx(path, p.ctx, want_ctx, "fixpoint premise")
         self.same_width(path + (0,), p.context, (None,) + node.context,
                         "fixpoint premise")
@@ -485,11 +486,12 @@ class _Checker:
             raise StructuralError(
                 path, f"modal binder {mv!r} of the recursive entry clashes "
                       f"with the constraint context")
-        shifted_ctx = ConstraintSet(
-            node.ctx.variables + (mv, rec_var),
-            node.ctx.constraints
-            + (Constraint(ix.Var(mv), "<", calls),
-               Constraint(ix.Var(rec_var), "<", unfold_bound)))
+        with self.structural(path, "recursive call context"):
+            shifted_ctx = ConstraintSet(
+                node.ctx.variables + (mv, rec_var),
+                node.ctx.constraints
+                + (Constraint(ix.Var(mv), "<", calls),
+                   Constraint(ix.Var(rec_var), "<", unfold_bound)))
         # Call number mv spawned by unfolding rec_var runs as unfolding
         # number (nodes of the first mv subtrees after rec_var) + rec_var + 1.
         preceding = ix.Forest(rec_var, ix.add(ix.Var(rec_var), ix.Lit(1)),
@@ -610,13 +612,11 @@ def erase_derivation(d: Derivation) -> PcfDerivation:
     """Structure-preserving erasure into a plain PCF derivation, cross-checked
     against the simple typechecker."""
     erased = _erase_node(d, ())
-    annotated = _annotate(d, ())
-    got = pcf_typecheck(erased.context, annotated)
+    got = pcf_typecheck(erased.context, erased.term)
     if got != erased.type:
         raise StructuralError((), f"erasure typechecks to {show_pcf_type(got)}, "
                                   f"expected {show_pcf_type(erased.type)}")
-    return PcfDerivation(erased.context, annotated, erased.type,
-                         erased.premises)
+    return erased
 
 
 def _erase_node(d: Derivation, path) -> PcfDerivation:
@@ -645,28 +645,24 @@ def _erase_node(d: Derivation, path) -> PcfDerivation:
             ok = premises[0].type == ty and premises[0].context[0] == ty
     if not ok:
         raise StructuralError(path, "erasure does not follow the simple rules")
-    return PcfDerivation(context, d.subject, ty, premises)
-
-
-def _annotate(d: Derivation, path) -> Term:
-    """Subject with binder annotations recovered from the erased types."""
-    subs = [_annotate(p, path + (i,)) for i, p in enumerate(d.premises)]
+    # The subject, with the binder annotations read off the erased types.
+    subs = [p.term for p in premises]
     match d.rule:
-        case "V" | "N":
-            return d.subject
         case "L":
-            return Lam(subs[0], erase_modal(d.type.dom))
+            term = Lam(subs[0], ty.dom)
         case "R":
-            return Fix(subs[0], erase(d.type))
+            term = Fix(subs[0], ty)
         case "S":
-            return Succ(subs[0])
+            term = Succ(subs[0])
         case "P":
-            return Pred(subs[0])
+            term = Pred(subs[0])
         case "A":
-            return App(subs[0], subs[1])
+            term = App(subs[0], subs[1])
         case "F":
-            return IfZ(subs[0], subs[1], subs[2])
-    raise StructuralError(path, f"unknown rule {d.rule!r}")
+            term = IfZ(subs[0], subs[1], subs[2])
+        case _:
+            term = d.subject
+    return PcfDerivation(context, term, ty, premises)
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,19 @@ forest cardinalities.  Function symbols get their meaning from an equational
 program: an orthogonal set of constructor-pattern rewrite rules.  Entailment
 between index expressions is semidecided by exhaustively checking every
 assignment of the constrained variables up to a bound.
+
+The binding forms `BoundedSum`, `Forest` and `types.ModalType` are frozen
+dataclasses whose first field, `binder`, is bound in the last, `body`, only;
+the fields between (`bound`, or `start` and `count`) are index terms outside
+its scope.  `binder_free_vars`, `subst_binder` and `alpha_eq_binder` serve
+all three, given the same operation on the body.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterator, Optional, Union
 
 from .fuel import Fuel, FuelExhausted, DEFAULT_BOUND, DEFAULT_FUEL
@@ -26,8 +32,9 @@ __all__ = [
     "ArityError", "UnboundRhsVar", "NonLinearPattern",
     "declare", "register_program", "parse_equations", "load_equations",
     "eval_index", "entails", "free_vars", "subst_index", "alpha_eq_index",
-    "parse_index", "parse_constraint", "show_index", "show_constraint",
-    "add", "monus", "lit",
+    "binder_free_vars", "subst_binder", "alpha_eq_binder", "fresh_name",
+    "check_symbols", "parse_index", "parse_constraint", "show_index",
+    "show_constraint", "tokenize", "Parser", "parse_sum_expr", "add", "monus",
 ]
 
 
@@ -77,10 +84,6 @@ class Forest:
 IndexTerm = Union[Var, Lit, App, BoundedSum, Forest]
 
 
-def lit(n: int) -> Lit:
-    return Lit(n)
-
-
 def add(a: IndexTerm, b: IndexTerm) -> App:
     return App("+", (a, b))
 
@@ -100,12 +103,23 @@ def free_vars(t: IndexTerm) -> frozenset[str]:
             for a in args:
                 out |= free_vars(a)
             return out
-        case BoundedSum(binder, bound, body):
-            return free_vars(bound) | (free_vars(body) - {binder})
-        case Forest(binder, start, count, body):
-            return (free_vars(start) | free_vars(count)
-                    | (free_vars(body) - {binder}))
+        case BoundedSum() | Forest():
+            return binder_free_vars(t, free_vars)
     raise TypeError(f"not an index term: {t!r}")
+
+
+def _outer(t) -> tuple[IndexTerm, ...]:
+    """The index terms of a binding form outside its binder's scope."""
+    return tuple(getattr(t, f.name) for f in fields(t)[1:-1])
+
+
+def binder_free_vars(t, body_free_vars) -> frozenset[str]:
+    """Free variables of the binding form `t`, whose body's free variables
+    are `body_free_vars(t.body)`."""
+    out = body_free_vars(t.body) - {t.binder}
+    for term in _outer(t):
+        out |= free_vars(term)
+    return out
 
 
 def fresh_name(base: str, avoid: frozenset[str]) -> str:
@@ -127,34 +141,33 @@ def subst_index(t: IndexTerm, name: str, repl: IndexTerm) -> IndexTerm:
             return t
         case App(sym, args):
             return App(sym, tuple(subst_index(a, name, repl) for a in args))
-        case BoundedSum(binder, bound, body):
-            new_bound = subst_index(bound, name, repl)
-            if binder == name:
-                return BoundedSum(binder, new_bound, body)
-            if binder in free_vars(repl) and name in free_vars(body):
-                nb = fresh_name(binder, free_vars(repl) | free_vars(body))
-                body = subst_index(body, binder, Var(nb))
-                binder = nb
-            return BoundedSum(binder, new_bound, subst_index(body, name, repl))
-        case Forest(binder, start, count, body):
-            new_start = subst_index(start, name, repl)
-            new_count = subst_index(count, name, repl)
-            if binder == name:
-                return Forest(binder, new_start, new_count, body)
-            if binder in free_vars(repl) and name in free_vars(body):
-                nb = fresh_name(binder, free_vars(repl) | free_vars(body))
-                body = subst_index(body, binder, Var(nb))
-                binder = nb
-            return Forest(binder, new_start, new_count,
-                          subst_index(body, name, repl))
+        case BoundedSum() | Forest():
+            return subst_binder(t, name, repl, subst_index, free_vars)
     raise TypeError(f"not an index term: {t!r}")
+
+
+def subst_binder(t, name: str, repl: IndexTerm, subst_body, body_free_vars):
+    """Capture-avoiding substitution into the binding form `t`: the body is
+    left alone when the binder shadows `name`, and the binder is renamed
+    when it would capture a free variable of `repl`."""
+    outer = tuple(subst_index(o, name, repl) for o in _outer(t))
+    binder, body = t.binder, t.body
+    if binder != name:
+        if binder in free_vars(repl) and name in body_free_vars(body):
+            nb = fresh_name(binder, free_vars(repl) | body_free_vars(body))
+            body = subst_body(body, binder, Var(nb))
+            binder = nb
+        body = subst_body(body, name, repl)
+    return type(t)(binder, *outer, body)
 
 
 def alpha_eq_index(a: IndexTerm, b: IndexTerm,
                    env_a: dict[str, int] | None = None,
                    env_b: dict[str, int] | None = None,
                    depth: int = 0) -> bool:
-    """Structural equality modulo renaming of sum/forest binders."""
+    """Structural equality modulo renaming of the binders of sums, forests
+    and (through `types.alpha_eq_type`) modal types: `env_a` and `env_b` map
+    each binder in scope to the depth that bound it."""
     ea = env_a or {}
     eb = env_b or {}
     match (a, b):
@@ -167,19 +180,21 @@ def alpha_eq_index(a: IndexTerm, b: IndexTerm,
             return (f == g and len(xs) == len(ys)
                     and all(alpha_eq_index(x, y, ea, eb, depth)
                             for x, y in zip(xs, ys)))
-        case (BoundedSum(v1, b1, s1), BoundedSum(v2, b2, s2)):
-            if not alpha_eq_index(b1, b2, ea, eb, depth):
-                return False
-            return alpha_eq_index(s1, s2, {**ea, v1: depth},
-                                  {**eb, v2: depth}, depth + 1)
-        case (Forest(v1, s1, c1, k1), Forest(v2, s2, c2, k2)):
-            if not alpha_eq_index(s1, s2, ea, eb, depth):
-                return False
-            if not alpha_eq_index(c1, c2, ea, eb, depth):
-                return False
-            return alpha_eq_index(k1, k2, {**ea, v1: depth},
-                                  {**eb, v2: depth}, depth + 1)
+        case (BoundedSum() | Forest(), _):
+            return alpha_eq_binder(a, b, ea, eb, depth, alpha_eq_index)
     return False
+
+
+def alpha_eq_binder(a, b, env_a: dict[str, int], env_b: dict[str, int],
+                    depth: int, body_eq) -> bool:
+    """Alpha-equivalence of two binding forms, given that of their bodies:
+    the same kind of form, equal outer terms, and bodies equal with both
+    binders bound at `depth`."""
+    return (type(a) is type(b)
+            and all(alpha_eq_index(x, y, env_a, env_b, depth)
+                    for x, y in zip(_outer(a), _outer(b)))
+            and body_eq(a.body, b.body, {**env_a, a.binder: depth},
+                        {**env_b, b.binder: depth}, depth + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +324,7 @@ def register_program(rules: list[Rule], signature: Signature) -> EquationalProgr
         for v in free_vars(r.rhs):
             if v not in seen:
                 raise UnboundRhsVar(v)
-        _check_symbols(r.rhs, signature)
+        check_symbols(r.rhs, signature)
     for i, a in enumerate(rules):
         for j in range(i + 1, len(rules)):
             b = rules[j]
@@ -320,23 +335,18 @@ def register_program(rules: list[Rule], signature: Signature) -> EquationalProgr
     return EquationalProgram(signature, tuple(rules))
 
 
-def _check_symbols(t: IndexTerm, signature: Signature) -> None:
+def check_symbols(t: IndexTerm, signature: Signature) -> None:
+    """ArityError unless every application in `t` matches `signature`."""
     match t:
         case App(sym, args):
             expected = signature.arity(sym)
             if len(args) != expected:
                 raise ArityError(sym, expected, len(args))
             for a in args:
-                _check_symbols(a, signature)
-        case BoundedSum(_, bound, body):
-            _check_symbols(bound, signature)
-            _check_symbols(body, signature)
-        case Forest(_, start, count, body):
-            _check_symbols(start, signature)
-            _check_symbols(count, signature)
-            _check_symbols(body, signature)
-        case _:
-            pass
+                check_symbols(a, signature)
+        case BoundedSum() | Forest():
+            for sub in _outer(t) + (t.body,):
+                check_symbols(sub, signature)
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +527,11 @@ class ConstraintSet:
             variables = variables + (var,)
         return ConstraintSet(variables, self.constraints + tuple(constraints))
 
+    def under(self, var: str, bound: IndexTerm) -> "ConstraintSet":
+        """The scope of a binder `var < bound`: `var` declared with that
+        constraint."""
+        return self.extend(var, Constraint(Var(var), "<", bound))
+
 
 EMPTY_CTX = ConstraintSet()
 
@@ -674,8 +689,8 @@ class IndexSyntaxError(ValueError):
     pass
 
 
-def _tokenize(text: str, token: re.Pattern = _TOKEN,
-              error: type[ValueError] = IndexSyntaxError) -> list[str]:
+def tokenize(text: str, token: re.Pattern = _TOKEN,
+             error: type[ValueError] = IndexSyntaxError) -> list[str]:
     """Split `text` by `token`'s num/id/op groups; `error` on a character
     no token starts with.  The type syntax passes its own regex and error."""
     tokens = []
@@ -692,7 +707,9 @@ def _tokenize(text: str, token: re.Pattern = _TOKEN,
     return tokens
 
 
-class _Parser:
+class Parser:
+    """A cursor over tokens, shared with the type syntax."""
+
     def __init__(self, tokens: list[str], source: str):
         self.tokens = tokens
         self.pos = 0
@@ -719,7 +736,7 @@ class _Parser:
 
 
 def parse_index(text: str) -> IndexTerm:
-    return _parse_whole(text, _parse_sum_expr)
+    return _parse_whole(text, parse_sum_expr)
 
 
 def parse_constraint(text: str) -> Constraint:
@@ -727,22 +744,23 @@ def parse_constraint(text: str) -> Constraint:
 
 
 def _parse_whole(text: str, parse):
-    p = _Parser(_tokenize(text), text)
+    p = Parser(tokenize(text), text)
     t = parse(p)
     if not p.done():
         raise IndexSyntaxError(f"trailing tokens after index term in {text!r}")
     return t
 
 
-def _parse_constraint(p: _Parser) -> Constraint:
-    lhs = _parse_sum_expr(p)
+def _parse_constraint(p: Parser) -> Constraint:
+    lhs = parse_sum_expr(p)
     if p.peek() not in REL_SYMBOLS:
         raise IndexSyntaxError(f"no relation in constraint {p.source!r}")
     rel = p.next()
-    return Constraint(lhs, rel, _parse_sum_expr(p))
+    return Constraint(lhs, rel, parse_sum_expr(p))
 
 
-def _parse_sum_expr(p: _Parser) -> IndexTerm:
+def parse_sum_expr(p: Parser) -> IndexTerm:
+    """The index term at the cursor: atoms joined by + and -."""
     t = _parse_atom(p)
     while p.peek() in ("+", "-"):
         op = p.next()
@@ -751,32 +769,32 @@ def _parse_sum_expr(p: _Parser) -> IndexTerm:
     return t
 
 
-def _parse_atom(p: _Parser) -> IndexTerm:
+def _parse_atom(p: Parser) -> IndexTerm:
     tok = p.next()
     if tok.isdigit():
         return Lit(int(tok))
     if tok == "(":
-        t = _parse_sum_expr(p)
+        t = parse_sum_expr(p)
         p.expect(")")
         return t
     if tok == "sum":
         p.expect("(")
         binder = p.next()
         p.expect("<")
-        bound = _parse_sum_expr(p)
+        bound = parse_sum_expr(p)
         p.expect(",")
-        body = _parse_sum_expr(p)
+        body = parse_sum_expr(p)
         p.expect(")")
         return BoundedSum(binder, bound, body)
     if tok == "forest":
         p.expect("(")
         binder = p.next()
         p.expect(",")
-        start = _parse_sum_expr(p)
+        start = parse_sum_expr(p)
         p.expect(",")
-        count = _parse_sum_expr(p)
+        count = parse_sum_expr(p)
         p.expect(",")
-        body = _parse_sum_expr(p)
+        body = parse_sum_expr(p)
         p.expect(")")
         return Forest(binder, start, count, body)
     if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_']*", tok):
@@ -784,10 +802,10 @@ def _parse_atom(p: _Parser) -> IndexTerm:
             p.next()
             args = []
             if p.peek() != ")":
-                args.append(_parse_sum_expr(p))
+                args.append(parse_sum_expr(p))
                 while p.peek() == ",":
                     p.next()
-                    args.append(_parse_sum_expr(p))
+                    args.append(parse_sum_expr(p))
             p.expect(")")
             return App(tok, tuple(args))
         return Var(tok)

@@ -9,7 +9,7 @@ weighted typing discipline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, TextIO, Union
+from typing import Optional, TextIO, Union
 
 from .fuel import Fuel, DEFAULT_FUEL
 from .pcf import (App, Const, Fix, IfZ, Lam, Pred, Succ, Term, TVar,
@@ -194,8 +194,7 @@ def _check_subterm_sizes(c: Configuration, limit: int) -> None:
 
 
 def run(t: Term, fuel: int = DEFAULT_FUEL, *, debug: bool = False,
-        trace: Optional[TextIO] = None,
-        on_step: Optional[Callable[[Configuration], None]] = None) -> RunResult:
+        trace: Optional[TextIO] = None) -> RunResult:
     """Run the machine from load(t) to a final numeral.
 
     Reports the exact step count and the maximum configuration size seen.
@@ -209,8 +208,6 @@ def run(t: Term, fuel: int = DEFAULT_FUEL, *, debug: bool = False,
     while True:
         if debug:
             _check_subterm_sizes(current, limit)
-        if on_step is not None:
-            on_step(current)
         gas.tick()
         nxt, tag = machine_step(current)
         if isinstance(nxt, Final):

@@ -16,7 +16,7 @@ from .fuel import Fuel, FuelExhausted, DEFAULT_FUEL
 __all__ = [
     "Term", "TVar", "Const", "Succ", "Pred", "Lam", "App", "IfZ", "Fix",
     "PcfType", "NatT", "Arrow", "NAT",
-    "parse_term", "parse_pcf_type", "show_term", "show_pcf_type",
+    "parse_term", "show_term", "show_pcf_type",
     "size", "pcf_typecheck", "PcfTypeError", "PcfSyntaxError",
     "shift", "subst", "wh_step", "wh_eval", "StuckTerm", "max_free_index",
 ]
@@ -526,14 +526,6 @@ def _parse_type_atom(p: _PcfParser) -> PcfType:
         return t
     raise PcfSyntaxError(f"expected a type, got {tok.text!r}",
                          tok.line, tok.col)
-
-
-def parse_pcf_type(text: str) -> PcfType:
-    p = _PcfParser(_lex(text))
-    t = _parse_type(p)
-    if p.peek() is not None:
-        raise p.error(f"trailing input {p.peek().text!r}")
-    return t
 
 
 def show_term(t: Term, scope: tuple[str, ...] = ()) -> str:

@@ -15,8 +15,9 @@ from typing import Union
 from . import index as ix
 from .fuel import DEFAULT_BOUND, DEFAULT_FUEL
 from .index import (Constraint, ConstraintSet, Defined, EquationalProgram,
-                    IndexTerm, Verdict, alpha_eq_index, entails, free_vars,
-                    fresh_name, merge_verdicts, show_index, subst_index)
+                    IndexTerm, Verdict, alpha_eq_binder, alpha_eq_index,
+                    binder_free_vars, entails, free_vars, fresh_name,
+                    merge_verdicts, show_index, subst_binder, subst_index)
 from .pcf import NAT, Arrow, PcfType
 
 __all__ = [
@@ -71,8 +72,8 @@ def free_type_vars(t: BasicType | ModalType) -> frozenset[str]:
             return free_vars(lo) | free_vars(hi)
         case LinArrow(dom, cod):
             return free_type_vars(dom) | free_type_vars(cod)
-        case ModalType(binder, bound, body):
-            return free_vars(bound) | (free_type_vars(body) - {binder})
+        case ModalType():
+            return binder_free_vars(t, free_type_vars)
     raise TypeError(f"not a type: {t!r}")
 
 
@@ -84,15 +85,8 @@ def subst_type(t, name: str, repl: IndexTerm):
         case LinArrow(dom, cod):
             return LinArrow(subst_type(dom, name, repl),
                             subst_type(cod, name, repl))
-        case ModalType(binder, bound, body):
-            new_bound = subst_index(bound, name, repl)
-            if binder == name:
-                return ModalType(binder, new_bound, body)
-            if binder in free_vars(repl) and name in free_type_vars(body):
-                nb = fresh_name(binder, free_vars(repl) | free_type_vars(body))
-                body = subst_type(body, binder, ix.Var(nb))
-                binder = nb
-            return ModalType(binder, new_bound, subst_type(body, name, repl))
+        case ModalType():
+            return subst_binder(t, name, repl, subst_type, free_type_vars)
     raise TypeError(f"not a type: {t!r}")
 
 
@@ -106,11 +100,8 @@ def alpha_eq_type(a, b, env_a=None, env_b=None, depth: int = 0) -> bool:
         case (LinArrow(d1, c1), LinArrow(d2, c2)):
             return (alpha_eq_type(d1, d2, ea, eb, depth)
                     and alpha_eq_type(c1, c2, ea, eb, depth))
-        case (ModalType(v1, b1, s1), ModalType(v2, b2, s2)):
-            if not alpha_eq_index(b1, b2, ea, eb, depth):
-                return False
-            return alpha_eq_type(s1, s2, {**ea, v1: depth},
-                                 {**eb, v2: depth}, depth + 1)
+        case (ModalType(), _):
+            return alpha_eq_binder(a, b, ea, eb, depth, alpha_eq_type)
     return False
 
 
@@ -143,17 +134,19 @@ def well_defined(ctx: ConstraintSet, t: BasicType | ModalType,
             return merge_verdicts(
                 well_defined(ctx, dom, program, bound, fuel),
                 well_defined(ctx, cod, program, bound, fuel))
-        case ModalType(binder, bnd, body):
-            var = binder
-            inner_body = body
-            if var in ctx.variables:
-                var = fresh_name(binder, frozenset(ctx.variables))
-                inner_body = subst_type(body, binder, ix.Var(var))
-            inner = ctx.extend(var, Constraint(ix.Var(var), "<", bnd))
+        case ModalType(binder, bnd):
+            var = fresh_name(binder, frozenset(ctx.variables))
             return merge_verdicts(
-                well_defined(inner, inner_body, program, bound, fuel),
+                well_defined(ctx.under(var, bnd), _open(t, var), program,
+                             bound, fuel),
                 entails(ctx, Defined(bnd), program, bound, fuel))
     raise TypeError(f"not a type: {t!r}")
+
+
+def _open(m: ModalType, var: str) -> BasicType:
+    """The body of `m` with its binder renamed to `var`."""
+    return m.body if var == m.binder else subst_type(m.body, m.binder,
+                                                     ix.Var(var))
 
 
 def _rel(precise: bool) -> str:
@@ -176,15 +169,12 @@ def subtype(ctx: ConstraintSet, sub, sup, program: EquationalProgram,
             return merge_verdicts(
                 subtype(ctx, d2, d1, program, bound, fuel, precise),
                 subtype(ctx, c1, c2, program, bound, fuel, precise))
-        case (ModalType(v1, b1, s1), ModalType(v2, b2, s2)):
-            avoid = (frozenset(ctx.variables) | free_type_vars(sub)
-                     | free_type_vars(sup))
-            var = fresh_name(v1, avoid)
-            inner = ctx.extend(var, Constraint(ix.Var(var), "<", b1))
-            body_sub = s1 if var == v1 else subst_type(s1, v1, ix.Var(var))
-            body_sup = s2 if var == v2 else subst_type(s2, v2, ix.Var(var))
+        case (ModalType(v1, b1), ModalType(_, b2)):
+            var = fresh_name(v1, frozenset(ctx.variables)
+                             | free_type_vars(sub) | free_type_vars(sup))
             return merge_verdicts(
-                subtype(inner, body_sub, body_sup, program, bound, fuel, precise),
+                subtype(ctx.under(var, b1), _open(sub, var), _open(sup, var),
+                        program, bound, fuel, precise),
                 entails(ctx, Constraint(b2, _rel(precise), b1), program, bound, fuel))
     raise ShapeMismatch(
         f"cannot compare {show_type(sub)} with {show_type(sup)}")
@@ -248,7 +238,7 @@ def bounded_sum_modal(binder: str, width: IndexTerm, a: ModalType,
     """
     if erase_modal(a) != erase(witness.body):
         raise ShapeMismatch("bounded-sum witness erasure differs from the summand")
-    inner_ctx = ctx.extend(binder, Constraint(ix.Var(binder), "<", width))
+    inner_ctx = ctx.under(binder, width)
     inner_var = fresh_name("d", frozenset(inner_ctx.variables)
                            | free_vars(witness.per) | {witness.param})
     # offset = sum(d < binder) per[binder := d]  --  instances consumed by
@@ -292,14 +282,14 @@ _TYPE_TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<id>[A-Za-z_][A-Za-z0-9_']*)"
 
 
 def _parse_whole_type(text: str):
-    p = ix._Parser(ix._tokenize(text, _TYPE_TOKEN, TypeSyntaxError), text)
+    p = ix.Parser(ix.tokenize(text, _TYPE_TOKEN, TypeSyntaxError), text)
     t = _parse_type(p)
     if not p.done():
         raise TypeSyntaxError(f"trailing tokens in type {text!r}")
     return t
 
 
-def _parse_type(p: ix._Parser):
+def _parse_type(p: ix.Parser):
     left = _parse_type_atom(p)
     if p.peek() == "-o":
         if not isinstance(left, ModalType):
@@ -312,15 +302,15 @@ def _parse_type(p: ix._Parser):
     return left
 
 
-def _parse_type_atom(p: ix._Parser):
+def _parse_type_atom(p: ix.Parser):
     tok = p.peek()
     if tok == "Nat":
         p.next()
         p.expect("[")
-        lo = ix._parse_sum_expr(p)
+        lo = ix.parse_sum_expr(p)
         if p.peek() == ",":
             p.next()
-            hi = ix._parse_sum_expr(p)
+            hi = ix.parse_sum_expr(p)
         else:
             hi = lo
         p.expect("]")
@@ -331,7 +321,7 @@ def _parse_type_atom(p: ix._Parser):
         p.next()
         binder = p.next()
         p.expect("<")
-        bnd = ix._parse_sum_expr(p)
+        bnd = ix.parse_sum_expr(p)
         p.expect("]")
         body = _parse_type_atom(p)
         if isinstance(body, ModalType):

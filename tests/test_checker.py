@@ -140,6 +140,21 @@ def test_golden_dbl_erasure(dbl_derivation, dbl_term):
     assert pcf.pcf_typecheck((), erased.term) == pcf.Arrow(pcf.NAT, pcf.NAT)
 
 
+def test_erased_premises_carry_binder_annotations(dbl_derivation):
+    erased = erase_derivation(dbl_derivation)
+    lam = erased.premises[0]
+    assert lam.term.ann == pcf.NAT
+    assert erased.term.body is lam.term
+
+
+def test_lambda_of_interval_type_does_not_erase():
+    body = leaf_n(0, context=(M("[c < 1] Nat[0]"),))
+    lam = Derivation("L", EMPTY_CTX, (), Lit(0), B("Nat[0]"), Annotations(),
+                     (body,), subject=pcf.Lam(pcf.Const(0)))
+    with pytest.raises(StructuralError):
+        erase_derivation(lam)
+
+
 def test_single_node_erasure(arith):
     erased = erase_derivation(leaf_n(3, type_text="Nat[3, 3]"))
     assert erased.type == pcf.NAT and erased.node_count() == 1

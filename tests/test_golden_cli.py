@@ -28,9 +28,9 @@ SOUND_DBL = ["soundness", "fixtures/dbl.deriv", "fixtures/dbl.pcf",
 ALL_N = [arg for n in range(9) for arg in ("-n", str(n))]
 
 
-def dbl_mutant(old, new):
-    assert old in DBL_DERIV, old
-    return DBL_DERIV.replace(old, new)
+def dbl_mutant(old, new, text=DBL_DERIV):
+    assert old in text, old
+    return text.replace(old, new)
 
 
 def check_tmp(deriv_text, program_source=None):
@@ -83,6 +83,13 @@ CASES = {
     "type_trailing_tokens": check_tmp(
         dbl_mutant('(type "Nat[mult(2, a-b)]")',
                    '(type "Nat[mult(2, a-b)] Nat[0]")')),
+    "scrutinee_out_of_scope": check_tmp(
+        dbl_mutant('(type "Nat[a-b]"))\n            ; zero branch',
+                   '(type "Nat[q]"))\n            ; zero branch')),
+    "selftype_out_of_scope": check_tmp(
+        dbl_mutant('(selftype "[v < gt(a, b)]', '(selftype "[v < gt(a, q)]',
+                   dbl_mutant('(context "[v < gt(a, b)]',
+                              '(context "[v < gt(a, q)]'))),
     "constraint_no_relation": constraint_case("c"),
     "constraint_greater": constraint_case("c > 1"),
     "constraint_two_relations": constraint_case("c < 1 < 2"),

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dlpcf import index as ix
 from dlpcf.fuel import FuelExhausted
@@ -167,12 +168,72 @@ def test_forest_binder_shadows_in_body_only():
     assert "forest(b, b + 1, 0, b)" == show_index(t)
 
 
+def test_subst_renames_forest_binder_away_from_replacement():
+    # forest(c, 0, 1, a - c) with a := c: the bound c must not capture it
+    t = Forest("c", Lit(0), Lit(1), ix.monus(Var("a"), Var("c")))
+    got = subst_index(t, "a", Var("c"))
+    assert isinstance(got, Forest) and got.binder != "c"
+    # at c = 2 the nodes 0, 1, 2, 3 have 2, 1, 0, 0 children
+    assert ev_closed(got, {"c": 2}) == ev_closed(t, {"a": 2}) == 4
+
+
+# A small pool of names, so that substitutions regularly hit a binder equal
+# to the substituted name, or a replacement that mentions a binder.
+NAMES = ("a", "b", "x")
+names = st.sampled_from(NAMES)
+index_terms = st.recursive(
+    st.one_of(st.integers(0, 3).map(Lit), names.map(Var)),
+    lambda sub: st.one_of(st.builds(ix.add, sub, sub),
+                          st.builds(ix.monus, sub, sub),
+                          st.builds(BoundedSum, names, sub, sub),
+                          st.builds(Forest, names, sub, sub, sub)),
+    max_leaves=8)
+LEMMA_FUEL = 10**4
+
+
+@given(index_terms, names, index_terms,
+       st.fixed_dictionaries({n: st.integers(0, 3) for n in NAMES}))
+@example(parse_index("sum(b < x, b + x)"), "x", parse_index("b + 1"),
+         {"a": 0, "b": 1, "x": 2})
+@example(parse_index("forest(x, 0, x, 1 - x)"), "x", parse_index("x + 1"),
+         {"a": 0, "b": 0, "x": 1})
+@example(parse_index("forest(b, x, 1, x - b)"), "x", parse_index("b"),
+         {"a": 0, "b": 2, "x": 1})
+@settings(max_examples=300, deadline=None)
+def test_substitution_lemma(t, name, repl, rho):
+    # [[t[name := repl]]]rho = [[t]]rho[name := [[repl]]rho]
+    try:
+        value = eval_index(repl, rho, ix.EMPTY_PROGRAM, LEMMA_FUEL)
+        got = eval_index(subst_index(t, name, repl), rho, ix.EMPTY_PROGRAM,
+                         LEMMA_FUEL)
+        want = eval_index(t, {**rho, name: value}, ix.EMPTY_PROGRAM,
+                          LEMMA_FUEL)
+    except FuelExhausted:
+        return
+    assert got == want
+
+
 def test_alpha_eq_on_binders():
     a = parse_index("sum(x < 3, x + c)")
     b = parse_index("sum(y < 3, y + c)")
     c = parse_index("sum(y < 3, y + y)")
     assert ix.alpha_eq_index(a, b)
     assert not ix.alpha_eq_index(a, c)
+
+
+def test_alpha_eq_on_forest_binders():
+    a = parse_index("forest(x, x, 1, x + c)")
+    b = parse_index("forest(y, x, 1, y + c)")
+    c = parse_index("forest(y, y, 1, y + c)")
+    assert ix.alpha_eq_index(a, b)
+    assert not ix.alpha_eq_index(a, c)
+
+
+def test_alpha_eq_never_equates_a_sum_with_a_forest():
+    s = BoundedSum("x", Var("c"), Var("x"))
+    f = Forest("x", Var("c"), Var("c"), Var("x"))
+    assert not ix.alpha_eq_index(s, f)
+    assert not ix.alpha_eq_index(f, s)
 
 
 def test_parse_show_roundtrip():
@@ -303,6 +364,14 @@ def test_eqs_bad_pattern_rejected():
 def test_rhs_arity_mismatch_rejected():
     with pytest.raises(ix.ArityError):
         parse_equations("g(a, b) = a\nf(a) = g(a)")
+
+
+def test_under_enters_a_binder_scope():
+    ctx = ConstraintSet(("a",), ())
+    inner = ctx.under("b", Var("a"))
+    assert inner == ctx.extend("b", Constraint(Var("b"), "<", Var("a")))
+    with pytest.raises(ValueError):
+        inner.under("a", Lit(1))
 
 
 def test_duplicate_constraint_variable_rejected():

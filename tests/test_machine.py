@@ -133,17 +133,22 @@ def test_corpus_values_and_agreement():
         assert value == expected, pcf.show_term(term)
 
 
+def configurations(term):
+    """Every configuration the machine passes through on `term`, in order,
+    up to the final numeral."""
+    current = load(term)
+    while not isinstance(current, Final):
+        yield current
+        current, _ = machine_step(current)
+
+
 def test_environment_size_lemma_on_corpus():
     for term, _ in CORPUS:
         limit = pcf.size(term)
-        seen = []
-
-        def collect(c):
-            seen.append(c)
+        seen = list(configurations(term))
+        for c in seen:
             for closure in c.env:
                 assert pcf.size(closure.term) <= limit
-
-        run(term, debug=True, on_step=collect)
         assert seen
 
 
@@ -158,9 +163,8 @@ def test_config_size_accounting():
 
 def test_replay_is_deterministic(dbl_term):
     prog = App(dbl_term, Const(2))
-    first, second = [], []
-    run(prog, on_step=first.append)
-    run(prog, on_step=second.append)
+    first = list(configurations(prog))
+    second = list(configurations(prog))
     assert first == second
 
 
