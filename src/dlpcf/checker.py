@@ -596,7 +596,8 @@ def check(d: Derivation, program: EquationalProgram,
     """Verify every rule instance of the derivation against the bounded
     oracle.  The derivation must be bound to its subject (see `bind`)."""
     checker = _Checker(program, bound, fuel, precise)
-    checker.check_node(d, ())
+    with ix.entails_memo(program, bound, fuel):
+        checker.check_node(d, ())
     obligations = tuple(checker.obligations)
     if obligations:
         overall = merge_verdicts(*(o.verdict for o in obligations))

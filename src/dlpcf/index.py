@@ -4,8 +4,10 @@ Index terms are first-order arithmetic expressions over naturals: variables,
 numerals, applications of user-defined function symbols, bounded sums, and
 forest cardinalities.  Function symbols get their meaning from an equational
 program: an orthogonal set of constructor-pattern rewrite rules.  Entailment
-between index expressions is semidecided by exhaustively checking every
-assignment of the constrained variables up to a bound.
+between index expressions is semidecided by checking the goal at every
+assignment of the constrained variables up to a bound at which the
+constraints hold; each constraint is tested as soon as its variables are
+bound, so a false one prunes every assignment that extends it.
 
 The binding forms `BoundedSum`, `Forest` and `types.ModalType` are frozen
 dataclasses whose first field, `binder`, is bound in the last, `body`, only;
@@ -16,8 +18,9 @@ all three, given the same operation on the body.
 
 from __future__ import annotations
 
-import itertools
 import re
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field, fields
 from typing import Iterator, Optional, Union
 
@@ -31,10 +34,11 @@ __all__ = [
     "IndexUndefined", "FuelExhausted", "EquationError", "OverlapError",
     "ArityError", "UnboundRhsVar", "NonLinearPattern",
     "declare", "register_program", "parse_equations", "load_equations",
-    "eval_index", "entails", "free_vars", "subst_index", "alpha_eq_index",
-    "binder_free_vars", "subst_binder", "alpha_eq_binder", "fresh_name",
-    "check_symbols", "parse_index", "parse_constraint", "show_index",
-    "show_constraint", "tokenize", "Parser", "parse_sum_expr", "add", "monus",
+    "eval_index", "entails", "entails_memo", "free_vars", "subst_index",
+    "alpha_eq_index", "binder_free_vars", "subst_binder", "alpha_eq_binder",
+    "fresh_name", "check_symbols", "parse_index", "parse_constraint",
+    "show_index", "show_constraint", "tokenize", "Parser", "parse_sum_expr",
+    "add", "monus",
 ]
 
 
@@ -149,11 +153,13 @@ def subst_index(t: IndexTerm, name: str, repl: IndexTerm) -> IndexTerm:
 def subst_binder(t, name: str, repl: IndexTerm, subst_body, body_free_vars):
     """Capture-avoiding substitution into the binding form `t`: the body is
     left alone when the binder shadows `name`, and the binder is renamed
-    when it would capture a free variable of `repl`."""
+    when a free variable of `repl` of the same name would land anywhere in
+    `t`: under the binder, or in an outer term beside it."""
     outer = tuple(subst_index(o, name, repl) for o in _outer(t))
     binder, body = t.binder, t.body
     if binder != name:
-        if binder in free_vars(repl) and name in body_free_vars(body):
+        if (binder in free_vars(repl)
+                and name in binder_free_vars(t, body_free_vars)):
             nb = fresh_name(binder, free_vars(repl) | body_free_vars(body))
             body = subst_body(body, binder, Var(nb))
             binder = nb
@@ -595,14 +601,14 @@ def _related(rel: str, a: int, b: int) -> bool:
     return a <= b if rel == "<=" else a < b if rel == "<" else a == b
 
 
-def _satisfies(ctx: ConstraintSet, rho: Assignment,
+def _satisfies(constraints: list[Constraint], rho: Assignment,
                program: EquationalProgram, fuel: int) -> Optional[bool]:
-    """Do ctx's constraints hold at rho?  A constraint holds when both sides
+    """Do `constraints` hold at rho?  A constraint holds when both sides
     are defined and related, so an undefined side makes it false.  False at
     the first false constraint; None when fuel ran out on a side of some
     constraint and none is false."""
     out: Optional[bool] = True
-    for c in ctx.constraints:
+    for c in constraints:
         tl, vl = _outcome(c.lhs, rho, program, fuel)
         if tl == _UNDEF:
             return False
@@ -616,6 +622,34 @@ def _satisfies(ctx: ConstraintSet, rho: Assignment,
     return out
 
 
+@dataclass
+class _Memo:
+    """What `entails` learnt within one `entails_memo` block: the verdict
+    of each (ctx, goal) and the satisfying assignments of each ctx.  It
+    serves only the program, bound and fuel it was opened for."""
+    program: EquationalProgram
+    bound: int
+    fuel: int
+    verdicts: dict = field(default_factory=dict)
+    satisfying: dict = field(default_factory=dict)
+
+
+_MEMO: ContextVar[Optional[_Memo]] = ContextVar("entails_memo", default=None)
+
+
+@contextmanager
+def entails_memo(program: EquationalProgram, bound: int,
+                 fuel: int) -> Iterator[None]:
+    """Within the block, `entails` on `program` at (bound, fuel) remembers
+    its verdicts and each context's satisfying assignments.  Both are
+    dropped when the block exits, however it exits."""
+    token = _MEMO.set(_Memo(program, bound, fuel))
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
 def entails(ctx: ConstraintSet, goal: Constraint | Defined,
             program: EquationalProgram, bound: int = DEFAULT_BOUND,
             fuel: int = DEFAULT_FUEL) -> Verdict:
@@ -627,6 +661,11 @@ def entails(ctx: ConstraintSet, goal: Constraint | Defined,
     counterexample, Unknown when fuel ran out on a goal evaluation at some
     satisfying assignment, or on a constraint at an assignment that no
     constraint rules out (and no definite counterexample was found).
+    "First" is in lexicographic order of the values of ctx.variables.
+
+    Inside `entails_memo` for the same program, bound and fuel, the verdict
+    of an equal query and the satisfying assignments of an equal context
+    are reused; elsewhere every call enumerates afresh.
     """
     goal_vars = (free_vars(goal.term) if isinstance(goal, Defined)
                  else free_vars(goal.lhs) | free_vars(goal.rhs))
@@ -634,23 +673,67 @@ def entails(ctx: ConstraintSet, goal: Constraint | Defined,
     if stray:
         raise ValueError(f"goal mentions undeclared variables {sorted(stray)}")
 
+    memo = _MEMO.get()
+    if (memo is None or memo.program is not program or memo.bound != bound
+            or memo.fuel != fuel):
+        return _goal_over(ctx.variables, _satisfying(ctx, program, bound, fuel),
+                          goal, program, bound, fuel)
+    key = (ctx, goal)
+    if key not in memo.verdicts:
+        if ctx not in memo.satisfying:
+            memo.satisfying[ctx] = list(_satisfying(ctx, program, bound, fuel))
+        memo.verdicts[key] = _goal_over(ctx.variables, memo.satisfying[ctx],
+                                        goal, program, bound, fuel)
+    return memo.verdicts[key]
+
+
+def _satisfying(ctx: ConstraintSet, program: EquationalProgram, bound: int,
+                fuel: int) -> Iterator[tuple[tuple[int, ...], bool]]:
+    """The assignments of ctx.variables into {0..bound} at which no
+    constraint is false, in lexicographic order, as (values, settled):
+    settled is False when fuel ran out on a constraint there.
+
+    The variables are bound depth-first in order, and each constraint is
+    tested once, as soon as its last free variable is bound: where it is
+    false, no extension of the partial assignment is visited.
+    """
+    variables = ctx.variables
+    depth = {v: i + 1 for i, v in enumerate(variables)}
+    tests: list[list[Constraint]] = [[] for _ in range(len(variables) + 1)]
+    for c in ctx.constraints:
+        tests[max((depth[v] for v in free_vars(c.lhs) | free_vars(c.rhs)),
+                  default=0)].append(c)
+    rho: Assignment = {}
+
+    def walk(level: int, settled: bool):
+        holds = _satisfies(tests[level], rho, program, fuel)
+        if holds is False:
+            return
+        settled = settled and holds is True
+        if level == len(variables):
+            yield tuple(rho[v] for v in variables), settled
+            return
+        var = variables[level]
+        for value in range(bound + 1):
+            rho[var] = value
+            yield from walk(level + 1, settled)
+
+    return walk(0, True)
+
+
+def _goal_over(variables: tuple[str, ...], points, goal: Constraint | Defined,
+               program: EquationalProgram, bound: int, fuel: int) -> Verdict:
+    """The verdict of the goal over `points`, as `_satisfying` yields them."""
     unknown: Unknown | None = None
-    for rho in _assignments(ctx.variables, bound):
-        satisfied = _satisfies(ctx, rho, program, fuel)
-        if satisfied is False:
-            continue
-        verdict = (_goal_at(goal, rho, program, fuel) if satisfied
+    for values, settled in points:
+        rho = dict(zip(variables, values))
+        verdict = (_goal_at(goal, rho, program, fuel) if settled
                    else Unknown("fuel-exhausted", tuple(sorted(rho.items()))))
         if isinstance(verdict, Refuted):
             return verdict
         if isinstance(verdict, Unknown) and unknown is None:
             unknown = verdict
     return unknown if unknown is not None else Verified(bound)
-
-
-def _assignments(variables: tuple[str, ...], bound: int) -> Iterator[Assignment]:
-    for values in itertools.product(range(bound + 1), repeat=len(variables)):
-        yield dict(zip(variables, values))
 
 
 def _goal_at(goal: Constraint | Defined, rho: Assignment,

@@ -10,8 +10,9 @@ from dlpcf import pcf
 from dlpcf.checker import (Annotations, Derivation, StructuralError, bind,
                            check, erase_derivation, load_derivation,
                            parse_derivation, root_bounds)
-from dlpcf.index import (ConstraintSet, EMPTY_CTX, Lit, Refuted, Verified,
-                         parse_constraint, parse_index)
+from dlpcf.index import (App, Constraint, ConstraintSet, EMPTY_CTX, Lit,
+                         Refuted, Var, Verified, entails, parse_constraint,
+                         parse_equations, parse_index)
 from dlpcf.types import alpha_eq_type, parse_basic_type, parse_modal_type
 
 
@@ -217,6 +218,51 @@ def test_obligations_are_deterministic(arith, dbl_derivation):
     second = check(dbl_derivation, arith, bound=4)
     assert first.obligations == second.obligations
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# The entailment memo lives for one check
+
+def direct_entails_evals(program, bound, monkeypatch):
+    """The eval_index calls made by each of two identical direct `entails`
+    calls at `bound` and the default fuel, as a check would make them."""
+    calls = []
+    real = ix.eval_index
+    monkeypatch.setattr(ix, "eval_index",
+                        lambda *args: calls.append(args) or real(*args))
+    counts = []
+    for _ in range(2):
+        before = len(calls)
+        entails(cs("a b", "b < a + 1"), parse_constraint("b <= a"), program,
+                bound)
+        counts.append(len(calls) - before)
+    monkeypatch.undo()
+    return counts
+
+
+def test_no_memo_outlives_a_check(arith, dbl_derivation, monkeypatch):
+    check(dbl_derivation, arith, bound=3)
+    first, second = direct_entails_evals(arith, 3, monkeypatch)
+    assert first == second > 0
+    # a weight out of scope two nodes down, after the root's obligations
+    lam = dbl_derivation.premises[0]
+    branch = dataclasses.replace(lam.premises[0], weight=parse_index("q"))
+    broken = dataclasses.replace(
+        dbl_derivation, premises=(dataclasses.replace(lam, premises=(branch,)),))
+    with pytest.raises(StructuralError, match="root.0.0"):
+        check(broken, arith, bound=3)
+    assert direct_entails_evals(arith, 3, monkeypatch) == [first, first]
+
+
+def test_entails_memo_serves_only_its_program_and_bound():
+    ctx = ConstraintSet(("a",), ())
+    goal = Constraint(App("f", (Var("a"),)), "<=", Lit(0))
+    zero = parse_equations("f(a) = 0")
+    succ = parse_equations("f(a) = a + 1")
+    with ix.entails_memo(zero, 3, 1000):
+        assert entails(ctx, goal, zero, 3, 1000) == Verified(3)
+        assert entails(ctx, goal, succ, 3, 1000) == Refuted((("a", 0),))
+        assert entails(ctx, goal, zero, 2, 1000) == Verified(2)
 
 
 # ---------------------------------------------------------------------------

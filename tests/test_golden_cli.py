@@ -54,6 +54,8 @@ CASES = {
     "check_dbl_human": (CHECK_DBL, {}),
     "check_dbl_tsv": (CHECK_DBL + ["--format", "tsv"], {}),
     "check_dbl_precise": (CHECK_DBL + ["--precise"], {}),
+    # no --bound: the CLI default, 8
+    "check_dbl_default_bound": (CHECK_DBL[:-2], {}),
     "check_delay5": (["check", "fixtures/delay5.deriv", "fixtures/delay5.pcf",
                       "--eqprog", "fixtures/arith.eqs", "--bound", "6"], {}),
     "soundness_dbl": (SOUND_DBL + ALL_N, {}),
@@ -90,6 +92,13 @@ CASES = {
         dbl_mutant('(selftype "[v < gt(a, b)]', '(selftype "[v < gt(a, q)]',
                    dbl_mutant('(context "[v < gt(a, b)]',
                               '(context "[v < gt(a, q)]'))),
+    # The recursive call's type substitutes into a bound beside a binder
+    # named like a free variable of the replacement.
+    "modal_binder_capture": check_tmp(
+        dbl_mutant('"[c < a-b+1] Nat[a-b] -o Nat[mult(2, a-b)]"',
+                   '"[v < a-b+1] Nat[0] -o Nat[mult(2, a-b)]"',
+                   dbl_mutant('"[c < a-b+1] Nat[a-b]"',
+                              '"[v < a-b+1] Nat[0]"'))),
     "constraint_no_relation": constraint_case("c"),
     "constraint_greater": constraint_case("c > 1"),
     "constraint_two_relations": constraint_case("c < 1 < 2"),

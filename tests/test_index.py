@@ -1,3 +1,5 @@
+import itertools
+import pathlib
 import random
 
 import pytest
@@ -326,6 +328,114 @@ def test_fuel_exhausted_constraint_makes_entailment_unknown():
     # a later constraint that is false everywhere still rules every a out
     never = ctx.extend(None, Constraint(Var("a"), "<", Lit(0)))
     assert entails(never, goal, loop, bound=3, fuel=1000) == Verified(3)
+
+
+def test_a_closed_false_constraint_prunes_every_assignment(monkeypatch):
+    calls = []
+    real = ix.eval_index
+    monkeypatch.setattr(ix, "eval_index",
+                        lambda *args: calls.append(args) or real(*args))
+    ctx = ConstraintSet(("a", "b", "c"), (Constraint(Lit(1), "<=", Lit(0)),))
+    goal = Constraint(Var("a"), "<", Var("b"))
+    assert entails(ctx, goal, ix.EMPTY_PROGRAM, bound=4) == Verified(4)
+    # the constraint's two sides, once, and no assignment beyond
+    assert len(calls) == 2
+
+
+# The full enumeration `entails` used before constraints pruned it: every
+# point of {0..bound}^k in lexicographic order, then filtered.  The pruned
+# enumerator must give exactly its verdicts, witnesses and reasons.
+
+def reference_satisfies(ctx, rho, program, fuel):
+    out = True
+    for c in ctx.constraints:
+        tl, vl = ix._outcome(c.lhs, rho, program, fuel)
+        if tl == ix._UNDEF:
+            return False
+        tr, vr = ix._outcome(c.rhs, rho, program, fuel)
+        if tr == ix._UNDEF:
+            return False
+        if ix._FUEL in (tl, tr):
+            out = None
+        elif not ix._related(c.rel, vl, vr):
+            return False
+    return out
+
+
+def reference_entails(ctx, goal, program, bound, fuel):
+    unknown = None
+    for values in itertools.product(range(bound + 1),
+                                    repeat=len(ctx.variables)):
+        rho = dict(zip(ctx.variables, values))
+        satisfied = reference_satisfies(ctx, rho, program, fuel)
+        if satisfied is False:
+            continue
+        verdict = (ix._goal_at(goal, rho, program, fuel) if satisfied
+                   else ix.Unknown("fuel-exhausted", tuple(sorted(rho.items()))))
+        if isinstance(verdict, Refuted):
+            return verdict
+        if isinstance(verdict, ix.Unknown) and unknown is None:
+            unknown = verdict
+    return unknown if unknown is not None else Verified(bound)
+
+
+# arith's symbols, one undefined at odd arguments and one that never
+# terminates; the small fuel also runs out on some large products.
+DIFF_PROGRAM = parse_equations(
+    (pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "arith.eqs")
+    .read_text() + "half(0) = 0\nhalf(a+1+1) = half(a) + 1\nloop(a) = loop(a)\n")
+DIFF_FUEL = 200
+
+
+@st.composite
+def entailment_queries(draw):
+    k = draw(st.integers(0, 3))
+    variables = tuple(draw(st.permutations(("a", "b", "c")))[:k])
+    leaves = st.integers(0, 3).map(Lit)
+    if variables:
+        leaves = leaves | st.sampled_from(variables).map(Var)
+    terms = st.recursive(leaves, lambda sub: st.one_of(
+        st.builds(ix.add, sub, sub), st.builds(ix.monus, sub, sub),
+        st.builds(lambda f, x, y: App(f, (x, y)),
+                  st.sampled_from(("gt", "add", "mult")), sub, sub),
+        st.builds(lambda f, x: App(f, (x,)),
+                  st.sampled_from(("half", "loop")), sub)),
+        max_leaves=5)
+    constraints = st.builds(Constraint, terms,
+                            st.sampled_from(("<=", "<", "=")), terms)
+    ctx = ConstraintSet(variables,
+                        tuple(draw(st.lists(constraints, max_size=3))))
+    goal = draw(st.builds(Constraint, terms,
+                          st.sampled_from(("<=", "<", "=", "~")), terms)
+                | st.builds(Defined, terms))
+    return ctx, goal, draw(st.integers(0, 4))
+
+
+@given(entailment_queries())
+# a constraint that runs out of fuel everywhere: Unknown, never Verified
+@example((ConstraintSet(("a",), (Constraint(App("loop", (Var("a"),)), "<=",
+                                            Lit(0)),)),
+          Constraint(Lit(1), "<=", Lit(0)), 3))
+# a closed false constraint: every assignment pruned, Verified
+@example((ConstraintSet(("a", "b"), (Constraint(Var("b"), "<", Var("a")),
+                                     Constraint(Lit(1), "<=", Lit(0)))),
+          Constraint(Var("a"), "<", Var("b")), 4))
+# constraints listed in another order than their variables: Refuted at
+# the least witness a=3, b=1, c=0
+@example((ConstraintSet(("a", "b", "c"),
+                        (Constraint(Var("c"), "<", Var("b")),
+                         Constraint(App("half", (Var("c"),)), "=", Lit(0)),
+                         Constraint(Var("b"), "<", Var("a")))),
+          Constraint(Var("a"), "<", ix.add(Var("b"), Lit(2))), 4))
+@settings(max_examples=200, deadline=None)
+def test_pruned_entails_matches_the_full_enumeration(query):
+    ctx, goal, bound = query
+    want = reference_entails(ctx, goal, DIFF_PROGRAM, bound, DIFF_FUEL)
+    assert entails(ctx, goal, DIFF_PROGRAM, bound, DIFF_FUEL) == want
+    with ix.entails_memo(DIFF_PROGRAM, bound, DIFF_FUEL):
+        # the first call fills the memo, the second is answered from it
+        assert entails(ctx, goal, DIFF_PROGRAM, bound, DIFF_FUEL) == want
+        assert entails(ctx, goal, DIFF_PROGRAM, bound, DIFF_FUEL) == want
 
 
 def test_fresh_name_depends_only_on_its_arguments():

@@ -68,6 +68,12 @@ def test_subst_type_capture_avoiding():
     assert ix.alpha_eq_index(got.dom.bound, parse_index("c + 1"))
 
 
+def test_subst_type_renames_binder_captured_in_bound():
+    # x := b lands in the bound only, beside a binder also named b
+    got = subst_type(M("[b < x] Nat[b]"), "x", Var("b"))
+    assert alpha_eq_type(got, M("[b_0 < b] Nat[b_0]"))
+
+
 # ---------------------------------------------------------------------------
 # Well-definedness
 
