@@ -22,7 +22,7 @@ from typing import Optional
 from . import index as ix
 from .fuel import DEFAULT_BOUND, DEFAULT_FUEL
 from .index import (Constraint, ConstraintSet, EquationError,
-                    EquationalProgram, IndexTerm, Verdict, Verified,
+                    EquationalProgram, IndexTerm, Oracle, Verdict, Verified,
                     alpha_eq_index, free_vars, merge_verdicts,
                     parse_constraint, parse_index, show_constraint, show_index)
 from .pcf import (NAT, App, Arrow, Const, Fix, IfZ, Lam, PcfType, Pred, Succ,
@@ -38,7 +38,7 @@ __all__ = [
     "Derivation", "Annotations", "Obligation", "CheckReport", "PcfDerivation",
     "StructuralError", "DerivationSyntaxError",
     "parse_derivation", "load_derivation", "bind", "check",
-    "erase_derivation", "root_bounds",
+    "erase_derivation",
 ]
 
 # rule -> (term constructor it applies to, number of premises)
@@ -115,11 +115,6 @@ class PcfDerivation:
 
     def node_count(self) -> int:
         return 1 + sum(p.node_count() for p in self.premises)
-
-
-def root_bounds(d: Derivation) -> tuple[IndexTerm, BasicType]:
-    """Weight and type of the root judgement (for the soundness harness)."""
-    return d.weight, d.type
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +198,8 @@ def _resolve_placeholders(d: Derivation, path: tuple[int, ...],
 # Checking
 
 class _Checker:
-    def __init__(self, program: EquationalProgram, bound: int, fuel: int,
-                 precise: bool):
-        self.program = program
-        self.bound = bound
-        self.fuel = fuel
+    def __init__(self, oracle: Oracle, precise: bool):
+        self.oracle = oracle
         self.precise = precise
         self.obligations: list[Obligation] = []
 
@@ -230,22 +222,20 @@ class _Checker:
 
     def entail(self, path, node, payload, lhs, rel, rhs) -> None:
         with self.structural(path, payload):
-            v = ix.entails(node.ctx, Constraint(lhs, rel, rhs), self.program,
-                           self.bound, self.fuel)
+            v = ix.entails(node.ctx, Constraint(lhs, rel, rhs), self.oracle)
         self.emit(path, "entailment",
                   f"{payload}: {show_index(lhs)} {rel} {show_index(rhs)}", v)
 
     def subtype_ob(self, path, ctx, payload, sub, sup) -> None:
         with self.structural(path, payload):
-            v = subtype(ctx, sub, sup, self.program, self.bound, self.fuel,
-                        self.precise)
+            v = subtype(ctx, sub, sup, self.oracle, self.precise)
         rel = "==" if self.precise else "<:"
         self.emit(path, "subtyping",
                   f"{payload}: {show_type(sub)} {rel} {show_type(sup)}", v)
 
     def wd_ob(self, path, node, payload, ty) -> None:
         with self.structural(path, payload):
-            v = well_defined(node.ctx, ty, self.program, self.bound, self.fuel)
+            v = well_defined(node.ctx, ty, self.oracle)
         self.emit(path, "well-definedness", f"{payload}: {show_type(ty)}", v)
 
     def annot(self, node: Derivation, path, key: str):
@@ -287,7 +277,7 @@ class _Checker:
                           f"{sorted(stray)}")
         with self.structural(path):
             for term in _index_terms_of(node):
-                ix.check_symbols(term, self.program.signature)
+                ix.check_symbols(term, self.oracle.program.signature)
 
     def same_ctx(self, path, got: ConstraintSet, want: ConstraintSet,
                  what: str) -> None:
@@ -528,8 +518,7 @@ class _Checker:
                                         f"witness")
         with self.structural(path, f"slot {slot}"):
             summed, verdict = bounded_sum_modal(
-                binder, width, entry, witness, node.ctx, self.program,
-                self.bound, self.fuel)
+                binder, width, entry, witness, node.ctx, self.oracle)
         self.emit(path, "shape",
                   f"slot {slot}: context entry {show_type(entry)} sums to "
                   f"{show_type(summed)}", verdict)
@@ -540,7 +529,7 @@ class _Checker:
             raise StructuralError(path, f"slot {slot}: expected a sum witness")
         with self.structural(path, f"slot {slot}"):
             joined, verdict = sum_modal(left, right, witness, node.ctx,
-                                        self.program, self.bound, self.fuel)
+                                        self.oracle)
         self.emit(path, "shape",
                   f"slot {slot}: {show_type(left)} joins {show_type(right)} "
                   f"as {show_type(joined)}", verdict)
@@ -595,9 +584,8 @@ def check(d: Derivation, program: EquationalProgram,
           precise: bool = False) -> CheckReport:
     """Verify every rule instance of the derivation against the bounded
     oracle.  The derivation must be bound to its subject (see `bind`)."""
-    checker = _Checker(program, bound, fuel, precise)
-    with ix.entails_memo(program, bound, fuel):
-        checker.check_node(d, ())
+    checker = _Checker(Oracle(program, bound, fuel), precise)
+    checker.check_node(d, ())
     obligations = tuple(checker.obligations)
     if obligations:
         overall = merge_verdicts(*(o.verdict for o in obligations))

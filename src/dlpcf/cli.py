@@ -97,7 +97,7 @@ def soundness_rows(deriv: ck.Derivation, term: pcf.Term,
     """Instantiate the root judgement and compare its bounds with a real
     machine run: steps <= size * (weight + 1), and the value inside the
     declared interval."""
-    weight, ty = ck.root_bounds(deriv)
+    weight, ty = deriv.weight, deriv.type
 
     def row(term_n, w, lo, hi, label):
         size_n = pcf.size(term_n)

@@ -7,7 +7,8 @@ program: an orthogonal set of constructor-pattern rewrite rules.  Entailment
 between index expressions is semidecided by checking the goal at every
 assignment of the constrained variables up to a bound at which the
 constraints hold; each constraint is tested as soon as its variables are
-bound, so a false one prunes every assignment that extends it.
+bound, so a false one prunes every assignment that extends it.  An `Oracle`
+fixes the program, the bound and the fuel, and remembers what it was asked.
 
 The binding forms `BoundedSum`, `Forest` and `types.ModalType` are frozen
 dataclasses whose first field, `binder`, is bound in the last, `body`, only;
@@ -19,8 +20,6 @@ all three, given the same operation on the body.
 from __future__ import annotations
 
 import re
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field, fields
 from typing import Iterator, Optional, Union
 
@@ -34,7 +33,7 @@ __all__ = [
     "IndexUndefined", "FuelExhausted", "EquationError", "OverlapError",
     "ArityError", "UnboundRhsVar", "NonLinearPattern",
     "declare", "register_program", "parse_equations", "load_equations",
-    "eval_index", "entails", "entails_memo", "free_vars", "subst_index",
+    "eval_index", "Oracle", "entails", "free_vars", "subst_index",
     "alpha_eq_index", "binder_free_vars", "subst_binder", "alpha_eq_binder",
     "fresh_name", "check_symbols", "parse_index", "parse_constraint",
     "show_index", "show_constraint", "tokenize", "Parser", "parse_sum_expr",
@@ -367,7 +366,7 @@ class IndexUndefined(Exception):
 
 
 def eval_index(term: IndexTerm, rho: Assignment, program: EquationalProgram,
-               fuel: int | Fuel = DEFAULT_FUEL) -> int:
+               fuel: int = DEFAULT_FUEL) -> int:
     """Value of `term` under assignment `rho` and program `program`.
 
     Applications rewrite innermost: arguments evaluate to naturals before a
@@ -378,7 +377,7 @@ def eval_index(term: IndexTerm, rho: Assignment, program: EquationalProgram,
     when the budget runs out (possible divergence), ValueError on variables
     outside rho's domain.
     """
-    gas = fuel if isinstance(fuel, Fuel) else Fuel(fuel)
+    gas = Fuel(fuel)
     try:
         return _eval(term, rho, program, gas)
     except RecursionError:
@@ -587,10 +586,10 @@ def merge_verdicts(*verdicts: Verdict) -> Verdict:
 _OK, _UNDEF, _FUEL = 0, 1, 2
 
 
-def _outcome(term: IndexTerm, rho: Assignment, program: EquationalProgram,
-             fuel: int) -> tuple[int, int]:
+def _outcome(term: IndexTerm, rho: Assignment,
+             oracle: Oracle) -> tuple[int, int]:
     try:
-        return (_OK, eval_index(term, rho, program, Fuel(fuel)))
+        return (_OK, eval_index(term, rho, oracle.program, oracle.fuel))
     except IndexUndefined:
         return (_UNDEF, 0)
     except FuelExhausted:
@@ -602,17 +601,17 @@ def _related(rel: str, a: int, b: int) -> bool:
 
 
 def _satisfies(constraints: list[Constraint], rho: Assignment,
-               program: EquationalProgram, fuel: int) -> Optional[bool]:
+               oracle: Oracle) -> Optional[bool]:
     """Do `constraints` hold at rho?  A constraint holds when both sides
     are defined and related, so an undefined side makes it false.  False at
     the first false constraint; None when fuel ran out on a side of some
     constraint and none is false."""
     out: Optional[bool] = True
     for c in constraints:
-        tl, vl = _outcome(c.lhs, rho, program, fuel)
+        tl, vl = _outcome(c.lhs, rho, oracle)
         if tl == _UNDEF:
             return False
-        tr, vr = _outcome(c.rhs, rho, program, fuel)
+        tr, vr = _outcome(c.rhs, rho, oracle)
         if tr == _UNDEF:
             return False
         if _FUEL in (tl, tr):
@@ -622,39 +621,32 @@ def _satisfies(constraints: list[Constraint], rho: Assignment,
     return out
 
 
-@dataclass
-class _Memo:
-    """What `entails` learnt within one `entails_memo` block: the verdict
-    of each (ctx, goal) and the satisfying assignments of each ctx.  It
-    serves only the program, bound and fuel it was opened for."""
+@dataclass(frozen=True, eq=False)
+class Oracle:
+    """The bounded entailment oracle of one program at one (bound, fuel).
+
+    It remembers the verdict of each (ctx, goal) and the satisfying
+    assignments of each ctx that `entails` asked it about, for as long as
+    it lives.  It compares by identity: two oracles with equal fields are
+    two memos.
+    """
     program: EquationalProgram
-    bound: int
-    fuel: int
-    verdicts: dict = field(default_factory=dict)
-    satisfying: dict = field(default_factory=dict)
+    bound: int = DEFAULT_BOUND
+    fuel: int = DEFAULT_FUEL
+    verdicts: dict = field(default_factory=dict, init=False, repr=False)
+    satisfying: dict = field(default_factory=dict, init=False, repr=False)
 
-
-_MEMO: ContextVar[Optional[_Memo]] = ContextVar("entails_memo", default=None)
-
-
-@contextmanager
-def entails_memo(program: EquationalProgram, bound: int,
-                 fuel: int) -> Iterator[None]:
-    """Within the block, `entails` on `program` at (bound, fuel) remembers
-    its verdicts and each context's satisfying assignments.  Both are
-    dropped when the block exits, however it exits."""
-    token = _MEMO.set(_Memo(program, bound, fuel))
-    try:
-        yield
-    finally:
-        _MEMO.reset(token)
+    def __post_init__(self):
+        if self.bound < 0:
+            raise ValueError(f"bound must be a natural, got {self.bound}")
+        if self.fuel <= 0:
+            raise ValueError("fuel budget must be positive")
 
 
 def entails(ctx: ConstraintSet, goal: Constraint | Defined,
-            program: EquationalProgram, bound: int = DEFAULT_BOUND,
-            fuel: int = DEFAULT_FUEL) -> Verdict:
+            oracle: Oracle) -> Verdict:
     """Does the goal hold at every assignment of ctx.variables into
-    {0..bound} satisfying ctx.constraints?
+    {0..oracle.bound} satisfying ctx.constraints?
 
     Exhaustive and three-valued: Verified(bound) when the goal holds at
     every satisfying assignment, Refuted(rho) at the first definite
@@ -663,9 +655,8 @@ def entails(ctx: ConstraintSet, goal: Constraint | Defined,
     constraint rules out (and no definite counterexample was found).
     "First" is in lexicographic order of the values of ctx.variables.
 
-    Inside `entails_memo` for the same program, bound and fuel, the verdict
-    of an equal query and the satisfying assignments of an equal context
-    are reused; elsewhere every call enumerates afresh.
+    The oracle's verdict of an equal query and its satisfying assignments
+    of an equal context are reused.
     """
     goal_vars = (free_vars(goal.term) if isinstance(goal, Defined)
                  else free_vars(goal.lhs) | free_vars(goal.rhs))
@@ -673,22 +664,17 @@ def entails(ctx: ConstraintSet, goal: Constraint | Defined,
     if stray:
         raise ValueError(f"goal mentions undeclared variables {sorted(stray)}")
 
-    memo = _MEMO.get()
-    if (memo is None or memo.program is not program or memo.bound != bound
-            or memo.fuel != fuel):
-        return _goal_over(ctx.variables, _satisfying(ctx, program, bound, fuel),
-                          goal, program, bound, fuel)
     key = (ctx, goal)
-    if key not in memo.verdicts:
-        if ctx not in memo.satisfying:
-            memo.satisfying[ctx] = list(_satisfying(ctx, program, bound, fuel))
-        memo.verdicts[key] = _goal_over(ctx.variables, memo.satisfying[ctx],
-                                        goal, program, bound, fuel)
-    return memo.verdicts[key]
+    verdicts, satisfying = oracle.verdicts, oracle.satisfying
+    if key not in verdicts:
+        if ctx not in satisfying:
+            satisfying[ctx] = list(_satisfying(ctx, oracle))
+        verdicts[key] = _goal_over(ctx.variables, satisfying[ctx], goal, oracle)
+    return verdicts[key]
 
 
-def _satisfying(ctx: ConstraintSet, program: EquationalProgram, bound: int,
-                fuel: int) -> Iterator[tuple[tuple[int, ...], bool]]:
+def _satisfying(ctx: ConstraintSet,
+                oracle: Oracle) -> Iterator[tuple[tuple[int, ...], bool]]:
     """The assignments of ctx.variables into {0..bound} at which no
     constraint is false, in lexicographic order, as (values, settled):
     settled is False when fuel ran out on a constraint there.
@@ -706,7 +692,7 @@ def _satisfying(ctx: ConstraintSet, program: EquationalProgram, bound: int,
     rho: Assignment = {}
 
     def walk(level: int, settled: bool):
-        holds = _satisfies(tests[level], rho, program, fuel)
+        holds = _satisfies(tests[level], rho, oracle)
         if holds is False:
             return
         settled = settled and holds is True
@@ -714,7 +700,7 @@ def _satisfying(ctx: ConstraintSet, program: EquationalProgram, bound: int,
             yield tuple(rho[v] for v in variables), settled
             return
         var = variables[level]
-        for value in range(bound + 1):
+        for value in range(oracle.bound + 1):
             rho[var] = value
             yield from walk(level + 1, settled)
 
@@ -722,31 +708,31 @@ def _satisfying(ctx: ConstraintSet, program: EquationalProgram, bound: int,
 
 
 def _goal_over(variables: tuple[str, ...], points, goal: Constraint | Defined,
-               program: EquationalProgram, bound: int, fuel: int) -> Verdict:
+               oracle: Oracle) -> Verdict:
     """The verdict of the goal over `points`, as `_satisfying` yields them."""
     unknown: Unknown | None = None
     for values, settled in points:
         rho = dict(zip(variables, values))
-        verdict = (_goal_at(goal, rho, program, fuel) if settled
+        verdict = (_goal_at(goal, rho, oracle) if settled
                    else Unknown("fuel-exhausted", tuple(sorted(rho.items()))))
         if isinstance(verdict, Refuted):
             return verdict
         if isinstance(verdict, Unknown) and unknown is None:
             unknown = verdict
-    return unknown if unknown is not None else Verified(bound)
+    return unknown if unknown is not None else Verified(oracle.bound)
 
 
 def _goal_at(goal: Constraint | Defined, rho: Assignment,
-             program: EquationalProgram, fuel: int) -> Verdict | None:
+             oracle: Oracle) -> Verdict | None:
     if isinstance(goal, Defined):
-        tag, _ = _outcome(goal.term, rho, program, fuel)
+        tag, _ = _outcome(goal.term, rho, oracle)
         if tag == _OK:
             return None
         if tag == _UNDEF:
             return Refuted.at(rho)
         return Unknown("fuel-exhausted", tuple(sorted(rho.items())))
-    tl, vl = _outcome(goal.lhs, rho, program, fuel)
-    tr, vr = _outcome(goal.rhs, rho, program, fuel)
+    tl, vl = _outcome(goal.lhs, rho, oracle)
+    tr, vr = _outcome(goal.rhs, rho, oracle)
     if tl == _FUEL or tr == _FUEL:
         return Unknown("fuel-exhausted", tuple(sorted(rho.items())))
     if goal.rel == "~":

@@ -3,7 +3,8 @@ and quantified modal types, with bounded-oracle well-definedness, subtyping,
 equivalence, and the sum operations on modal types.
 
 All semantic questions reduce to `index.entails` under a constraint context,
-so every judgement here is three-valued and qualified by (bound, fuel).
+asked of one `index.Oracle`, so every judgement here is three-valued and
+qualified by the oracle's bound and fuel.
 """
 
 from __future__ import annotations
@@ -13,9 +14,8 @@ from dataclasses import dataclass
 from typing import Union
 
 from . import index as ix
-from .fuel import DEFAULT_BOUND, DEFAULT_FUEL
-from .index import (Constraint, ConstraintSet, Defined, EquationalProgram,
-                    IndexTerm, Verdict, alpha_eq_binder, alpha_eq_index,
+from .index import (Constraint, ConstraintSet, Defined, IndexTerm, Oracle,
+                    Verdict, alpha_eq_binder, alpha_eq_index,
                     binder_free_vars, entails, free_vars, fresh_name,
                     merge_verdicts, show_index, subst_binder, subst_index)
 from .pcf import NAT, Arrow, PcfType
@@ -122,24 +122,20 @@ def erase_modal(t: ModalType) -> PcfType:
 # Judgements
 
 def well_defined(ctx: ConstraintSet, t: BasicType | ModalType,
-                 program: EquationalProgram, bound: int = DEFAULT_BOUND,
-                 fuel: int = DEFAULT_FUEL) -> Verdict:
+                 oracle: Oracle) -> Verdict:
     """All index terms in `t` are defined for the relevant variable values."""
     match t:
         case NatI(lo, hi):
-            return merge_verdicts(
-                entails(ctx, Defined(lo), program, bound, fuel),
-                entails(ctx, Defined(hi), program, bound, fuel))
+            return merge_verdicts(entails(ctx, Defined(lo), oracle),
+                                  entails(ctx, Defined(hi), oracle))
         case LinArrow(dom, cod):
-            return merge_verdicts(
-                well_defined(ctx, dom, program, bound, fuel),
-                well_defined(ctx, cod, program, bound, fuel))
+            return merge_verdicts(well_defined(ctx, dom, oracle),
+                                  well_defined(ctx, cod, oracle))
         case ModalType(binder, bnd):
             var = fresh_name(binder, frozenset(ctx.variables))
             return merge_verdicts(
-                well_defined(ctx.under(var, bnd), _open(t, var), program,
-                             bound, fuel),
-                entails(ctx, Defined(bnd), program, bound, fuel))
+                well_defined(ctx.under(var, bnd), _open(t, var), oracle),
+                entails(ctx, Defined(bnd), oracle))
     raise TypeError(f"not a type: {t!r}")
 
 
@@ -153,8 +149,7 @@ def _rel(precise: bool) -> str:
     return "=" if precise else "<="
 
 
-def subtype(ctx: ConstraintSet, sub, sup, program: EquationalProgram,
-            bound: int = DEFAULT_BOUND, fuel: int = DEFAULT_FUEL,
+def subtype(ctx: ConstraintSet, sub, sup, oracle: Oracle,
             precise: bool = False) -> Verdict:
     """Structural subtyping: intervals widen, arrows are contravariant in
     the modal argument, modal bounds shrink.  With `precise`, every index
@@ -163,29 +158,26 @@ def subtype(ctx: ConstraintSet, sub, sup, program: EquationalProgram,
     match (sub, sup):
         case (NatI(l1, h1), NatI(l2, h2)):
             return merge_verdicts(
-                entails(ctx, Constraint(l2, _rel(precise), l1), program, bound, fuel),
-                entails(ctx, Constraint(h1, _rel(precise), h2), program, bound, fuel))
+                entails(ctx, Constraint(l2, _rel(precise), l1), oracle),
+                entails(ctx, Constraint(h1, _rel(precise), h2), oracle))
         case (LinArrow(d1, c1), LinArrow(d2, c2)):
-            return merge_verdicts(
-                subtype(ctx, d2, d1, program, bound, fuel, precise),
-                subtype(ctx, c1, c2, program, bound, fuel, precise))
+            return merge_verdicts(subtype(ctx, d2, d1, oracle, precise),
+                                  subtype(ctx, c1, c2, oracle, precise))
         case (ModalType(v1, b1), ModalType(_, b2)):
             var = fresh_name(v1, frozenset(ctx.variables)
                              | free_type_vars(sub) | free_type_vars(sup))
             return merge_verdicts(
                 subtype(ctx.under(var, b1), _open(sub, var), _open(sup, var),
-                        program, bound, fuel, precise),
-                entails(ctx, Constraint(b2, _rel(precise), b1), program, bound, fuel))
+                        oracle, precise),
+                entails(ctx, Constraint(b2, _rel(precise), b1), oracle))
     raise ShapeMismatch(
         f"cannot compare {show_type(sub)} with {show_type(sup)}")
 
 
-def equiv(ctx: ConstraintSet, a, b, program: EquationalProgram,
-          bound: int = DEFAULT_BOUND, fuel: int = DEFAULT_FUEL) -> Verdict:
+def equiv(ctx: ConstraintSet, a, b, oracle: Oracle) -> Verdict:
     """Subtyping in both directions."""
-    return merge_verdicts(
-        subtype(ctx, a, b, program, bound, fuel),
-        subtype(ctx, b, a, program, bound, fuel))
+    return merge_verdicts(subtype(ctx, a, b, oracle),
+                          subtype(ctx, b, a, oracle))
 
 
 # ---------------------------------------------------------------------------
@@ -209,9 +201,7 @@ class BoundedSumWitness:
 
 
 def sum_modal(a: ModalType, b: ModalType, witness: SumWitness,
-              ctx: ConstraintSet, program: EquationalProgram,
-              bound: int = DEFAULT_BOUND,
-              fuel: int = DEFAULT_FUEL) -> tuple[ModalType, Verdict]:
+              ctx: ConstraintSet, oracle: Oracle) -> tuple[ModalType, Verdict]:
     """A + B where A holds the first I instances of the witness shape and B
     the next J: the result holds the first I+J."""
     if erase_modal(a) != erase(witness.body) or erase_modal(b) != erase(witness.body):
@@ -220,16 +210,14 @@ def sum_modal(a: ModalType, b: ModalType, witness: SumWitness,
     shifted_body = subst_type(witness.body, witness.param,
                               ix.add(a.bound, ix.Var(witness.param)))
     second = ModalType(witness.param, b.bound, shifted_body)
-    verdict = merge_verdicts(
-        equiv(ctx, a, first, program, bound, fuel),
-        equiv(ctx, b, second, program, bound, fuel))
+    verdict = merge_verdicts(equiv(ctx, a, first, oracle),
+                             equiv(ctx, b, second, oracle))
     return ModalType(witness.param, ix.add(a.bound, b.bound), witness.body), verdict
 
 
 def bounded_sum_modal(binder: str, width: IndexTerm, a: ModalType,
                       witness: BoundedSumWitness, ctx: ConstraintSet,
-                      program: EquationalProgram, bound: int = DEFAULT_BOUND,
-                      fuel: int = DEFAULT_FUEL) -> tuple[ModalType, Verdict]:
+                      oracle: Oracle) -> tuple[ModalType, Verdict]:
     """Sum of `width` instances of A over `binder`: A must consist, at each
     value of the binder, of the next `per` instances of the witness shape.
 
@@ -250,7 +238,7 @@ def bounded_sum_modal(binder: str, width: IndexTerm, a: ModalType,
     inst = subst_type(witness.body, witness.param,
                       ix.add(offset, ix.Var(slot)))
     candidate = ModalType(slot, witness.per, inst)
-    verdict = equiv(inner_ctx, a, candidate, program, bound, fuel)
+    verdict = equiv(inner_ctx, a, candidate, oracle)
     total = ix.BoundedSum(binder, width, witness.per)
     return ModalType(witness.param, total, witness.body), verdict
 

@@ -16,8 +16,8 @@ from dlpcf import machine
 from dlpcf import pcf
 from dlpcf import types as ty
 from dlpcf.cli import soundness_rows
-from dlpcf.index import (Constraint, EMPTY_CTX, Forest, Lit, Refuted, Var,
-                         Verified, entails, eval_index, subst_index)
+from dlpcf.index import (Constraint, EMPTY_CTX, Forest, Lit, Oracle, Refuted,
+                         Var, Verified, entails, eval_index, subst_index)
 
 from genterms import gen_basic_type, table_program, widen
 from test_checker import mutations
@@ -50,8 +50,8 @@ def test_criterion_2_forest_lemmas_randomized():
         lhs = Forest("a", Lit(i + j), Lit(k), body)
         rhs = Forest("a", Lit(j), Lit(k),
                      subst_index(body, "a", ix.add(Var("a"), Lit(i))))
-        verdict = entails(EMPTY_CTX, Constraint(lhs, "~", rhs), program,
-                          bound=8, fuel=10**5)
+        verdict = entails(EMPTY_CTX, Constraint(lhs, "~", rhs),
+                          Oracle(program, bound=8, fuel=10**5))
         assert isinstance(verdict, Verified), ("shift", i, j, k)
         shift_checked += 1
 
@@ -60,8 +60,8 @@ def test_criterion_2_forest_lemmas_randomized():
         shifted = subst_index(body, "a", ix.add(ix.add(Var("a"), Lit(1)),
                                                 inner))
         rhs = ix.BoundedSum("b", Lit(j), Forest("a", Lit(0), Lit(1), shifted))
-        verdict = entails(EMPTY_CTX, Constraint(lhs, "~", rhs), program,
-                          bound=8, fuel=10**5)
+        verdict = entails(EMPTY_CTX, Constraint(lhs, "~", rhs),
+                          Oracle(program, bound=8, fuel=10**5))
         assert isinstance(verdict, Verified), ("sum", j)
         sum_checked += 1
     assert shift_checked >= 200 and sum_checked >= 200
@@ -139,16 +139,17 @@ def test_criterion_8_subtyping_metamorphic_suite(arith):
     started = time.monotonic()
     rng = random.Random(42)
     ctx = ix.ConstraintSet(("a",), ())
+    oracle = Oracle(arith, bound=6)
     for i in range(500):
         base = gen_basic_type(rng, ("a",), 2)
-        refl = ty.subtype(ctx, base, base, arith, bound=6)
+        refl = ty.subtype(ctx, base, base, oracle)
         assert not isinstance(refl, Refuted), (i, ty.show_type(base))
         mid = widen(rng, base)
         top = widen(rng, mid)
-        lo = ty.subtype(ctx, base, mid, arith, bound=6)
-        hi = ty.subtype(ctx, mid, top, arith, bound=6)
+        lo = ty.subtype(ctx, base, mid, oracle)
+        hi = ty.subtype(ctx, mid, top, oracle)
         assert isinstance(lo, Verified) and isinstance(hi, Verified), i
-        span = ty.subtype(ctx, base, top, arith, bound=6)
+        span = ty.subtype(ctx, base, top, oracle)
         assert not isinstance(span, Refuted), (i, ty.show_type(base))
     elapsed = report(8, "subtyping reflexivity and transitivity at bound 6",
                      started)

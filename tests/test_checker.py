@@ -9,10 +9,10 @@ from dlpcf import machine
 from dlpcf import pcf
 from dlpcf.checker import (Annotations, Derivation, StructuralError, bind,
                            check, erase_derivation, load_derivation,
-                           parse_derivation, root_bounds)
+                           parse_derivation)
 from dlpcf.index import (App, Constraint, ConstraintSet, EMPTY_CTX, Lit,
-                         Refuted, Var, Verified, entails, parse_constraint,
-                         parse_equations, parse_index)
+                         Oracle, Refuted, Var, Verified, entails,
+                         parse_constraint, parse_equations, parse_index)
 from dlpcf.types import alpha_eq_type, parse_basic_type, parse_modal_type
 
 
@@ -85,8 +85,8 @@ def test_small_application_derivation_verifies(arith):
 def test_small_application_runs_within_its_weight(arith):
     d = small_app_derivation()
     r = machine.run(d.subject)
-    weight, _ = root_bounds(d)
-    assert r.steps <= pcf.size(d.subject) * (ix.eval_index(weight, {}, arith) + 1)
+    w = ix.eval_index(d.weight, {}, arith)
+    assert r.steps <= pcf.size(d.subject) * (w + 1)
     assert r.value == 3
 
 
@@ -128,9 +128,10 @@ def test_derivations_are_hashable(dbl_term):
 
 
 def test_golden_dbl_root_bounds(dbl_derivation):
-    weight, ty = root_bounds(dbl_derivation)
-    assert alpha_eq_type(ty, B("[b < a + 1] Nat[a] -o Nat[mult(2, a)]"))
-    assert ix.alpha_eq_index(weight, parse_index("a + sum(b < a+1, a - b)"))
+    assert alpha_eq_type(dbl_derivation.type,
+                         B("[b < a + 1] Nat[a] -o Nat[mult(2, a)]"))
+    assert ix.alpha_eq_index(dbl_derivation.weight,
+                             parse_index("a + sum(b < a+1, a - b)"))
 
 
 def test_golden_dbl_erasure(dbl_derivation, dbl_term):
@@ -221,11 +222,11 @@ def test_obligations_are_deterministic(arith, dbl_derivation):
 
 
 # ---------------------------------------------------------------------------
-# The entailment memo lives for one check
+# The entailment memo lives on its oracle
 
 def direct_entails_evals(program, bound, monkeypatch):
     """The eval_index calls made by each of two identical direct `entails`
-    calls at `bound` and the default fuel, as a check would make them."""
+    calls, each on a fresh oracle at `bound` and the default fuel."""
     calls = []
     real = ix.eval_index
     monkeypatch.setattr(ix, "eval_index",
@@ -233,8 +234,8 @@ def direct_entails_evals(program, bound, monkeypatch):
     counts = []
     for _ in range(2):
         before = len(calls)
-        entails(cs("a b", "b < a + 1"), parse_constraint("b <= a"), program,
-                bound)
+        entails(cs("a b", "b < a + 1"), parse_constraint("b <= a"),
+                Oracle(program, bound))
         counts.append(len(calls) - before)
     monkeypatch.undo()
     return counts
@@ -259,10 +260,12 @@ def test_entails_memo_serves_only_its_program_and_bound():
     goal = Constraint(App("f", (Var("a"),)), "<=", Lit(0))
     zero = parse_equations("f(a) = 0")
     succ = parse_equations("f(a) = a + 1")
-    with ix.entails_memo(zero, 3, 1000):
-        assert entails(ctx, goal, zero, 3, 1000) == Verified(3)
-        assert entails(ctx, goal, succ, 3, 1000) == Refuted((("a", 0),))
-        assert entails(ctx, goal, zero, 2, 1000) == Verified(2)
+    asked = Oracle(zero, 3, 1000)
+    assert entails(ctx, goal, asked) == Verified(3)
+    assert entails(ctx, goal, Oracle(succ, 3, 1000)) == Refuted((("a", 0),))
+    assert entails(ctx, goal, Oracle(zero, 2, 1000)) == Verified(2)
+    # an oracle is equal only to itself
+    assert asked != Oracle(zero, 3, 1000)
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +299,8 @@ def test_vacuous_fix_context_sum_is_tight(arith):
 
 def test_vacuous_fix_runs_within_its_weight(arith):
     deriv, term = delay5(arith)
-    weight, ty_root = root_bounds(deriv)
     r = machine.run(term)
-    w = ix.eval_index(weight, {}, arith)
+    w = ix.eval_index(deriv.weight, {}, arith)
     assert r.value == 5 and r.steps == 4
     assert r.steps <= pcf.size(term) * (w + 1)
 

@@ -7,8 +7,9 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from dlpcf import index as ix
-from dlpcf.index import (BoundedSum, Constraint, EMPTY_CTX, Forest, Lit, Var,
-                         Verified, add, entails, eval_index, subst_index)
+from dlpcf.index import (BoundedSum, Constraint, EMPTY_CTX, Forest, Lit,
+                         Oracle, Var, Verified, add, entails, eval_index,
+                         subst_index)
 
 from genterms import table_program
 
@@ -46,8 +47,8 @@ def test_shift_lemma(seed, i, j, k):
     lhs = Forest("a", Lit(i + j), Lit(k), body)
     rhs = Forest("a", Lit(j), Lit(k),
                  subst_index(body, "a", add(Var("a"), Lit(i))))
-    verdict = entails(EMPTY_CTX, Constraint(lhs, "~", rhs), program,
-                      bound=8, fuel=FUEL)
+    verdict = entails(EMPTY_CTX, Constraint(lhs, "~", rhs),
+                      Oracle(program, bound=8, fuel=FUEL))
     assert isinstance(verdict, Verified)
 
 
@@ -60,8 +61,8 @@ def test_single_tree_sum_lemma(seed, j):
     inner = Forest("a", Lit(1), Var("b"), body)
     shifted = subst_index(body, "a", add(add(Var("a"), Lit(1)), inner))
     rhs = BoundedSum("b", Lit(j), Forest("a", Lit(0), Lit(1), shifted))
-    verdict = entails(EMPTY_CTX, Constraint(lhs, "~", rhs), program,
-                      bound=8, fuel=FUEL)
+    verdict = entails(EMPTY_CTX, Constraint(lhs, "~", rhs),
+                      Oracle(program, bound=8, fuel=FUEL))
     assert isinstance(verdict, Verified)
 
 
@@ -85,8 +86,8 @@ def test_shift_lemma_kleene_on_partial_tables(seed, i, j, k):
     lhs = Forest("a", Lit(i + j), Lit(k), body)
     rhs = Forest("a", Lit(j), Lit(k),
                  subst_index(body, "a", ix.add(Var("a"), Lit(i))))
-    verdict = entails(EMPTY_CTX, Constraint(lhs, "~", rhs), program,
-                      bound=8, fuel=FUEL)
+    verdict = entails(EMPTY_CTX, Constraint(lhs, "~", rhs),
+                      Oracle(program, bound=8, fuel=FUEL))
     assert isinstance(verdict, Verified)
 
 
@@ -99,6 +100,6 @@ def test_unfolding_with_free_variables(ktab):
     expanded = add(add(t1, Lit(1)),
                    Forest("a", add(add(Var("i"), Lit(1)), t1),
                           subst_index(body, "a", add(Var("i"), t1)), body))
-    verdict = entails(ctx, Constraint(whole, "~", expanded), ktab,
-                      bound=6, fuel=FUEL)
+    verdict = entails(ctx, Constraint(whole, "~", expanded),
+                      Oracle(ktab, bound=6, fuel=FUEL))
     assert isinstance(verdict, Verified)

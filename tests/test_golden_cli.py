@@ -56,6 +56,8 @@ CASES = {
     "check_dbl_precise": (CHECK_DBL + ["--precise"], {}),
     # no --bound: the CLI default, 8
     "check_dbl_default_bound": (CHECK_DBL[:-2], {}),
+    "check_negative_bound": (CHECK_DBL[:-1] + ["-1"], {}),
+    "check_zero_fuel": (CHECK_DBL + ["--fuel", "0"], {}),
     "check_delay5": (["check", "fixtures/delay5.deriv", "fixtures/delay5.pcf",
                       "--eqprog", "fixtures/arith.eqs", "--bound", "6"], {}),
     "soundness_dbl": (SOUND_DBL + ALL_N, {}),

@@ -9,7 +9,7 @@ from dlpcf import index as ix
 from dlpcf.fuel import FuelExhausted
 from dlpcf.index import (App, BoundedSum, Constraint, ConstraintSet, Defined,
                          EMPTY_CTX, Forest, IndexUndefined, Lit, NatPattern,
-                         NonLinearPattern, OverlapError, Refuted, Rule,
+                         NonLinearPattern, Oracle, OverlapError, Refuted, Rule,
                          UnboundRhsVar, Var, Verified, declare, entails,
                          eval_index, parse_equations, parse_index,
                          register_program, show_index, subst_index)
@@ -249,20 +249,20 @@ def test_parse_show_roundtrip():
 # Entailment
 
 def test_entails_trivial(arith):
-    v = entails(EMPTY_CTX, Constraint(Lit(0), "<=", Lit(1)), arith)
+    v = entails(EMPTY_CTX, Constraint(Lit(0), "<=", Lit(1)), Oracle(arith))
     assert isinstance(v, Verified)
 
 
 def test_entails_vacuous_on_inconsistent_constraints(arith):
     ctx = ConstraintSet(("a",), (Constraint(Var("a"), "<", Lit(0)),))
-    v = entails(ctx, Constraint(Lit(1), "<=", Lit(0)), arith)
+    v = entails(ctx, Constraint(Lit(1), "<=", Lit(0)), Oracle(arith))
     assert isinstance(v, Verified)
 
 
 def test_entails_refutes_with_least_witness(arith):
     ctx = ConstraintSet(("a",), ())
     v = entails(ctx, Constraint(ix.add(Var("a"), Lit(1)), "<=", Var("a")),
-                arith)
+                Oracle(arith))
     assert v == Refuted((("a", 0),))
 
 
@@ -273,30 +273,30 @@ def test_entails_shifted_forest_lemma_instance(arith):
     lhs = Forest("a", Lit(3), Lit(2), body)
     rhs = Forest("a", Lit(1), Lit(2), subst_index(body, "a",
                                                   ix.add(Var("a"), Lit(2))))
-    v = entails(EMPTY_CTX, Constraint(lhs, "~", rhs), program, bound=8)
+    v = entails(EMPTY_CTX, Constraint(lhs, "~", rhs), Oracle(program, bound=8))
     assert isinstance(v, Verified)
 
 
 def test_entails_definedness_goal(arith):
     undef = register_program([], declare({"undef": 0}))
-    v = entails(EMPTY_CTX, Defined(App("undef", ())), undef)
+    v = entails(EMPTY_CTX, Defined(App("undef", ())), Oracle(undef))
     assert isinstance(v, Refuted)
-    v = entails(EMPTY_CTX, Defined(Lit(3)), arith)
+    v = entails(EMPTY_CTX, Defined(Lit(3)), Oracle(arith))
     assert isinstance(v, Verified)
 
 
 def test_entails_kleene_equality_of_undefined_sides():
     half = parse_equations("half(0) = 0\nhalf(a+1+1) = half(a) + 1")
     both = Constraint(App("half", (Lit(3),)), "~", App("half", (Lit(5),)))
-    assert isinstance(entails(EMPTY_CTX, both, half), Verified)
+    assert isinstance(entails(EMPTY_CTX, both, Oracle(half)), Verified)
     mixed = Constraint(App("half", (Lit(3),)), "~", App("half", (Lit(4),)))
-    assert isinstance(entails(EMPTY_CTX, mixed, half), Refuted)
+    assert isinstance(entails(EMPTY_CTX, mixed, Oracle(half)), Refuted)
 
 
 def test_entails_undefined_goal_side_refutes():
     half = parse_equations("half(0) = 0\nhalf(a+1+1) = half(a) + 1")
     goal = Constraint(App("half", (Lit(3),)), "<=", Lit(9))
-    assert isinstance(entails(EMPTY_CTX, goal, half), Refuted)
+    assert isinstance(entails(EMPTY_CTX, goal, Oracle(half)), Refuted)
 
 
 def test_entails_undefined_constraint_side_excludes_assignment():
@@ -305,13 +305,13 @@ def test_entails_undefined_constraint_side_excludes_assignment():
     ctx = ConstraintSet(("a",), (Constraint(App("half", (Var("a"),)), "<=",
                                             Lit(9)),))
     goal = Constraint(App("half", (Var("a"),)), "<=", Var("a"))
-    assert isinstance(entails(ctx, goal, half), Verified)
+    assert isinstance(entails(ctx, goal, Oracle(half)), Verified)
 
 
 def test_entails_fuel_exhaustion_is_unknown():
     loop = parse_equations("loop(a) = loop(a + 1)")
     goal = Constraint(App("loop", (Lit(0),)), "<=", Lit(1))
-    v = entails(EMPTY_CTX, goal, loop, fuel=2000)
+    v = entails(EMPTY_CTX, goal, Oracle(loop, fuel=2000))
     assert isinstance(v, ix.Unknown)
     assert v.reason == "fuel-exhausted"
 
@@ -323,11 +323,12 @@ def test_fuel_exhausted_constraint_makes_entailment_unknown():
     runs_out = Constraint(App("loop", (Var("a"),)), "<=", Lit(0))
     ctx = ConstraintSet(("a",), (runs_out,))
     goal = Constraint(Lit(1), "<=", Lit(0))
-    v = entails(ctx, goal, loop, bound=3, fuel=1000)
+    v = entails(ctx, goal, Oracle(loop, bound=3, fuel=1000))
     assert v == ix.Unknown("fuel-exhausted", (("a", 0),))
     # a later constraint that is false everywhere still rules every a out
     never = ctx.extend(None, Constraint(Var("a"), "<", Lit(0)))
-    assert entails(never, goal, loop, bound=3, fuel=1000) == Verified(3)
+    assert (entails(never, goal, Oracle(loop, bound=3, fuel=1000))
+            == Verified(3))
 
 
 def test_a_closed_false_constraint_prunes_every_assignment(monkeypatch):
@@ -337,7 +338,7 @@ def test_a_closed_false_constraint_prunes_every_assignment(monkeypatch):
                         lambda *args: calls.append(args) or real(*args))
     ctx = ConstraintSet(("a", "b", "c"), (Constraint(Lit(1), "<=", Lit(0)),))
     goal = Constraint(Var("a"), "<", Var("b"))
-    assert entails(ctx, goal, ix.EMPTY_PROGRAM, bound=4) == Verified(4)
+    assert entails(ctx, goal, Oracle(ix.EMPTY_PROGRAM, bound=4)) == Verified(4)
     # the constraint's two sides, once, and no assignment beyond
     assert len(calls) == 2
 
@@ -346,13 +347,13 @@ def test_a_closed_false_constraint_prunes_every_assignment(monkeypatch):
 # point of {0..bound}^k in lexicographic order, then filtered.  The pruned
 # enumerator must give exactly its verdicts, witnesses and reasons.
 
-def reference_satisfies(ctx, rho, program, fuel):
+def reference_satisfies(ctx, rho, oracle):
     out = True
     for c in ctx.constraints:
-        tl, vl = ix._outcome(c.lhs, rho, program, fuel)
+        tl, vl = ix._outcome(c.lhs, rho, oracle)
         if tl == ix._UNDEF:
             return False
-        tr, vr = ix._outcome(c.rhs, rho, program, fuel)
+        tr, vr = ix._outcome(c.rhs, rho, oracle)
         if tr == ix._UNDEF:
             return False
         if ix._FUEL in (tl, tr):
@@ -362,21 +363,21 @@ def reference_satisfies(ctx, rho, program, fuel):
     return out
 
 
-def reference_entails(ctx, goal, program, bound, fuel):
+def reference_entails(ctx, goal, oracle):
     unknown = None
-    for values in itertools.product(range(bound + 1),
+    for values in itertools.product(range(oracle.bound + 1),
                                     repeat=len(ctx.variables)):
         rho = dict(zip(ctx.variables, values))
-        satisfied = reference_satisfies(ctx, rho, program, fuel)
+        satisfied = reference_satisfies(ctx, rho, oracle)
         if satisfied is False:
             continue
-        verdict = (ix._goal_at(goal, rho, program, fuel) if satisfied
+        verdict = (ix._goal_at(goal, rho, oracle) if satisfied
                    else ix.Unknown("fuel-exhausted", tuple(sorted(rho.items()))))
         if isinstance(verdict, Refuted):
             return verdict
         if isinstance(verdict, ix.Unknown) and unknown is None:
             unknown = verdict
-    return unknown if unknown is not None else Verified(bound)
+    return unknown if unknown is not None else Verified(oracle.bound)
 
 
 # arith's symbols, one undefined at odd arguments and one that never
@@ -430,12 +431,24 @@ def entailment_queries(draw):
 @settings(max_examples=200, deadline=None)
 def test_pruned_entails_matches_the_full_enumeration(query):
     ctx, goal, bound = query
-    want = reference_entails(ctx, goal, DIFF_PROGRAM, bound, DIFF_FUEL)
-    assert entails(ctx, goal, DIFF_PROGRAM, bound, DIFF_FUEL) == want
-    with ix.entails_memo(DIFF_PROGRAM, bound, DIFF_FUEL):
-        # the first call fills the memo, the second is answered from it
-        assert entails(ctx, goal, DIFF_PROGRAM, bound, DIFF_FUEL) == want
-        assert entails(ctx, goal, DIFF_PROGRAM, bound, DIFF_FUEL) == want
+    oracle = Oracle(DIFF_PROGRAM, bound, DIFF_FUEL)
+    want = reference_entails(ctx, goal, oracle)
+    assert entails(ctx, goal, oracle) == want
+    # asked again, the oracle answers from its memo without evaluating
+    calls = []
+    real = ix.eval_index
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ix, "eval_index",
+                   lambda *args: calls.append(args) or real(*args))
+        assert entails(ctx, goal, oracle) == want
+    assert calls == []
+
+
+def test_oracle_rejects_a_negative_bound_and_no_fuel(arith):
+    with pytest.raises(ValueError, match="bound must be a natural, got -1"):
+        Oracle(arith, bound=-1)
+    with pytest.raises(ValueError, match="fuel budget must be positive"):
+        Oracle(arith, fuel=0)
 
 
 def test_fresh_name_depends_only_on_its_arguments():
@@ -446,7 +459,7 @@ def test_fresh_name_depends_only_on_its_arguments():
 
 def test_entails_rejects_stray_goal_variables(arith):
     with pytest.raises(ValueError):
-        entails(EMPTY_CTX, Constraint(Var("a"), "<=", Lit(1)), arith)
+        entails(EMPTY_CTX, Constraint(Var("a"), "<=", Lit(1)), Oracle(arith))
 
 
 def test_constraint_set_scope_validation():

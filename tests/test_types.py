@@ -4,8 +4,9 @@ import pytest
 
 from dlpcf import index as ix
 from dlpcf import pcf
-from dlpcf.index import (ConstraintSet, EMPTY_CTX, Lit, Refuted, Unknown, Var,
-                         Verified, declare, parse_index, register_program)
+from dlpcf.index import (ConstraintSet, EMPTY_CTX, Lit, Oracle, Refuted,
+                         Unknown, Var, Verified, declare, parse_index,
+                         register_program)
 from dlpcf.types import (BoundedSumWitness, LinArrow, ModalType, NatI,
                          ShapeMismatch, SumWitness, alpha_eq_type,
                          bounded_sum_modal, equiv, erase, erase_modal,
@@ -78,17 +79,18 @@ def test_subst_type_renames_binder_captured_in_bound():
 # Well-definedness
 
 def test_wd_closed_interval(arith):
-    assert isinstance(well_defined(EMPTY_CTX, B("Nat[3, 5]"), arith), Verified)
+    v = well_defined(EMPTY_CTX, B("Nat[3, 5]"), Oracle(arith))
+    assert isinstance(v, Verified)
 
 
 def test_wd_with_builtins_total(arith):
-    v = well_defined(CTX_A, B("Nat[a - 1, mult(2, a)]"), arith, bound=8)
+    v = well_defined(CTX_A, B("Nat[a - 1, mult(2, a)]"), Oracle(arith, bound=8))
     assert isinstance(v, Verified)
 
 
 def test_wd_undefined_symbol():
     undef = register_program([], declare({"undef": 0}))
-    v = well_defined(EMPTY_CTX, B("Nat[undef(), 0]"), undef)
+    v = well_defined(EMPTY_CTX, B("Nat[undef(), 0]"), Oracle(undef))
     assert isinstance(v, Refuted)
 
 
@@ -97,15 +99,15 @@ def test_wd_modal_extends_context(arith):
     program = ix.parse_equations(
         "gt(0, b) = 0\ngt(a+1, 0) = 1\ngt(a+1, b+1) = gt(a, b)\n"
         "only0(0) = 7")
-    v = well_defined(EMPTY_CTX, M("[c < gt(1, 0)] Nat[only0(c)]"), program)
+    v = well_defined(EMPTY_CTX, M("[c < gt(1, 0)] Nat[only0(c)]"), Oracle(program))
     assert isinstance(v, Verified)
-    v = well_defined(EMPTY_CTX, M("[c < 2] Nat[only0(c)]"), program)
+    v = well_defined(EMPTY_CTX, M("[c < 2] Nat[only0(c)]"), Oracle(program))
     assert isinstance(v, Refuted)
 
 
 def test_wd_divergence_is_unknown():
     loop = ix.parse_equations("loop(a) = loop(a + 1)")
-    v = well_defined(EMPTY_CTX, B("Nat[loop(0), 1]"), loop, fuel=2000)
+    v = well_defined(EMPTY_CTX, B("Nat[loop(0), 1]"), Oracle(loop, fuel=2000))
     assert isinstance(v, Unknown)
 
 
@@ -114,16 +116,16 @@ def test_wd_divergence_is_unknown():
 
 def test_interval_widening(arith):
     assert isinstance(subtype(EMPTY_CTX, B("Nat[0, 5]"), B("Nat[0, 8]"),
-                              arith), Verified)
+                              Oracle(arith)), Verified)
     assert isinstance(subtype(EMPTY_CTX, B("Nat[0, 8]"), B("Nat[0, 5]"),
-                              arith), Refuted)
+                              Oracle(arith)), Refuted)
 
 
 def test_reflexivity_on_random_types(arith):
     rng = random.Random(11)
     for _ in range(60):
         t = gen_basic_type(rng, ("a",), 2)
-        assert not isinstance(subtype(CTX_A, t, t, arith, bound=4), Refuted)
+        assert not isinstance(subtype(CTX_A, t, t, Oracle(arith, bound=4)), Refuted)
 
 
 def test_contravariant_modal_argument(arith):
@@ -131,26 +133,27 @@ def test_contravariant_modal_argument(arith):
     # supply 5 copies; the premise unfolds to 3 <= 5 on the domains
     sub = B("[a < 3] Nat[a] -o Nat[0]")
     sup = B("[a < 5] Nat[a] -o Nat[0]")
-    assert isinstance(subtype(EMPTY_CTX, sub, sup, arith), Verified)
-    assert isinstance(subtype(EMPTY_CTX, sup, sub, arith), Refuted)
+    assert isinstance(subtype(EMPTY_CTX, sub, sup, Oracle(arith)), Verified)
+    assert isinstance(subtype(EMPTY_CTX, sup, sub, Oracle(arith)), Refuted)
 
 
 def test_modal_subtype_has_the_larger_bound(arith):
     assert isinstance(subtype(EMPTY_CTX, M("[a < 5] Nat[a]"),
-                              M("[a < 3] Nat[a]"), arith), Verified)
+                              M("[a < 3] Nat[a]"), Oracle(arith)), Verified)
     assert isinstance(subtype(EMPTY_CTX, M("[a < 3] Nat[a]"),
-                              M("[a < 5] Nat[a]"), arith), Refuted)
+                              M("[a < 5] Nat[a]"), Oracle(arith)), Refuted)
 
 
 def test_shape_mismatch_raises(arith):
     with pytest.raises(ShapeMismatch):
-        subtype(EMPTY_CTX, B("Nat[0]"), B("[a < 1] Nat[a] -o Nat[0]"), arith)
+        subtype(EMPTY_CTX, B("Nat[0]"), B("[a < 1] Nat[a] -o Nat[0]"),
+                Oracle(arith))
 
 
 def test_precise_requires_equalities(arith):
-    loose = subtype(EMPTY_CTX, B("Nat[0, 5]"), B("Nat[0, 8]"), arith)
+    loose = subtype(EMPTY_CTX, B("Nat[0, 5]"), B("Nat[0, 8]"), Oracle(arith))
     assert isinstance(loose, Verified)
-    precise = subtype(EMPTY_CTX, B("Nat[0, 5]"), B("Nat[0, 8]"), arith,
+    precise = subtype(EMPTY_CTX, B("Nat[0, 5]"), B("Nat[0, 8]"), Oracle(arith),
                       precise=True)
     assert isinstance(precise, Refuted)
 
@@ -159,22 +162,22 @@ def test_precise_implies_loose(arith):
     rng = random.Random(13)
     for _ in range(40):
         t = gen_basic_type(rng, ("a",), 2)
-        if isinstance(subtype(CTX_A, t, t, arith, bound=4, precise=True),
-                      Verified):
-            assert isinstance(subtype(CTX_A, t, t, arith, bound=4), Verified)
+        oracle = Oracle(arith, bound=4)
+        if isinstance(subtype(CTX_A, t, t, oracle, precise=True), Verified):
+            assert isinstance(subtype(CTX_A, t, t, oracle), Verified)
 
 
 def test_equiv_of_interval_sugar(arith):
-    assert isinstance(equiv(CTX_A, B("Nat[a]"), B("Nat[a, a]"), arith),
+    assert isinstance(equiv(CTX_A, B("Nat[a]"), B("Nat[a, a]"), Oracle(arith)),
                       Verified)
-    v = equiv(CTX_A, B("Nat[a]"), B("Nat[a + 1]"), arith)
+    v = equiv(CTX_A, B("Nat[a]"), B("Nat[a + 1]"), Oracle(arith))
     assert v == Refuted((("a", 0),))
 
 
 def test_equiv_of_alpha_variants(arith):
     left = B("[c < a + 1] Nat[c] -o Nat[2]")
     right = B("[d < 1 + a] Nat[d] -o Nat[2]")
-    assert isinstance(equiv(CTX_A, left, right, arith), Verified)
+    assert isinstance(equiv(CTX_A, left, right, Oracle(arith)), Verified)
 
 
 def test_transitivity_at_bound_on_ordered_chains(arith):
@@ -183,10 +186,10 @@ def test_transitivity_at_bound_on_ordered_chains(arith):
         base = gen_basic_type(rng, ("a",), 2)
         mid = widen(rng, base)
         top = widen(rng, mid)
-        assert isinstance(subtype(CTX_A, base, mid, arith, bound=4), Verified)
-        assert isinstance(subtype(CTX_A, mid, top, arith, bound=4), Verified)
-        assert not isinstance(subtype(CTX_A, base, top, arith, bound=4),
-                              Refuted)
+        oracle = Oracle(arith, bound=4)
+        assert isinstance(subtype(CTX_A, base, mid, oracle), Verified)
+        assert isinstance(subtype(CTX_A, mid, top, oracle), Verified)
+        assert not isinstance(subtype(CTX_A, base, top, oracle), Refuted)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +199,7 @@ def test_sum_modal_example(arith):
     a = M("[a < 2] Nat[a]")
     b = M("[b < 3] Nat[2 + b]")
     result, verdict = sum_modal(a, b, SumWitness("c", B("Nat[c]")),
-                                EMPTY_CTX, arith)
+                                EMPTY_CTX, Oracle(arith))
     assert isinstance(verdict, Verified)
     assert alpha_eq_type(result, M("[c < 2 + 3] Nat[c]"))
     assert erase_modal(result) == erase_modal(a)
@@ -206,7 +209,7 @@ def test_sum_modal_zero_width_left(arith):
     a = M("[a < 0] Nat[a]")
     b = M("[b < 3] Nat[0 + b]")
     result, verdict = sum_modal(a, b, SumWitness("c", B("Nat[c]")),
-                                EMPTY_CTX, arith)
+                                EMPTY_CTX, Oracle(arith))
     assert isinstance(verdict, Verified)
     assert ix.eval_index(result.bound, {}, arith) == 3
 
@@ -215,7 +218,7 @@ def test_sum_modal_wrong_witness_refuted(arith):
     a = M("[a < 2] Nat[a]")
     b = M("[b < 3] Nat[2 + b]")
     _, verdict = sum_modal(a, b, SumWitness("c", B("Nat[0]")), EMPTY_CTX,
-                           arith)
+                           Oracle(arith))
     assert isinstance(verdict, Refuted)
 
 
@@ -223,14 +226,14 @@ def test_sum_modal_shape_mismatch(arith):
     a = M("[a < 2] Nat[a]")
     b = M("[b < 1] ([c < 1] Nat[0] -o Nat[0])")
     with pytest.raises(ShapeMismatch):
-        sum_modal(a, b, SumWitness("c", B("Nat[c]")), EMPTY_CTX, arith)
+        sum_modal(a, b, SumWitness("c", B("Nat[c]")), EMPTY_CTX, Oracle(arith))
 
 
 def test_bounded_sum_vacuous(arith):
     a = M("[b < 1] Nat[a]")
     result, verdict = bounded_sum_modal(
         "a", Lit(0), a, BoundedSumWitness("c", B("Nat[c]"), Lit(1)),
-        EMPTY_CTX, arith)
+        EMPTY_CTX, Oracle(arith))
     assert isinstance(verdict, Verified)
     assert ix.eval_index(result.bound, {}, arith) == 0
 
@@ -240,7 +243,7 @@ def test_bounded_sum_example(arith):
     a = M("[b < 1] Nat[a]")
     result, verdict = bounded_sum_modal(
         "a", Lit(3), a, BoundedSumWitness("c", B("Nat[c]"), Lit(1)),
-        EMPTY_CTX, arith)
+        EMPTY_CTX, Oracle(arith))
     assert isinstance(verdict, Verified)
     assert alpha_eq_type(result.body, B("Nat[c]")) or result.body == B("Nat[c]")
     assert ix.eval_index(result.bound, {}, arith) == 3
@@ -252,19 +255,21 @@ def test_bounded_sum_shape_mismatch(arith):
     arrow_witness = BoundedSumWitness(
         "c", B("[q < 1] Nat[0] -o Nat[0]"), Lit(1))
     with pytest.raises(ShapeMismatch):
-        bounded_sum_modal("a", Lit(3), a, arrow_witness, EMPTY_CTX, arith)
+        bounded_sum_modal("a", Lit(3), a, arrow_witness, EMPTY_CTX,
+                          Oracle(arith))
 
 
 def test_bounded_sum_wrong_width_refuted(arith):
     a = M("[b < 1] Nat[a]")
     _, verdict = bounded_sum_modal(
         "a", Lit(3), a, BoundedSumWitness("c", B("Nat[c]"), Lit(2)),
-        EMPTY_CTX, arith)
+        EMPTY_CTX, Oracle(arith))
     assert isinstance(verdict, Refuted)
 
 
 def test_erasure_commutes_with_sums(arith):
     a = M("[a < 2] Nat[a]")
     b = M("[b < 3] Nat[2 + b]")
-    result, _ = sum_modal(a, b, SumWitness("c", B("Nat[c]")), EMPTY_CTX, arith)
+    result, _ = sum_modal(a, b, SumWitness("c", B("Nat[c]")), EMPTY_CTX,
+                          Oracle(arith))
     assert erase_modal(result) == erase_modal(a) == erase_modal(b)
