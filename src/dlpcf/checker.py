@@ -25,14 +25,15 @@ from .index import (Constraint, ConstraintSet, EquationError,
                     EquationalProgram, IndexTerm, Oracle, Verdict, Verified,
                     alpha_eq_index, free_vars, merge_verdicts,
                     parse_constraint, parse_index, show_constraint, show_index)
-from .pcf import (NAT, App, Arrow, Const, Fix, IfZ, Lam, PcfType, Pred, Succ,
-                  Term, TVar, max_free_index, pcf_typecheck, show_pcf_type)
+from .pcf import (BINDERS, NAT, App, Arrow, Const, Fix, IfZ, Lam, PcfType,
+                  Pred, Succ, Term, TVar, max_free_index, pcf_typecheck,
+                  show_pcf_type, subterms, with_subterms)
 from .sexpr import SExprError, SString, parse_sexpr
 from .types import (BasicType, BoundedSumWitness, LinArrow, ModalType, NatI,
                     ShapeMismatch, SumWitness, alpha_eq_type,
                     bounded_sum_modal, erase, erase_modal, free_type_vars,
-                    parse_basic_type, parse_modal_type, show_type, subst_type,
-                    subtype, sum_modal, well_defined)
+                    inequality, parse_basic_type, parse_modal_type, show_type,
+                    subst_type, subtype, sum_modal, well_defined)
 
 __all__ = [
     "Derivation", "Annotations", "Obligation", "CheckReport", "PcfDerivation",
@@ -41,9 +42,9 @@ __all__ = [
     "erase_derivation",
 ]
 
-# rule -> (term constructor it applies to, number of premises)
-_SHAPE = {"V": (TVar, 0), "L": (Lam, 1), "A": (App, 2), "S": (Succ, 1),
-          "P": (Pred, 1), "N": (Const, 0), "F": (IfZ, 3), "R": (Fix, 1)}
+# rule -> the term constructor it applies to; it has one premise per subterm
+_SHAPE = {"V": TVar, "L": Lam, "A": App, "S": Succ, "P": Pred, "N": Const,
+          "F": IfZ, "R": Fix}
 
 RULES = tuple(_SHAPE)
 
@@ -130,10 +131,10 @@ def bind(d: Derivation, subject: Term) -> Derivation:
 def _check_shape(d: Derivation, subject: Term, path: tuple[int, ...]) -> None:
     if d.rule not in _SHAPE:
         raise StructuralError(path, f"unknown rule {d.rule!r}")
-    head, expected = _SHAPE[d.rule]
-    if not isinstance(subject, head):
+    if not isinstance(subject, _SHAPE[d.rule]):
         raise StructuralError(
             path, f"rule {d.rule} does not apply to this subject")
+    expected = len(subterms(subject))
     if len(d.premises) != expected:
         raise StructuralError(
             path, f"rule {d.rule} takes {expected} premises, "
@@ -145,32 +146,9 @@ def _bind(d: Derivation, subject: Term, path: tuple[int, ...],
     _check_shape(d, subject, path)
     context = _resolve_placeholders(d, path, parent)
     d = replace(d, subject=subject, context=context)
-    subs = _premise_subjects(subject)
-    premises = tuple(_bind(p, sub, path + (i,), d)
-                     for i, (p, sub) in enumerate(zip(d.premises, subs)))
+    premises = tuple(_bind(p, sub, path + (i,), d) for i, (p, sub)
+                     in enumerate(zip(d.premises, subterms(subject))))
     return replace(d, premises=premises)
-
-
-def _premise_subjects(subject: Term) -> tuple[Term, ...]:
-    match subject:
-        case TVar() | Const():
-            return ()
-        case Lam(body) | Fix(body):
-            return (body,)
-        case Succ(body) | Pred(body):
-            return (body,)
-        case App(fn, arg):
-            return (fn, arg)
-        case IfZ(scrut, zero, succ):
-            return (scrut, zero, succ)
-    raise TypeError(f"not a term: {subject!r}")
-
-
-def _parent_slot(rule: str, slot: int) -> Optional[int]:
-    # Which parent-context slot a premise slot shadows; None for new binders.
-    if rule in ("L", "R"):
-        return slot - 1 if slot > 0 else None
-    return slot
 
 
 def _resolve_placeholders(d: Derivation, path: tuple[int, ...],
@@ -182,8 +160,9 @@ def _resolve_placeholders(d: Derivation, path: tuple[int, ...],
             continue
         if parent is None:
             raise StructuralError(path, "placeholder entry in the root context")
-        pslot = _parent_slot(parent.rule, i)
-        if pslot is None or pslot >= len(parent.context):
+        # A binder's premise has the bound variable in slot 0.
+        pslot = i - isinstance(parent.subject, BINDERS)
+        if not 0 <= pslot < len(parent.context):
             raise StructuralError(
                 path, f"placeholder at slot {i} has no parent entry")
         ref = parent.context[pslot]
@@ -201,12 +180,10 @@ class _Checker:
     def __init__(self, oracle: Oracle, precise: bool):
         self.oracle = oracle
         self.precise = precise
+        self.rel = inequality(precise)
         self.obligations: list[Obligation] = []
 
     # -- plumbing ----------------------------------------------------------
-
-    def rel(self) -> str:
-        return "=" if self.precise else "<="
 
     def emit(self, path, kind, payload, verdict) -> None:
         self.obligations.append(Obligation(path, kind, payload, verdict))
@@ -320,9 +297,9 @@ class _Checker:
             raise StructuralError(path, f"variable {m} has no context slot")
         entry = node.context[m]
         self.entail(path, node, "weight is a natural",
-                    ix.Lit(0), self.rel(), node.weight)
+                    ix.Lit(0), self.rel, node.weight)
         self.entail(path, node, "the variable has multiplicity left",
-                    ix.Lit(1), self.rel(), entry.bound)
+                    ix.Lit(1), self.rel, entry.bound)
         first = subst_type(entry.body, entry.binder, ix.Lit(0))
         self.subtype_ob(path, node.ctx,
                         "first instance of the entry fits the result type",
@@ -337,11 +314,11 @@ class _Checker:
             raise StructuralError(path, "numerals take interval types")
         n = ix.Lit(node.subject.value)
         self.entail(path, node, "weight is a natural",
-                    ix.Lit(0), self.rel(), node.weight)
+                    ix.Lit(0), self.rel, node.weight)
         self.entail(path, node, "interval reaches down to the numeral",
-                    node.type.lo, self.rel(), n)
+                    node.type.lo, self.rel, n)
         self.entail(path, node, "interval reaches up to the numeral",
-                    n, self.rel(), node.type.hi)
+                    n, self.rel, node.type.hi)
         for j, entry in enumerate(node.context):
             self.wd_ob(path, node, f"slot {j} is well defined", entry)
 
@@ -410,7 +387,7 @@ class _Checker:
         copies = ix.BoundedSum(modal.binder, modal.bound, pa.weight)
         spent = ix.add(ix.add(pf.weight, modal.bound), copies)
         self.entail(path, node, "weight covers function, copies, and argument",
-                    spent, self.rel(), node.weight)
+                    spent, self.rel, node.weight)
 
     def _rule_F(self, node, path) -> None:
         pt, pz, pu = node.premises
@@ -442,7 +419,7 @@ class _Checker:
                             sigma, joined)
         spent = ix.add(pt.weight, pz.weight)
         self.entail(path, node, "weight covers scrutinee and branch",
-                    spent, self.rel(), node.weight)
+                    spent, self.rel, node.weight)
 
     def _rule_R(self, node, path) -> None:
         p = node.premises[0]
@@ -501,13 +478,13 @@ class _Checker:
                             sigma, summed)
         total_calls = ix.Forest(rec_var, ix.Lit(0), ix.Lit(1), calls)
         self.entail(path, node, "call tree fits the unfolding bound",
-                    total_calls, self.rel(), unfold_bound)
+                    total_calls, self.rel, unfold_bound)
         self.entail(path, node, "call tree fits the weight cap",
-                    total_calls, self.rel(), call_cap)
+                    total_calls, self.rel, call_cap)
         spent = ix.add(ix.monus(call_cap, ix.Lit(1)),
                        ix.BoundedSum(rec_var, unfold_bound, body_weight))
         self.entail(path, node, "weight covers the call tree and all unfoldings",
-                    spent, self.rel(), node.weight)
+                    spent, self.rel, node.weight)
 
     # -- context combination helpers ----------------------------------------
 
@@ -635,22 +612,9 @@ def _erase_node(d: Derivation, path) -> PcfDerivation:
     if not ok:
         raise StructuralError(path, "erasure does not follow the simple rules")
     # The subject, with the binder annotations read off the erased types.
-    subs = [p.term for p in premises]
-    match d.rule:
-        case "L":
-            term = Lam(subs[0], ty.dom)
-        case "R":
-            term = Fix(subs[0], ty)
-        case "S":
-            term = Succ(subs[0])
-        case "P":
-            term = Pred(subs[0])
-        case "A":
-            term = App(subs[0], subs[1])
-        case "F":
-            term = IfZ(subs[0], subs[1], subs[2])
-        case _:
-            term = d.subject
+    term = with_subterms(d.subject, [p.term for p in premises])
+    if d.rule in ("L", "R"):
+        term = replace(term, ann=ty.dom if d.rule == "L" else ty)
     return PcfDerivation(context, term, ty, premises)
 
 
@@ -704,7 +668,7 @@ def _node_from(form) -> Derivation:
         if required not in sections:
             raise DerivationSyntaxError(f"rule {rule} lacks ({required} ...)")
 
-    phi = tuple(_atom(x, "phi entry") for x in sections.get("phi", []))
+    phi = tuple(_name(x, "phi entry") for x in sections.get("phi", []))
     constraints = tuple(parse_constraint(_string(x, "constraint"))
                         for x in sections.get("constraints", []))
     try:
@@ -736,7 +700,7 @@ def _annots_from(forms) -> Annotations:
             raise DerivationSyntaxError(f"duplicate annotation {key!r}")
         body = part[1:]
         if key == "recvar":
-            out[key] = _atom(_single(body, key), key)
+            out[key] = _name(_single(body, key), key)
         elif key == "selftype":
             out[key] = parse_modal_type(_string(_single(body, key), key))
         elif key in ("bodytype", "resulttype"):
@@ -754,7 +718,7 @@ def _bounded_sum_witness(form) -> BoundedSumWitness:
     if (not isinstance(form, list) or len(form) != 4 or form[0] != "slot"):
         raise DerivationSyntaxError(
             f"ctxsum entries look like (slot param \"sigma\" \"per\"): {form!r}")
-    return BoundedSumWitness(_atom(form[1], "witness parameter"),
+    return BoundedSumWitness(_name(form[1], "witness parameter"),
                              parse_basic_type(_string(form[2], "witness body")),
                              parse_index(_string(form[3], "witness width")))
 
@@ -763,7 +727,7 @@ def _sum_witness(form) -> SumWitness:
     if (not isinstance(form, list) or len(form) != 3 or form[0] != "slot"):
         raise DerivationSyntaxError(
             f"ctxjoin entries look like (slot param \"mu\"): {form!r}")
-    return SumWitness(_atom(form[1], "witness parameter"),
+    return SumWitness(_name(form[1], "witness parameter"),
                       parse_basic_type(_string(form[2], "witness body")))
 
 
@@ -773,9 +737,10 @@ def _single(items, what):
     return items[0]
 
 
-def _atom(x, what) -> str:
-    if not isinstance(x, str) or isinstance(x, SString):
-        raise DerivationSyntaxError(f"{what} must be a bare atom, got {x!r}")
+def _name(x, what) -> str:
+    if isinstance(x, SString) or not isinstance(x, str) or not ix.is_name(x):
+        raise DerivationSyntaxError(
+            f"{what} must be a bare index variable name, got {x!r}")
     return x
 
 

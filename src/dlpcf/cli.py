@@ -3,7 +3,7 @@ the soundness harness.
 
 Exit codes for `check` and `soundness`: 0 verified / all rows pass,
 1 refuted / a row fails, 2 unknown (bounded oracle ran out of fuel),
-3 structural or input error.
+3 structural or input error, a usage error included.
 """
 
 from __future__ import annotations
@@ -245,7 +245,23 @@ def _exit_on_input_error():
     sys.exit(3)
 
 
-@click.group()
+class _Main(click.Group):
+    """Click's group, except that a usage error (a missing file, a value of
+    the wrong type, an unknown choice, a missing option) exits 3 like every
+    other input error, and not 2, which means Unknown here."""
+
+    def main(self, *args, **kwargs):
+        try:
+            return super().main(*args, standalone_mode=False, **kwargs)
+        except click.ClickException as e:
+            e.show()
+            sys.exit(3)
+        except click.Abort:
+            click.echo("Aborted!", err=True)
+            sys.exit(1)
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """Toolchain for cost-annotated PCF: run programs on the counting
     machine, check weighted derivations, confirm the soundness bounds."""

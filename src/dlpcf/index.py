@@ -34,6 +34,7 @@ __all__ = [
     "ArityError", "UnboundRhsVar", "NonLinearPattern",
     "declare", "register_program", "parse_equations", "load_equations",
     "eval_index", "Oracle", "entails", "free_vars", "subst_index",
+    "IDENT", "is_name",
     "alpha_eq_index", "binder_free_vars", "subst_binder", "alpha_eq_binder",
     "fresh_name", "check_symbols", "parse_index", "parse_constraint",
     "show_index", "show_constraint", "tokenize", "Parser", "parse_sum_expr",
@@ -306,9 +307,6 @@ class EquationalProgram:
     signature: Signature
     rules: tuple[Rule, ...]
 
-    def rules_for(self, symbol: str) -> tuple[Rule, ...]:
-        return tuple(r for r in self.rules if r.symbol == symbol)
-
 
 def _pattern_vars(params: tuple[NatPattern, ...]) -> list[str]:
     return [p.var for p in params if p.var is not None]
@@ -451,7 +449,7 @@ def _apply(symbol: str, values: list[int], program: EquationalProgram,
                 gas.tick()
                 rhs = rule.rhs
                 if (isinstance(rhs, App)
-                        and rhs.symbol not in ("+", "-", "0", "1")):
+                        and rhs.symbol not in BUILTIN_ARITIES):
                     gas.tick(len(rhs.args))
                     symbol = rhs.symbol
                     values = [_eval(a, binding, program, gas)
@@ -750,8 +748,17 @@ def _goal_at(goal: Constraint | Defined, rho: Assignment,
 # ---------------------------------------------------------------------------
 # Concrete syntax
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<id>[A-Za-z_][A-Za-z0-9_']*)"
+# How a variable or function symbol is spelled in index terms, types,
+# derivations and equation files.
+IDENT = r"[A-Za-z_][A-Za-z0-9_']*"
+
+_TOKEN = re.compile(rf"\s*(?:(?P<num>\d+)|(?P<id>{IDENT})"
                     r"|(?P<op><=|[-+<>=(),]))", re.ASCII)
+
+
+def is_name(text: str) -> bool:
+    """Can `text` name an index variable?  Not if it is `sum` or `forest`."""
+    return bool(re.fullmatch(IDENT, text)) and text not in ("sum", "forest")
 
 
 class IndexSyntaxError(ValueError):
@@ -792,6 +799,14 @@ class Parser:
         if tok is None:
             raise IndexSyntaxError(f"unexpected end of input in {self.source!r}")
         self.pos += 1
+        return tok
+
+    def name(self) -> str:
+        """The next token, which must name an index variable."""
+        tok = self.next()
+        if not is_name(tok):
+            raise IndexSyntaxError(
+                f"expected a variable name, got {tok!r} in {self.source!r}")
         return tok
 
     def expect(self, tok: str) -> None:
@@ -848,7 +863,7 @@ def _parse_atom(p: Parser) -> IndexTerm:
         return t
     if tok == "sum":
         p.expect("(")
-        binder = p.next()
+        binder = p.name()
         p.expect("<")
         bound = parse_sum_expr(p)
         p.expect(",")
@@ -857,7 +872,7 @@ def _parse_atom(p: Parser) -> IndexTerm:
         return BoundedSum(binder, bound, body)
     if tok == "forest":
         p.expect("(")
-        binder = p.next()
+        binder = p.name()
         p.expect(",")
         start = parse_sum_expr(p)
         p.expect(",")
@@ -866,7 +881,7 @@ def _parse_atom(p: Parser) -> IndexTerm:
         body = parse_sum_expr(p)
         p.expect(")")
         return Forest(binder, start, count, body)
-    if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_']*", tok):
+    if re.fullmatch(IDENT, tok):
         if p.peek() == "(":
             p.next()
             args = []
@@ -910,7 +925,8 @@ def show_constraint(c: Constraint) -> str:
 # ---------------------------------------------------------------------------
 # Equation files
 
-_EQ_LINE = re.compile(r"^\s*(?P<sym>[A-Za-z_][A-Za-z0-9_']*)\s*\((?P<params>[^)]*)\)\s*=\s*(?P<rhs>.+?)\s*$")
+_EQ_LINE = re.compile(
+    rf"^\s*(?P<sym>{IDENT})\s*\((?P<params>[^)]*)\)\s*=\s*(?P<rhs>.+?)\s*$")
 
 
 def _parse_pattern(text: str) -> NatPattern:
@@ -924,7 +940,7 @@ def _parse_pattern(text: str) -> NatPattern:
         offset += 1
     if base == "0":
         return NatPattern(None, offset)
-    if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_']*", base):
+    if re.fullmatch(IDENT, base):
         return NatPattern(base, offset)
     raise IndexSyntaxError(f"bad pattern base {base!r} in {text!r}")
 

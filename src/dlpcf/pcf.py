@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .fuel import Fuel, FuelExhausted, DEFAULT_FUEL
 
@@ -19,6 +19,7 @@ __all__ = [
     "parse_term", "show_term", "show_pcf_type",
     "size", "pcf_typecheck", "PcfTypeError", "PcfSyntaxError",
     "shift", "subst", "wh_step", "wh_eval", "StuckTerm", "max_free_index",
+    "BINDERS", "subterms", "with_subterms", "walk", "map_vars",
 ]
 
 
@@ -109,89 +110,89 @@ class Fix:
 Term = Union[TVar, Const, Succ, Pred, Lam, App, IfZ, Fix]
 
 
-def max_free_index(t: Term, depth: int = 0) -> int:
-    """Largest free de Bruijn index, or -1 for a closed term."""
-    match t:
-        case TVar(k):
-            return k - depth if k >= depth else -1
-        case Const():
-            return -1
-        case Succ(b) | Pred(b):
-            return max_free_index(b, depth)
-        case Lam(b) | Fix(b):
-            return max_free_index(b, depth + 1)
-        case App(f, a):
-            return max(max_free_index(f, depth), max_free_index(a, depth))
-        case IfZ(s, z, u):
-            return max(max_free_index(s, depth), max_free_index(z, depth),
-                       max_free_index(u, depth))
-    raise TypeError(f"not a term: {t!r}")
+# Each constructor's subterm fields, in order; `Lam` and `Fix` bind de
+# Bruijn index 0 in theirs.  Every structural walk below reads this table.
+_SUBTERMS = {TVar: (), Const: (), Succ: ("body",), Pred: ("body",),
+             Lam: ("body",), Fix: ("body",), App: ("fn", "arg"),
+             IfZ: ("scrut", "zero", "succ")}
+BINDERS = (Lam, Fix)
+
+
+def subterms(t: Term) -> tuple[Term, ...]:
+    """The immediate subterms of `t`, in field order."""
+    return tuple(getattr(t, f) for f in _SUBTERMS[type(t)])
+
+
+def with_subterms(t: Term, parts: Sequence[Term]) -> Term:
+    """`t` with its immediate subterms replaced by `parts`, in the order of
+    `subterms`; a binder keeps its annotation."""
+    if isinstance(t, BINDERS):
+        return type(t)(*parts, t.ann)
+    return type(t)(*parts) if parts else t
+
+
+def walk(t: Term) -> list[tuple[Term, int]]:
+    """Every node of `t` in pre-order, with the number of binders above it.
+    Iterative, so the depth of `t` is bounded by memory only."""
+    nodes = []
+    stack = [(t, 0)]
+    while stack:
+        node, depth = pair = stack.pop()
+        nodes.append(pair)
+        fields = _SUBTERMS[type(node)]
+        if fields:
+            depth += isinstance(node, BINDERS)
+            for f in reversed(fields):
+                stack.append((getattr(node, f), depth))
+    return nodes
+
+
+def map_vars(t: Term, on_var: Callable[[int, int], Term]) -> Term:
+    """`t` with each variable `TVar(k)` under `depth` binders replaced by
+    `on_var(k, depth)`.  Rebuilds in reverse pre-order, where a node's
+    subterms come before it, so it is as iterative as `walk`."""
+    done: list[Term] = []
+    for node, depth in reversed(walk(t)):
+        if isinstance(node, TVar):
+            node = on_var(node.index, depth)
+        elif n := len(_SUBTERMS[type(node)]):
+            parts = done[-n:][::-1]
+            del done[-n:]
+            node = with_subterms(node, parts)
+        done.append(node)
+    return done[0]
 
 
 def size(t: Term) -> int:
     """Term size: variables and numerals count 1, s/p count 2, binders and
     applications count 1 plus their parts."""
-    match t:
-        case TVar() | Const():
-            return 1
-        case Succ(b) | Pred(b):
-            return size(b) + 2
-        case Lam(b) | Fix(b):
-            return size(b) + 1
-        case App(f, a):
-            return size(f) + size(a) + 1
-        case IfZ(s, z, u):
-            return size(s) + size(z) + size(u) + 1
-    raise TypeError(f"not a term: {t!r}")
+    total = 0
+    for node, _ in walk(t):
+        total += 2 if isinstance(node, (Succ, Pred)) else 1
+    return total
+
+
+def max_free_index(t: Term, depth: int = 0) -> int:
+    """Largest free de Bruijn index, or -1 for a closed term."""
+    return max((node.index - depth - d for node, d in walk(t)
+                if isinstance(node, TVar) and node.index >= depth + d),
+               default=-1)
 
 
 # ---------------------------------------------------------------------------
 # de Bruijn machinery (used only by the reducer)
 
 def shift(t: Term, by: int, cutoff: int = 0) -> Term:
-    match t:
-        case TVar(k):
-            return TVar(k + by) if k >= cutoff else t
-        case Const():
-            return t
-        case Succ(b):
-            return Succ(shift(b, by, cutoff))
-        case Pred(b):
-            return Pred(shift(b, by, cutoff))
-        case Lam(b, ann):
-            return Lam(shift(b, by, cutoff + 1), ann)
-        case App(f, a):
-            return App(shift(f, by, cutoff), shift(a, by, cutoff))
-        case IfZ(s, z, u):
-            return IfZ(shift(s, by, cutoff), shift(z, by, cutoff),
-                       shift(u, by, cutoff))
-        case Fix(b, ann):
-            return Fix(shift(b, by, cutoff + 1), ann)
-    raise TypeError(f"not a term: {t!r}")
+    """Add `by` to the free variables of `t` from index `cutoff` up."""
+    if by == 0:
+        return t
+    return map_vars(t, lambda k, d: TVar(k + by if k >= cutoff + d else k))
 
 
 def subst(t: Term, repl: Term, j: int = 0) -> Term:
     """Substitute `repl` for TVar(j) in `t`, lowering the indices above j."""
-    match t:
-        case TVar(k):
-            if k == j:
-                return repl
-            return TVar(k - 1) if k > j else t
-        case Const():
-            return t
-        case Succ(b):
-            return Succ(subst(b, repl, j))
-        case Pred(b):
-            return Pred(subst(b, repl, j))
-        case Lam(b, ann):
-            return Lam(subst(b, shift(repl, 1), j + 1), ann)
-        case App(f, a):
-            return App(subst(f, repl, j), subst(a, repl, j))
-        case IfZ(s, z, u):
-            return IfZ(subst(s, repl, j), subst(z, repl, j), subst(u, repl, j))
-        case Fix(b, ann):
-            return Fix(subst(b, shift(repl, 1), j + 1), ann)
-    raise TypeError(f"not a term: {t!r}")
+    return map_vars(t, lambda k, d: shift(repl, d) if k == j + d
+                    else TVar(k - 1 if k > j + d else k))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ __all__ = [
     "erase", "erase_modal", "well_defined", "subtype", "equiv",
     "SumWitness", "BoundedSumWitness", "sum_modal", "bounded_sum_modal",
     "ShapeMismatch", "free_type_vars", "subst_type", "alpha_eq_type",
-    "parse_basic_type", "parse_modal_type", "show_type",
+    "parse_basic_type", "parse_modal_type", "show_type", "inequality",
 ]
 
 
@@ -145,7 +145,8 @@ def _open(m: ModalType, var: str) -> BasicType:
                                                      ix.Var(var))
 
 
-def _rel(precise: bool) -> str:
+def inequality(precise: bool) -> str:
+    """The relation an inequality premise is checked with."""
     return "=" if precise else "<="
 
 
@@ -158,8 +159,8 @@ def subtype(ctx: ConstraintSet, sub, sup, oracle: Oracle,
     match (sub, sup):
         case (NatI(l1, h1), NatI(l2, h2)):
             return merge_verdicts(
-                entails(ctx, Constraint(l2, _rel(precise), l1), oracle),
-                entails(ctx, Constraint(h1, _rel(precise), h2), oracle))
+                entails(ctx, Constraint(l2, inequality(precise), l1), oracle),
+                entails(ctx, Constraint(h1, inequality(precise), h2), oracle))
         case (LinArrow(d1, c1), LinArrow(d2, c2)):
             return merge_verdicts(subtype(ctx, d2, d1, oracle, precise),
                                   subtype(ctx, c1, c2, oracle, precise))
@@ -169,7 +170,7 @@ def subtype(ctx: ConstraintSet, sub, sup, oracle: Oracle,
             return merge_verdicts(
                 subtype(ctx.under(var, b1), _open(sub, var), _open(sup, var),
                         oracle, precise),
-                entails(ctx, Constraint(b2, _rel(precise), b1), oracle))
+                entails(ctx, Constraint(b2, inequality(precise), b1), oracle))
     raise ShapeMismatch(
         f"cannot compare {show_type(sub)} with {show_type(sup)}")
 
@@ -265,7 +266,7 @@ def parse_modal_type(text: str) -> ModalType:
 
 
 # The index tokens plus brackets and the lollipop.
-_TYPE_TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<id>[A-Za-z_][A-Za-z0-9_']*)"
+_TYPE_TOKEN = re.compile(rf"\s*(?:(?P<num>\d+)|(?P<id>{ix.IDENT})"
                          r"|(?P<op>-o|<=|[-+<>=(),\[\]]))", re.ASCII)
 
 
@@ -307,7 +308,7 @@ def _parse_type_atom(p: ix.Parser):
         # [a<I] grabs only the next atom; an arrow body needs parentheses,
         # so "[a<I] sigma -o tau" reads as ([a<I] sigma) -o tau.
         p.next()
-        binder = p.next()
+        binder = p.name()
         p.expect("<")
         bnd = ix.parse_sum_expr(p)
         p.expect("]")

@@ -384,3 +384,16 @@ def test_precise_mode_rejects_slack(arith):
     assert isinstance(check(slack, arith, bound=6).overall, Verified)
     assert isinstance(check(slack, arith, bound=6, precise=True).overall,
                       Refuted)
+
+
+@pytest.mark.parametrize("text", [
+    '(N (phi 3) (weight "0") (type "Nat[0]"))',
+    '(N (phi a sum) (weight "0") (type "Nat[0]"))',
+    '(R (annots (recvar 1b)) (weight "0") (type "Nat[0]"))',
+    '(A (annots (ctxjoin (slot 7 "Nat[0]"))) (weight "0") (type "Nat[0]"))',
+    '(A (annots (ctxsum (slot - "Nat[0]" "1"))) (weight "0") (type "Nat[0]"))',
+])
+def test_declared_index_variables_must_be_names(text):
+    with pytest.raises(ck.DerivationSyntaxError,
+                       match="must be a bare index variable name"):
+        parse_derivation(text)

@@ -101,6 +101,15 @@ CASES = {
                    '"[v < a-b+1] Nat[0] -o Nat[mult(2, a-b)]"',
                    dbl_mutant('"[c < a-b+1] Nat[a-b]"',
                               '"[v < a-b+1] Nat[0]"'))),
+    # A binder that is not a name: no index term could mention it.
+    "binder_not_a_name": check_tmp(
+        dbl_mutant('(weight "a + sum(b < a+1, a - b)")',
+                   '(weight "a + sum(3 < a+1, a - 3)")')),
+    # Usage errors are input errors: exit 3, with click's message.
+    "check_missing_file": (["check", "missing.deriv", "fixtures/dbl.pcf",
+                            "--eqprog", "fixtures/arith.eqs"], {}),
+    "eval_arg_not_integer": (["eval", "fixtures/dbl.pcf", "--arg", "seven"],
+                             {}),
     "constraint_no_relation": constraint_case("c"),
     "constraint_greater": constraint_case("c > 1"),
     "constraint_two_relations": constraint_case("c < 1 < 2"),

@@ -507,3 +507,16 @@ def test_index_parser_rejects_trailing_tokens():
         parse_index("a + 1 b")
     with pytest.raises(ix.IndexSyntaxError):
         parse_index("sum(a < 3)")
+
+
+@pytest.mark.parametrize("text", ["sum(( < 2, 1)", "sum(3 < 2, 1)",
+                                  "sum(sum < 2, 1)", "forest(forest, 0, 1, 0)",
+                                  "forest(+, 0, 1, 0)"])
+def test_a_binder_must_be_a_name(text):
+    with pytest.raises(ix.IndexSyntaxError, match="expected a variable name"):
+        parse_index(text)
+
+
+def test_binders_that_are_names_print_back_to_themselves():
+    for text in ("sum(b < 2, b)", "forest(x', 0, 1, x')", "sum(_a < 1, 0)"):
+        assert show_index(parse_index(text)) == text

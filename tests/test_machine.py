@@ -194,3 +194,11 @@ def test_max_config_size_never_below_initial(dbl_term):
     prog = App(dbl_term, Const(4))
     r = run(prog)
     assert r.max_config_size >= pcf.size(prog)
+
+
+def test_machine_runs_a_term_5000_deep():
+    t = Const(0)
+    for _ in range(5000):
+        t = Succ(t)
+    result = run(t)
+    assert (result.value, result.steps) == (5000, 10000)

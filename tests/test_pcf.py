@@ -1,13 +1,14 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dlpcf import pcf
 from dlpcf.fuel import FuelExhausted
 from dlpcf.pcf import (NAT, App, Arrow, Const, Fix, IfZ, Lam, PcfSyntaxError,
-                       PcfTypeError, Pred, StuckTerm, Succ, TVar, parse_term,
-                       pcf_typecheck, size, wh_eval, wh_step)
+                       PcfTypeError, Pred, StuckTerm, Succ, TVar,
+                       max_free_index, parse_term, pcf_typecheck, shift, size,
+                       subst, wh_eval, wh_step)
 
 from genterms import gen_nat_term
 
@@ -229,3 +230,157 @@ def test_wh_step_deterministic(seed):
 def test_show_parse_roundtrip(seed):
     t = gen_nat_term(random.Random(seed), (), 4)
     assert parse_term(pcf.show_term(t)) == t
+
+
+# ---------------------------------------------------------------------------
+# Structural walkers
+#
+# Recursive copies of `size`, `max_free_index`, `shift` and `subst` as they
+# were before the subterm table and its iterative walkers replaced them:
+# the walkers must agree with them wherever these do not run out of stack.
+
+
+def reference_max_free_index(t, depth=0):
+    match t:
+        case TVar(k):
+            return k - depth if k >= depth else -1
+        case Const():
+            return -1
+        case Succ(b) | Pred(b):
+            return reference_max_free_index(b, depth)
+        case Lam(b) | Fix(b):
+            return reference_max_free_index(b, depth + 1)
+        case App(f, a):
+            return max(reference_max_free_index(f, depth),
+                       reference_max_free_index(a, depth))
+        case IfZ(s, z, u):
+            return max(reference_max_free_index(s, depth),
+                       reference_max_free_index(z, depth),
+                       reference_max_free_index(u, depth))
+
+
+def reference_size(t):
+    match t:
+        case TVar() | Const():
+            return 1
+        case Succ(b) | Pred(b):
+            return reference_size(b) + 2
+        case Lam(b) | Fix(b):
+            return reference_size(b) + 1
+        case App(f, a):
+            return reference_size(f) + reference_size(a) + 1
+        case IfZ(s, z, u):
+            return (reference_size(s) + reference_size(z)
+                    + reference_size(u) + 1)
+
+
+def reference_shift(t, by, cutoff=0):
+    match t:
+        case TVar(k):
+            return TVar(k + by) if k >= cutoff else t
+        case Const():
+            return t
+        case Succ(b):
+            return Succ(reference_shift(b, by, cutoff))
+        case Pred(b):
+            return Pred(reference_shift(b, by, cutoff))
+        case Lam(b, ann):
+            return Lam(reference_shift(b, by, cutoff + 1), ann)
+        case App(f, a):
+            return App(reference_shift(f, by, cutoff),
+                       reference_shift(a, by, cutoff))
+        case IfZ(s, z, u):
+            return IfZ(reference_shift(s, by, cutoff),
+                       reference_shift(z, by, cutoff),
+                       reference_shift(u, by, cutoff))
+        case Fix(b, ann):
+            return Fix(reference_shift(b, by, cutoff + 1), ann)
+
+
+def reference_subst(t, repl, j=0):
+    match t:
+        case TVar(k):
+            if k == j:
+                return repl
+            return TVar(k - 1) if k > j else t
+        case Const():
+            return t
+        case Succ(b):
+            return Succ(reference_subst(b, repl, j))
+        case Pred(b):
+            return Pred(reference_subst(b, repl, j))
+        case Lam(b, ann):
+            return Lam(reference_subst(b, reference_shift(repl, 1), j + 1), ann)
+        case App(f, a):
+            return App(reference_subst(f, repl, j), reference_subst(a, repl, j))
+        case IfZ(s, z, u):
+            return IfZ(reference_subst(s, repl, j), reference_subst(z, repl, j),
+                       reference_subst(u, repl, j))
+        case Fix(b, ann):
+            return Fix(reference_subst(b, reference_shift(repl, 1), j + 1), ann)
+
+
+def annotations(t):
+    """The binder annotations of `t` in pre-order: equality ignores them."""
+    return [u.ann for u in _subterms(t) if isinstance(u, (Lam, Fix))]
+
+
+# Open terms: free variables at several binder depths, annotated binders.
+open_terms = st.recursive(
+    st.builds(TVar, st.integers(0, 4)) | st.builds(Const, st.integers(0, 3)),
+    lambda sub: (st.builds(Succ, sub) | st.builds(Pred, sub)
+                 | st.builds(Lam, sub, st.sampled_from([None, NAT,
+                                                        Arrow(NAT, NAT)]))
+                 | st.builds(Fix, sub, st.sampled_from([None, NAT]))
+                 | st.builds(App, sub, sub) | st.builds(IfZ, sub, sub, sub)),
+    max_leaves=12)
+
+
+@given(open_terms, open_terms, st.integers(0, 3), st.integers(0, 3),
+       st.integers(0, 3))
+# both occurrences of the free variable get the annotated replacement
+@example(Lam(App(TVar(1), Fix(TVar(2), NAT)), Arrow(NAT, NAT)),
+         Lam(TVar(0), NAT), 2, 0, 0)
+@settings(max_examples=200, deadline=None)
+def test_walkers_match_the_recursive_references(t, repl, by, cutoff, j):
+    assert size(t) == reference_size(t)
+    assert max_free_index(t) == reference_max_free_index(t)
+    assert max_free_index(t, cutoff) == reference_max_free_index(t, cutoff)
+    for got, want in ((shift(t, by, cutoff), reference_shift(t, by, cutoff)),
+                      (subst(t, repl, j), reference_subst(t, repl, j))):
+        assert got == want
+        assert annotations(got) == annotations(want)
+
+
+def nested_succ(depth, inner=Const(0)):
+    t = inner
+    for _ in range(depth):
+        t = Succ(t)
+    return t
+
+
+def same_term(a, b):
+    """Structural equality without recursion, for terms too deep for `==`."""
+    pairs = [(a, b)]
+    while pairs:
+        x, y = pairs.pop()
+        if type(x) is not type(y):
+            return False
+        if isinstance(x, (TVar, Const)):
+            if x != y:
+                return False
+        else:
+            pairs.extend(zip(pcf.subterms(x), pcf.subterms(y)))
+    return True
+
+
+def test_walkers_handle_a_term_5000_deep():
+    t = nested_succ(5000)
+    assert size(t) == 10001
+    assert max_free_index(t) == -1
+    assert same_term(shift(t, 1), t)
+    assert same_term(subst(t, Const(7)), t)
+    opened = nested_succ(5000, TVar(0))
+    assert max_free_index(opened) == 0
+    assert same_term(shift(opened, 3), nested_succ(5000, TVar(3)))
+    assert same_term(subst(opened, Const(7)), nested_succ(5000, Const(7)))

@@ -273,3 +273,10 @@ def test_erasure_commutes_with_sums(arith):
     result, _ = sum_modal(a, b, SumWitness("c", B("Nat[c]")), EMPTY_CTX,
                           Oracle(arith))
     assert erase_modal(result) == erase_modal(a) == erase_modal(b)
+
+
+@pytest.mark.parametrize("text", ["[3 < 2] Nat[0]", "[sum < 2] Nat[0]",
+                                  "[( < 2] Nat[0]"])
+def test_a_modal_binder_must_be_a_name(text):
+    with pytest.raises(ValueError, match="expected a variable name"):
+        parse_modal_type(text)
