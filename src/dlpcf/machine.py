@@ -9,11 +9,11 @@ weighted typing discipline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, TextIO, Union
+from typing import Callable, Optional, TextIO, Union
 
 from .fuel import Fuel, DEFAULT_FUEL
 from .pcf import (App, Const, Fix, IfZ, Lam, Pred, Succ, Term, TVar,
-                  max_free_index, size, term_head)
+                  max_free_index, size, subterm_sizes, term_head)
 
 __all__ = [
     "Closure", "Environment", "Arg", "SMark", "PMark", "Branches",
@@ -89,14 +89,15 @@ def load(t: Term) -> Configuration:
     return Configuration(t, (), (), 0)
 
 
-def _item_size(item: StackItem) -> int:
+def _item_size(item: StackItem,
+               term_size: Callable[[Term], int] = size) -> int:
     match item:
         case Arg(closure):
-            return size(closure.term)
+            return term_size(closure.term)
         case SMark() | PMark():
             return 1
         case Branches(zero, succ, _):
-            return size(zero) + size(succ)
+            return term_size(zero) + term_size(succ)
     raise TypeError(f"not a stack item: {item!r}")
 
 
@@ -200,20 +201,41 @@ def run(t: Term, fuel: int = DEFAULT_FUEL, *, debug: bool = False,
     Reports the exact step count and the maximum configuration size seen.
     `debug` asserts the environment-size invariant at every configuration;
     `trace` writes one line per step: step#, rule tag, |C|, term head.
+
+    The configuration size is kept as it goes, so sizing costs O(1) per
+    step, whatever the size of the configuration.  Every term the machine
+    focuses or stacks is a subterm of `t`, sized once up front, or a
+    numeral it made, of size 1.  A step pushes or pops at most the top
+    stack item, so the stack's share changes by that item's size.  `debug`
+    also asserts that the running size equals `config_size`, its
+    specification.
     """
     gas = Fuel(fuel)
     current = load(t)
-    limit = size(t)
-    max_size = config_size(current)
+    sizes = subterm_sizes(t)
+
+    def term_size(term: Term) -> int:
+        # missing from the table: a numeral the machine made
+        return sizes.get(id(term), 1)
+
+    limit = term_size(t)
+    stack_size = 0
+    max_size = limit
     while True:
         if debug:
             _check_subterm_sizes(current, limit)
+            assert term_size(current.term) + stack_size == config_size(current)
         gas.tick()
         nxt, tag = machine_step(current)
         if isinstance(nxt, Final):
             return RunResult(nxt.value, nxt.steps, max_size)
+        grown = len(nxt.stack) - len(current.stack)
+        if grown > 0:
+            stack_size += _item_size(nxt.stack[0], term_size)
+        elif grown < 0:
+            stack_size -= _item_size(current.stack[0], term_size)
+        now = term_size(nxt.term) + stack_size
         if trace is not None:
-            trace.write(f"{nxt.steps}\t{tag}\t{config_size(nxt)}\t"
-                        f"{term_head(nxt.term)}\n")
+            trace.write(f"{nxt.steps}\t{tag}\t{now}\t{term_head(nxt.term)}\n")
         current = nxt
-        max_size = max(max_size, config_size(current))
+        max_size = max(max_size, now)

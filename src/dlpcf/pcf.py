@@ -11,13 +11,14 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
-from .fuel import Fuel, FuelExhausted, DEFAULT_FUEL
+from .fuel import Fuel, DEFAULT_FUEL
 
 __all__ = [
     "Term", "TVar", "Const", "Succ", "Pred", "Lam", "App", "IfZ", "Fix",
     "PcfType", "NatT", "Arrow", "NAT",
     "parse_term", "show_term", "show_pcf_type",
-    "size", "pcf_typecheck", "PcfTypeError", "PcfSyntaxError",
+    "size", "subterm_sizes", "pcf_typecheck", "PcfTypeError",
+    "PcfSyntaxError",
     "shift", "subst", "wh_step", "wh_eval", "StuckTerm", "max_free_index",
     "BINDERS", "subterms", "with_subterms", "walk", "map_vars",
 ]
@@ -163,13 +164,26 @@ def map_vars(t: Term, on_var: Callable[[int, int], Term]) -> Term:
     return done[0]
 
 
+def _own_size(node: Term) -> int:
+    """A node's share of `size`: s/p count 2, every other node 1."""
+    return 2 if isinstance(node, (Succ, Pred)) else 1
+
+
 def size(t: Term) -> int:
     """Term size: variables and numerals count 1, s/p count 2, binders and
     applications count 1 plus their parts."""
-    total = 0
-    for node, _ in walk(t):
-        total += 2 if isinstance(node, (Succ, Pred)) else 1
-    return total
+    return sum(_own_size(node) for node, _ in walk(t))
+
+
+def subterm_sizes(t: Term) -> dict[int, int]:
+    """The `size` of every subterm of `t`, keyed by the subterm's `id`: one
+    fold of `walk`, read in reverse so a node's subterms come before it.
+    The keys name live objects only while `t` is alive."""
+    sizes: dict[int, int] = {}
+    for node, _ in reversed(walk(t)):
+        sizes[id(node)] = _own_size(node) + sum(sizes[id(sub)]
+                                                for sub in subterms(node))
+    return sizes
 
 
 def max_free_index(t: Term, depth: int = 0) -> int:
@@ -315,24 +329,65 @@ def wh_step(t: Term) -> Optional[Term]:
     raise TypeError(f"not a term: {t!r}")
 
 
+# The message `wh_step` raises for each frame whose hole holds a normal form
+# the frame cannot consume: a lambda under s, p or ifz, a numeral applied.
+_STUCK = {Succ: "s applied to a non-numeral normal form",
+          Pred: "p applied to a non-numeral normal form",
+          App: "applying a non-function normal form",
+          IfZ: "ifz scrutinee is a non-numeral normal form"}
+
+
 def wh_eval(t: Term, fuel: int = DEFAULT_FUEL) -> tuple[int, int]:
-    """Iterate weak-head steps to a numeral; returns (value, step count)."""
+    """Reduce `t` by weak-head steps to a numeral; returns (value, step count).
+
+    A refocusing loop (Danvy & Nielsen, "Refocusing in reduction
+    semantics", BRICS RS-04-26, 2004).  The evaluation context is an
+    explicit list of frames, each the `Succ`, `Pred`, `App` or `IfZ` node
+    whose first subterm is the hole; only its other fields (the argument,
+    the branches) are read.  The loop descends to the redex once, contracts
+    it, and goes on from the contractum in the same context, so a step
+    costs O(1) in the depth of the term, and nothing recurses.  It counts
+    the steps, ticks the fuel and raises the `StuckTerm` messages of
+    iterating `wh_step`, its one-step specification, from the root."""
     gas = Fuel(fuel)
     steps = 0
-    current = t
+    frames: list[Term] = []
+    focus = t
     while True:
-        if isinstance(current, Const):
-            return current.value, steps
-        gas.tick()
-        try:
-            nxt = wh_step(current)
-        except RecursionError:
-            # Divergence can grow the redex context past the interpreter
-            # stack before the fuel runs out; report it as the same budget.
-            raise FuelExhausted(fuel) from None
-        if nxt is None:
-            raise StuckTerm("normal form is not a numeral")
-        current = nxt
+        match focus:
+            case Succ(hole) | Pred(hole) | App(hole, _) | IfZ(hole, _, _):
+                frames.append(focus)
+                focus = hole
+                continue
+            case Const(n) if not frames:
+                return n, steps
+            case Const() | Lam():
+                gas.tick()
+                if not frames:
+                    raise StuckTerm("normal form is not a numeral")
+            case Fix(body):
+                gas.tick()
+                focus = subst(body, focus)
+                steps += 1
+                continue
+            case TVar():
+                gas.tick()
+                raise StuckTerm("free variable in a closed reduction")
+            case _:
+                raise TypeError(f"not a term: {focus!r}")
+        # a numeral or a lambda fills the hole of the innermost frame
+        frame = frames.pop()
+        match frame, focus:
+            case Succ(), Const(n):
+                focus = Const(n + 1)
+            case Pred(), Const(n):
+                focus = Const(n - 1 if n else 0)
+            case App(_, arg), Lam(body):
+                focus = subst(body, arg)
+            case IfZ(_, zero, succ), Const(n):
+                focus = succ if n else zero
+            case _:
+                raise StuckTerm(_STUCK[type(frame)])
         steps += 1
 
 

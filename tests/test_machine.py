@@ -116,6 +116,14 @@ def test_omega_exhausts_fuel(omega_term):
         run(App(omega_term, Const(1)), fuel=30000)
 
 
+def test_omega_exhausts_a_large_budget(omega_term):
+    # the stack keeps growing: if a step re-sized the whole configuration
+    # this would take time growing as about fuel^1.5, tens of seconds
+    with pytest.raises(FuelExhausted) as err:
+        run(App(omega_term, Const(1)), fuel=200_000)
+    assert err.value.budget == 200_000
+
+
 def test_stuck_configuration_on_ill_typed_term():
     with pytest.raises(StuckConfiguration):
         run(App(Const(0), Const(0)))
@@ -176,6 +184,33 @@ def test_trace_output(dbl_term, tmp_path):
     first = lines[0].split("\t")
     assert first[0] == "1" and first[1] == "app"
     assert all(len(line.split("\t")) == 4 for line in lines)
+
+
+def assert_trace_sizes_exact(term):
+    """The |C| column of the trace is `config_size` of the configuration
+    each line reaches, and `max_config_size` is the largest of them."""
+    buf = io.StringIO()
+    r = run(term, trace=buf)
+    sizes = [config_size(c) for c in configurations(term)]
+    lines = buf.getvalue().splitlines()
+    assert len(lines) == len(sizes) - 1 == r.steps
+    for line in lines:
+        step, _, traced, _ = line.split("\t")
+        assert int(traced) == sizes[int(step)], (pcf.show_term(term), line)
+    assert r.max_config_size == max(sizes)
+
+
+def test_trace_sizes_are_exact_on_the_corpus(dbl_term):
+    for term, _ in CORPUS:
+        assert_trace_sizes_exact(term)
+    for n in (0, 1, 5, 12):
+        assert_trace_sizes_exact(App(dbl_term, Const(n)))
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_trace_sizes_are_exact_on_generated_terms(seed):
+    assert_trace_sizes_exact(gen_nat_term(random.Random(seed), (), 5))
 
 
 @given(st.integers(0, 10**6))

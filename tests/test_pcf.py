@@ -4,13 +4,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dlpcf import pcf
-from dlpcf.fuel import FuelExhausted
+from dlpcf.fuel import DEFAULT_FUEL, Fuel, FuelExhausted
 from dlpcf.pcf import (NAT, App, Arrow, Const, Fix, IfZ, Lam, PcfSyntaxError,
                        PcfTypeError, Pred, StuckTerm, Succ, TVar,
                        max_free_index, parse_term, pcf_typecheck, shift, size,
-                       subst, wh_eval, wh_step)
+                       subst, subterm_sizes, wh_eval, wh_step)
 
 from genterms import gen_nat_term
+from test_machine import CORPUS
 
 
 DBL_TEXT = r"fix f. \x. ifz x then 0 else s(s(f (p x)))"
@@ -197,6 +198,90 @@ def test_wh_eval_omega_diverges(omega_term):
         wh_eval(App(omega_term, Const(1)), fuel=20000)
 
 
+# ---------------------------------------------------------------------------
+# The refocusing reducer against its one-step specification
+
+def reference_wh_eval(t, fuel=DEFAULT_FUEL):
+    """`wh_eval` as it was before refocusing: `wh_step` iterated from the
+    root, one fuel tick per step."""
+    gas = Fuel(fuel)
+    steps = 0
+    current = t
+    while True:
+        if isinstance(current, Const):
+            return current.value, steps
+        gas.tick()
+        nxt = wh_step(current)
+        if nxt is None:
+            raise StuckTerm("normal form is not a numeral")
+        current = nxt
+        steps += 1
+
+
+def outcome(evaluate, t, fuel):
+    """(value, steps), or the type and message of the exception raised."""
+    try:
+        return evaluate(t, fuel)
+    except (StuckTerm, FuelExhausted) as e:
+        return type(e), str(e)
+
+
+def assert_refocusing_matches(t, fuel=DEFAULT_FUEL):
+    got = outcome(wh_eval, t, fuel)
+    assert got == outcome(reference_wh_eval, t, fuel), pcf.show_term(t)
+    if isinstance(got[0], int) and got[1] > 0:
+        steps = got[1]
+        assert wh_eval(t, fuel=steps) == got
+        if steps > 1:
+            with pytest.raises(FuelExhausted) as err:
+                wh_eval(t, fuel=steps - 1)
+            assert err.value.budget == steps - 1
+
+
+# Normal forms in every frame, free variables, and divergence.
+STUCK_OR_DIVERGENT = [
+    Lam(TVar(0)),
+    TVar(0),
+    App(Const(0), Const(1)),
+    Succ(Lam(TVar(0))),
+    Pred(Succ(Lam(TVar(0)))),
+    IfZ(Lam(TVar(0)), Const(1), Const(2)),
+    Succ(IfZ(Const(0), TVar(3), Const(2))),
+    App(Lam(Succ(TVar(0))), Lam(TVar(0))),
+    App(App(Lam(Lam(TVar(1))), Const(4)), Const(5)),
+    Fix(TVar(0)),
+    Succ(Fix(Succ(TVar(0)))),
+]
+
+
+def test_refocusing_matches_iterated_wh_step_on_the_corpus():
+    for t, _ in CORPUS:
+        assert_refocusing_matches(t)
+    for t in STUCK_OR_DIVERGENT:
+        assert_refocusing_matches(t, fuel=500)
+        for fuel in range(1, 6):
+            assert outcome(wh_eval, t, fuel) == outcome(reference_wh_eval, t,
+                                                        fuel)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=80, deadline=None)
+def test_refocusing_matches_iterated_wh_step_on_generated_terms(seed):
+    assert_refocusing_matches(gen_nat_term(random.Random(seed), (), 5))
+
+
+def test_wh_eval_on_constructed_chains_1100_deep():
+    succs, preds, ifzs = Const(0), Const(0), Const(0)
+    for _ in range(1100):
+        succs = Succ(succs)
+        preds = Pred(preds)
+        ifzs = IfZ(ifzs, Const(1), Const(0))
+    assert wh_eval(succs, fuel=10**8) == (1100, 1100)
+    assert wh_eval(preds, fuel=10**8) == (0, 1100)
+    # the innermost test picks 1, the next 0, and so on: 1,100 is even
+    assert wh_eval(ifzs, fuel=10**8) == (0, 1100)
+
+
 def test_capture_avoidance_in_beta():
     # (\x. \y. x) y-free-term keeps the argument out of the inner binder
     const_fn = parse_term(r"(\x. \y. x) 1")
@@ -336,6 +421,14 @@ open_terms = st.recursive(
     max_leaves=12)
 
 
+@given(open_terms, st.integers(1, 30))
+@settings(max_examples=300, deadline=None)
+def test_refocusing_matches_iterated_wh_step_on_open_terms(t, fuel):
+    # untyped and open: every StuckTerm message, and fuel running out
+    # before, at and after a stuck step
+    assert outcome(wh_eval, t, fuel) == outcome(reference_wh_eval, t, fuel)
+
+
 @given(open_terms, open_terms, st.integers(0, 3), st.integers(0, 3),
        st.integers(0, 3))
 # both occurrences of the free variable get the annotated replacement
@@ -344,6 +437,8 @@ open_terms = st.recursive(
 @settings(max_examples=200, deadline=None)
 def test_walkers_match_the_recursive_references(t, repl, by, cutoff, j):
     assert size(t) == reference_size(t)
+    sizes = subterm_sizes(t)
+    assert all(sizes[id(u)] == reference_size(u) for u in _subterms(t))
     assert max_free_index(t) == reference_max_free_index(t)
     assert max_free_index(t, cutoff) == reference_max_free_index(t, cutoff)
     for got, want in ((shift(t, by, cutoff), reference_shift(t, by, cutoff)),
@@ -376,7 +471,7 @@ def same_term(a, b):
 
 def test_walkers_handle_a_term_5000_deep():
     t = nested_succ(5000)
-    assert size(t) == 10001
+    assert size(t) == subterm_sizes(t)[id(t)] == 10001
     assert max_free_index(t) == -1
     assert same_term(shift(t, 1), t)
     assert same_term(subst(t, Const(7)), t)
