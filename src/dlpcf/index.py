@@ -8,7 +8,9 @@ between index expressions is semidecided by checking the goal at every
 assignment of the constrained variables up to a bound at which the
 constraints hold; each constraint is tested as soon as its variables are
 bound, so a false one prunes every assignment that extends it.  An `Oracle`
-fixes the program, the bound and the fuel, and remembers what it was asked.
+fixes the program, the bound and the fuel, and remembers what it was asked:
+the satisfying assignments of each context, and each term's outcome at each
+assignment of its own free variables.
 
 The binding forms `BoundedSum`, `Forest` and `types.ModalType` are frozen
 dataclasses whose first field, `binder`, is bound in the last, `body`, only;
@@ -21,7 +23,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, fields
-from typing import Iterator, Optional, Union
+from operator import itemgetter
+from typing import Callable, NamedTuple, Optional, Union
 
 from .fuel import Fuel, FuelExhausted, DEFAULT_BOUND, DEFAULT_FUEL
 
@@ -586,6 +589,9 @@ _OK, _UNDEF, _FUEL = 0, 1, 2
 
 def _outcome(term: IndexTerm, rho: Assignment,
              oracle: Oracle) -> tuple[int, int]:
+    """`term` at rho as (tag, value).  Each evaluation gets fresh fuel, so
+    the outcome depends only on the term, the values of its free variables
+    and the oracle's program and fuel."""
     try:
         return (_OK, eval_index(term, rho, oracle.program, oracle.fuel))
     except IndexUndefined:
@@ -598,47 +604,84 @@ def _related(rel: str, a: int, b: int) -> bool:
     return a <= b if rel == "<=" else a < b if rel == "<" else a == b
 
 
-def _satisfies(constraints: list[Constraint], rho: Assignment,
-               oracle: Oracle) -> Optional[bool]:
-    """Do `constraints` hold at rho?  A constraint holds when both sides
-    are defined and related, so an undefined side makes it false.  False at
-    the first false constraint; None when fuel ran out on a side of some
-    constraint and none is false."""
-    out: Optional[bool] = True
-    for c in constraints:
-        tl, vl = _outcome(c.lhs, rho, oracle)
-        if tl == _UNDEF:
-            return False
-        tr, vr = _outcome(c.rhs, rho, oracle)
-        if tr == _UNDEF:
-            return False
-        if _FUEL in (tl, tr):
-            out = None
-        elif not _related(c.rel, vl, vr):
-            return False
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class Oracle:
     """The bounded entailment oracle of one program at one (bound, fuel).
 
-    It remembers the verdict of each (ctx, goal) and the satisfying
-    assignments of each ctx that `entails` asked it about, for as long as
-    it lives.  It compares by identity: two oracles with equal fields are
-    two memos.
+    For as long as it lives it remembers the satisfying assignments of each
+    ctx that `entails` asked it about, and in `outcomes` the outcome of each
+    index term it evaluated: term -> (its free variables, sorted; a table
+    from the tuple of their values to `_outcome`'s (tag, value)).  Since an
+    outcome depends on nothing else the oracle does not fix, each distinct
+    evaluation runs once.  It compares by identity: two oracles with equal
+    fields are two memos.
     """
     program: EquationalProgram
     bound: int = DEFAULT_BOUND
     fuel: int = DEFAULT_FUEL
-    verdicts: dict = field(default_factory=dict, init=False, repr=False)
     satisfying: dict = field(default_factory=dict, init=False, repr=False)
+    outcomes: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.bound < 0:
             raise ValueError(f"bound must be a natural, got {self.bound}")
         if self.fuel <= 0:
             raise ValueError("fuel budget must be positive")
+
+
+class _Side(NamedTuple):
+    """An index term looked up in its oracle's outcome table at assignments
+    given as a sequence of values of some variables, in their order."""
+    term: IndexTerm
+    names: tuple[str, ...]    # the term's free variables, sorted
+    key_of: Callable          # a sequence of values -> the names' values
+    table: dict
+
+
+def _side(term: IndexTerm, variables: tuple[str, ...], oracle: Oracle) -> _Side:
+    entry = oracle.outcomes.get(term)
+    if entry is None:
+        entry = oracle.outcomes[term] = (tuple(sorted(free_vars(term))), {})
+    names, table = entry
+    where = [variables.index(name) for name in names]
+    if len(where) == 1:
+        i, = where
+        key_of = lambda values: (values[i],)
+    else:
+        key_of = itemgetter(*where) if where else lambda values: ()
+    return _Side(term, names, key_of, table)
+
+
+def _look(side: _Side, values, oracle: Oracle) -> tuple[int, int]:
+    """The side's outcome at `values`; on a miss, the term is evaluated at
+    the values of its own free variables only."""
+    term, names, key_of, table = side
+    key = key_of(values)
+    out = table.get(key)
+    if out is None:
+        out = table[key] = _outcome(term, dict(zip(names, key)), oracle)
+    return out
+
+
+def _satisfies(tests: list[tuple[str, _Side, _Side]], values,
+               oracle: Oracle) -> Optional[bool]:
+    """Do the constraints `tests` hold at `values`?  A constraint holds when
+    both sides are defined and related, so an undefined side makes it
+    false.  False at the first false constraint; None when fuel ran out on a
+    side of some constraint and none is false."""
+    out: Optional[bool] = True
+    for rel, lhs, rhs in tests:
+        tl, vl = _look(lhs, values, oracle)
+        if tl == _UNDEF:
+            return False
+        tr, vr = _look(rhs, values, oracle)
+        if tr == _UNDEF:
+            return False
+        if _FUEL in (tl, tr):
+            out = None
+        elif not _related(rel, vl, vr):
+            return False
+    return out
 
 
 def entails(ctx: ConstraintSet, goal: Constraint | Defined,
@@ -653,26 +696,23 @@ def entails(ctx: ConstraintSet, goal: Constraint | Defined,
     constraint rules out (and no definite counterexample was found).
     "First" is in lexicographic order of the values of ctx.variables.
 
-    The oracle's verdict of an equal query and its satisfying assignments
-    of an equal context are reused.
+    The oracle's satisfying assignments of an equal context, and its
+    outcome of an equal term at equal values of the term's free variables,
+    are reused.
     """
-    goal_vars = (free_vars(goal.term) if isinstance(goal, Defined)
-                 else free_vars(goal.lhs) | free_vars(goal.rhs))
-    stray = goal_vars - set(ctx.variables)
+    stray = (frozenset().union(*map(free_vars, _goal_sides(goal)))
+             - set(ctx.variables))
     if stray:
         raise ValueError(f"goal mentions undeclared variables {sorted(stray)}")
 
-    key = (ctx, goal)
-    verdicts, satisfying = oracle.verdicts, oracle.satisfying
-    if key not in verdicts:
-        if ctx not in satisfying:
-            satisfying[ctx] = list(_satisfying(ctx, oracle))
-        verdicts[key] = _goal_over(ctx.variables, satisfying[ctx], goal, oracle)
-    return verdicts[key]
+    satisfying = oracle.satisfying
+    if ctx not in satisfying:
+        satisfying[ctx] = _satisfying(ctx, oracle)
+    return _goal_over(ctx.variables, satisfying[ctx], goal, oracle)
 
 
 def _satisfying(ctx: ConstraintSet,
-                oracle: Oracle) -> Iterator[tuple[tuple[int, ...], bool]]:
+                oracle: Oracle) -> list[tuple[tuple[int, ...], bool]]:
     """The assignments of ctx.variables into {0..bound} at which no
     constraint is false, in lexicographic order, as (values, settled):
     settled is False when fuel ran out on a constraint there.
@@ -683,66 +723,86 @@ def _satisfying(ctx: ConstraintSet,
     """
     variables = ctx.variables
     depth = {v: i + 1 for i, v in enumerate(variables)}
-    tests: list[list[Constraint]] = [[] for _ in range(len(variables) + 1)]
+    tests: list[list[tuple[str, _Side, _Side]]] = [
+        [] for _ in range(len(variables) + 1)]
     for c in ctx.constraints:
         tests[max((depth[v] for v in free_vars(c.lhs) | free_vars(c.rhs)),
-                  default=0)].append(c)
-    rho: Assignment = {}
+                  default=0)].append((c.rel, _side(c.lhs, variables, oracle),
+                                      _side(c.rhs, variables, oracle)))
+    values = [0] * len(variables)
+    points: list[tuple[tuple[int, ...], bool]] = []
 
-    def walk(level: int, settled: bool):
-        holds = _satisfies(tests[level], rho, oracle)
+    def walk(level: int, settled: bool) -> None:
+        holds = _satisfies(tests[level], values, oracle)
         if holds is False:
             return
         settled = settled and holds is True
         if level == len(variables):
-            yield tuple(rho[v] for v in variables), settled
+            points.append((tuple(values), settled))
             return
-        var = variables[level]
         for value in range(oracle.bound + 1):
-            rho[var] = value
-            yield from walk(level + 1, settled)
+            values[level] = value
+            walk(level + 1, settled)
 
-    return walk(0, True)
+    walk(0, True)
+    return points
+
+
+def _goal_sides(goal: Constraint | Defined) -> tuple[IndexTerm, ...]:
+    return (goal.term,) if isinstance(goal, Defined) else (goal.lhs, goal.rhs)
 
 
 def _goal_over(variables: tuple[str, ...], points, goal: Constraint | Defined,
                oracle: Oracle) -> Verdict:
-    """The verdict of the goal over `points`, as `_satisfying` yields them."""
+    """The verdict of the goal over `points`, as `_satisfying` lists them:
+    `_goal_at` at each, with the goal's sides looked up in their tables."""
+    sides = [_side(term, variables, oracle) for term in _goal_sides(goal)]
     unknown: Unknown | None = None
     for values, settled in points:
-        rho = dict(zip(variables, values))
-        verdict = (_goal_at(goal, rho, oracle) if settled
-                   else Unknown("fuel-exhausted", tuple(sorted(rho.items()))))
+        fate = (_fate(goal, [_look(side, values, oracle) for side in sides])
+                if settled else "fuel-exhausted")
+        if fate is None:
+            continue
+        verdict = _verdict_at(fate, dict(zip(variables, values)))
         if isinstance(verdict, Refuted):
             return verdict
-        if isinstance(verdict, Unknown) and unknown is None:
+        if unknown is None:
             unknown = verdict
     return unknown if unknown is not None else Verified(oracle.bound)
 
 
 def _goal_at(goal: Constraint | Defined, rho: Assignment,
              oracle: Oracle) -> Verdict | None:
+    """The goal's verdict at rho, None where it holds: the one-point
+    specification of `_goal_over`, evaluating every side afresh."""
+    return _verdict_at(
+        _fate(goal, [_outcome(term, rho, oracle) for term in _goal_sides(goal)]),
+        rho)
+
+
+def _fate(goal: Constraint | Defined,
+          outcomes: list[tuple[int, int]]) -> str | None:
+    """What the outcomes of the goal's sides make of it: None where it
+    holds, else "refuted" or "fuel-exhausted"."""
+    tags = [tag for tag, _ in outcomes]
+    if _FUEL in tags:
+        return "fuel-exhausted"
     if isinstance(goal, Defined):
-        tag, _ = _outcome(goal.term, rho, oracle)
-        if tag == _OK:
-            return None
-        if tag == _UNDEF:
-            return Refuted.at(rho)
-        return Unknown("fuel-exhausted", tuple(sorted(rho.items())))
-    tl, vl = _outcome(goal.lhs, rho, oracle)
-    tr, vr = _outcome(goal.rhs, rho, oracle)
-    if tl == _FUEL or tr == _FUEL:
-        return Unknown("fuel-exhausted", tuple(sorted(rho.items())))
+        return None if tags[0] == _OK else "refuted"
+    (tl, vl), (tr, vr) = outcomes
     if goal.rel == "~":
         # Kleene equality: both undefined, or both defined and equal.
-        if tl == _UNDEF and tr == _UNDEF:
-            return None
-        if tl == _OK and tr == _OK and vl == vr:
-            return None
-        return Refuted.at(rho)
-    if tl == _UNDEF or tr == _UNDEF:
-        return Refuted.at(rho)
-    return None if _related(goal.rel, vl, vr) else Refuted.at(rho)
+        holds = tl == tr == _UNDEF or (tl == tr == _OK and vl == vr)
+    else:
+        holds = tl == tr == _OK and _related(goal.rel, vl, vr)
+    return None if holds else "refuted"
+
+
+def _verdict_at(fate: str | None, rho: Assignment) -> Verdict | None:
+    if fate is None:
+        return None
+    return (Refuted.at(rho) if fate == "refuted"
+            else Unknown(fate, tuple(sorted(rho.items()))))
 
 
 # ---------------------------------------------------------------------------

@@ -268,6 +268,22 @@ def test_entails_memo_serves_only_its_program_and_bound():
     assert asked != Oracle(zero, 3, 1000)
 
 
+def test_a_check_evaluates_each_term_once_per_assignment_of_its_variables(
+        arith, dbl_derivation, monkeypatch):
+    evaluated = []
+    real = ix.eval_index
+
+    def record(term, rho, *rest):
+        evaluated.append((term, tuple(sorted(
+            (v, rho[v]) for v in ix.free_vars(term)))))
+        return real(term, rho, *rest)
+
+    monkeypatch.setattr(ix, "eval_index", record)
+    assert check(dbl_derivation, arith, bound=4).overall == Verified(4)
+    # 8,465 evaluations of these 312 pairs before the outcome tables
+    assert len(evaluated) == len(set(evaluated)) == 312
+
+
 # ---------------------------------------------------------------------------
 # A fixpoint under a nonempty context (vacuous self-use)
 

@@ -444,6 +444,74 @@ def test_pruned_entails_matches_the_full_enumeration(query):
     assert calls == []
 
 
+def record_evals(mp):
+    """Patch eval_index to record the term of each call it serves."""
+    calls = []
+    real = ix.eval_index
+    mp.setattr(ix, "eval_index",
+               lambda *args: calls.append(args[0]) or real(*args))
+    return calls
+
+
+def test_a_goal_side_is_evaluated_once_per_value_of_its_own_variables(
+        monkeypatch):
+    calls = record_evals(monkeypatch)
+    ctx = ConstraintSet(("a", "b", "c"), ())
+    goal = Constraint(Var("b"), "<", ix.add(Var("b"), Lit(1)))
+    assert entails(ctx, goal, Oracle(ix.EMPTY_PROGRAM, bound=4)) == Verified(4)
+    # 5 values of b, not 125 assignments of (a, b, c), for each side
+    assert [sum(t is side for t in calls) for side in (goal.lhs, goal.rhs)] \
+        == [5, 5]
+    assert len(calls) == 10
+
+
+def half(term):
+    return App("half", (term,))
+
+
+@given(entailment_queries(), entailment_queries())
+# half(a) is a constraint side and a goal side of the first query, and a
+# goal side of the second, whose variables come in the other order
+@example((ConstraintSet(("a", "b"), (Constraint(half(Var("a")), "<=",
+                                                Var("b")),)),
+          Constraint(half(Var("a")), "<", ix.add(Var("b"), Lit(1))), 4),
+         (ConstraintSet(("b", "a"), (Constraint(Var("b"), "<", Var("a")),)),
+          Constraint(half(Var("a")), "<=", Var("b")), 4))
+@settings(max_examples=200, deadline=None)
+def test_a_shared_oracle_answers_as_a_fresh_one(first, then):
+    (ctx1, goal1, _), (ctx2, goal2, bound) = first, then
+    shared = Oracle(DIFF_PROGRAM, bound, DIFF_FUEL)
+    entails(ctx1, goal1, shared)
+    fresh = Oracle(DIFF_PROGRAM, bound, DIFF_FUEL)
+    assert entails(ctx2, goal2, shared) == entails(ctx2, goal2, fresh)
+
+
+@pytest.mark.parametrize("where", ["goal", "constraint"])
+def test_exhausted_fuel_is_replayed_exactly(arith, where):
+    ground = parse_index("mult(2, 3)")
+    k = next(fuel for fuel in itertools.count(1)
+             if ix._outcome(ground, {}, Oracle(arith, fuel=fuel))[0] == ix._OK)
+    with pytest.raises(FuelExhausted):
+        eval_index(ground, {}, arith, k - 1)
+    fits = Constraint(ground, "<=", ix.add(Var("a"), Lit(6)))
+    ctx = again = ConstraintSet(("a",), ())
+    goal = fits
+    if where == "constraint":
+        ctx, goal = ConstraintSet(("a",), (fits,)), Constraint(Var("a"), "<=",
+                                                               Lit(2))
+        # not equal to ctx, so not answered from the satisfying memo, but
+        # with the same sides
+        again = ctx.extend(None, fits)
+    for fuel, want in ((k, Verified(2)),
+                       (k - 1, ix.Unknown("fuel-exhausted", (("a", 0),)))):
+        oracle = Oracle(arith, bound=2, fuel=fuel)
+        assert entails(ctx, goal, oracle) == want
+        with pytest.MonkeyPatch.context() as mp:
+            calls = record_evals(mp)
+            assert entails(again, goal, oracle) == want
+        assert calls == []
+
+
 def test_oracle_rejects_a_negative_bound_and_no_fuel(arith):
     with pytest.raises(ValueError, match="bound must be a natural, got -1"):
         Oracle(arith, bound=-1)
