@@ -24,16 +24,17 @@ from .fuel import DEFAULT_BOUND, DEFAULT_FUEL
 from .index import (Constraint, ConstraintSet, EquationError,
                     EquationalProgram, IndexTerm, Oracle, Verdict, Verified,
                     alpha_eq_index, free_vars, merge_verdicts,
-                    parse_constraint, parse_index, show_constraint, show_index)
+                    parse_constraint, parse_index, show_constraint, show_index,
+                    subst_index)
 from .pcf import (BINDERS, NAT, App, Arrow, Const, Fix, IfZ, Lam, PcfType,
                   Pred, Succ, Term, TVar, max_free_index, pcf_typecheck,
                   show_pcf_type, subterms, with_subterms)
 from .sexpr import SExprError, SString, parse_sexpr
 from .types import (BasicType, BoundedSumWitness, LinArrow, ModalType, NatI,
-                    ShapeMismatch, SumWitness, alpha_eq_type,
-                    bounded_sum_modal, erase, erase_modal, free_type_vars,
-                    inequality, parse_basic_type, parse_modal_type, show_type,
-                    subst_type, subtype, sum_modal, well_defined)
+                    ShapeMismatch, SumWitness, bounded_sum_modal, erase,
+                    erase_modal, inequality, parse_basic_type,
+                    parse_modal_type, show_type, subtype, sum_modal,
+                    well_defined)
 
 __all__ = [
     "Derivation", "Annotations", "Obligation", "CheckReport", "PcfDerivation",
@@ -243,8 +244,8 @@ class _Checker:
                 path, "subject has free variables outside the typing context")
         scope = set(node.ctx.variables)
         named = [("weight", free_vars(node.weight)),
-                 ("type", free_type_vars(node.type))]
-        named += [(f"context slot {i}", free_type_vars(entry))
+                 ("type", free_vars(node.type))]
+        named += [(f"context slot {i}", free_vars(entry))
                   for i, entry in enumerate(node.context)]
         for what, vs in named:
             stray = vs - scope
@@ -253,8 +254,9 @@ class _Checker:
                     path, f"{what} mentions undeclared index variables "
                           f"{sorted(stray)}")
         with self.structural(path):
-            for term in _index_terms_of(node):
-                ix.check_symbols(term, self.oracle.program.signature)
+            ix.check_symbols((node.weight, node.ctx.constraints, node.type,
+                              node.context, node.annots),
+                             self.oracle.program.signature)
 
     def same_ctx(self, path, got: ConstraintSet, want: ConstraintSet,
                  what: str) -> None:
@@ -268,7 +270,7 @@ class _Checker:
                                         f"{_show_ctx(want)}, got {_show_ctx(got)}")
 
     def same_type(self, path, got, want, what: str) -> None:
-        if not alpha_eq_type(got, want):
+        if not alpha_eq_index(got, want):
             raise StructuralError(
                 path, f"{what}: expected {show_type(want)}, got {show_type(got)}")
 
@@ -300,7 +302,7 @@ class _Checker:
                     ix.Lit(0), self.rel, node.weight)
         self.entail(path, node, "the variable has multiplicity left",
                     ix.Lit(1), self.rel, entry.bound)
-        first = subst_type(entry.body, entry.binder, ix.Lit(0))
+        first = subst_index(entry.body, entry.binder, ix.Lit(0))
         self.subtype_ob(path, node.ctx,
                         "first instance of the entry fits the result type",
                         first, node.type)
@@ -445,7 +447,7 @@ class _Checker:
                          "fixpoint body weight")
         calls = self_modal.bound
         mv = self_modal.binder
-        base = subst_type(body_type, rec_var, ix.Lit(0))
+        base = subst_index(body_type, rec_var, ix.Lit(0))
         self.subtype_ob(path, node.ctx,
                         "base instance of the body type fits the conclusion",
                         base, node.type)
@@ -464,7 +466,7 @@ class _Checker:
         preceding = ix.Forest(rec_var, ix.add(ix.Var(rec_var), ix.Lit(1)),
                               ix.Var(mv), calls)
         target = ix.add(ix.add(preceding, ix.Var(rec_var)), ix.Lit(1))
-        shifted = subst_type(body_type, rec_var, target)
+        shifted = subst_index(body_type, rec_var, target)
         self.subtype_ob(path, shifted_ctx,
                         "shifted instances of the body type feed the "
                         "recursive variable",
@@ -511,43 +513,6 @@ class _Checker:
                   f"slot {slot}: {show_type(left)} joins {show_type(right)} "
                   f"as {show_type(joined)}", verdict)
         return joined
-
-
-def _index_terms_of(node: Derivation):
-    yield node.weight
-    for c in node.ctx.constraints:
-        yield c.lhs
-        yield c.rhs
-    annots = tuple(getattr(node.annots, key) for key in _ANNOT_KEYS)
-    for x in (node.type,) + node.context + annots:
-        yield from _index_terms(x)
-
-
-def _index_terms(x):
-    """The index terms inside a type, witness, tuple of witnesses or
-    annotation value (an index term is its own)."""
-    match x:
-        case NatI(lo, hi):
-            yield lo
-            yield hi
-        case LinArrow(dom, cod):
-            yield from _index_terms(dom)
-            yield from _index_terms(cod)
-        case ModalType(_, bound, body):
-            yield bound
-            yield from _index_terms(body)
-        case SumWitness(_, body):
-            yield from _index_terms(body)
-        case BoundedSumWitness(_, body, per):
-            yield from _index_terms(body)
-            yield per
-        case tuple():
-            for y in x:
-                yield from _index_terms(y)
-        case str() | None:
-            pass
-        case _:
-            yield x
 
 
 def _show_ctx(ctx: ConstraintSet) -> str:

@@ -9,7 +9,7 @@ Exit codes for `check` and `soundness`: 0 verified / all rows pass,
 from __future__ import annotations
 
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import click
@@ -282,12 +282,10 @@ def eval_cmd(program, fuel, args, trace, debug, fmt) -> None:
     """Run a program on both the machine and the reducer."""
     with _exit_on_input_error():
         try:
-            if trace is not None:
-                with open(trace, "w", encoding="utf-8") as fh:
-                    report = eval_report(program, fuel, tuple(args), trace=fh,
-                                         debug=debug)
-            else:
-                report = eval_report(program, fuel, tuple(args), debug=debug)
+            with (open(trace, "w", encoding="utf-8") if trace is not None
+                  else nullcontext()) as fh:
+                report = eval_report(program, fuel, tuple(args), trace=fh,
+                                     debug=debug)
         except FuelExhausted as e:
             click.echo(f"fuel exhausted: {e}", err=True)
             sys.exit(1)

@@ -12,18 +12,22 @@ fixes the program, the bound and the fuel, and remembers what it was asked:
 the satisfying assignments of each context, and each term's outcome at each
 assignment of its own free variables.
 
-The binding forms `BoundedSum`, `Forest` and `types.ModalType` are frozen
-dataclasses whose first field, `binder`, is bound in the last, `body`, only;
-the fields between (`bound`, or `start` and `count`) are index terms outside
-its scope.  `binder_free_vars`, `subst_binder` and `alpha_eq_binder` serve
-all three, given the same operation on the body.
+Types (`types.NatI`, `LinArrow`, `ModalType`) are this syntax plus three
+constructors, and `free_vars`, `subst_index`, `alpha_eq_index` and
+`check_symbols` take index terms and types alike.  `Var`, `Lit` and `App`
+are their own cases; every other node is a frozen dataclass read field by
+field.  The binding forms `BoundedSum`, `Forest` and `types.ModalType` have
+`binder` as their first field, bound in the last, `body`, only; the fields
+between (`bound`, or `start` and `count`) are index terms outside its scope.
+A node whose first field is not `binder` binds nothing.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields
-from operator import itemgetter
+from dataclasses import dataclass, field, fields, is_dataclass
+from functools import cache
+from operator import attrgetter, itemgetter
 from typing import Callable, NamedTuple, Optional, Union
 
 from .fuel import Fuel, FuelExhausted, DEFAULT_BOUND, DEFAULT_FUEL
@@ -37,11 +41,9 @@ __all__ = [
     "ArityError", "UnboundRhsVar", "NonLinearPattern",
     "declare", "register_program", "parse_equations", "load_equations",
     "eval_index", "Oracle", "entails", "free_vars", "subst_index",
-    "IDENT", "is_name",
-    "alpha_eq_index", "binder_free_vars", "subst_binder", "alpha_eq_binder",
-    "fresh_name", "check_symbols", "parse_index", "parse_constraint",
-    "show_index", "show_constraint", "tokenize", "Parser", "parse_sum_expr",
-    "add", "monus",
+    "IDENT", "is_name", "alpha_eq_index", "fresh_name", "check_symbols",
+    "parse_index", "parse_constraint", "show_index", "show_constraint",
+    "tokenize", "Parser", "parse_sum_expr", "add", "monus",
 ]
 
 
@@ -99,33 +101,42 @@ def monus(a: IndexTerm, b: IndexTerm) -> App:
     return App("-", (a, b))
 
 
-def free_vars(t: IndexTerm) -> frozenset[str]:
+@cache
+def _shape(cls) -> tuple[bool, Callable]:
+    """Does the first field of the node class `cls` bind, and a getter of
+    the tuple of its other fields' values, in order."""
+    if not is_dataclass(cls):
+        raise TypeError(f"not index syntax: {cls.__name__}")
+    names = [f.name for f in fields(cls)]
+    binds = names[0] == "binder"
+    get = attrgetter(*names[binds:])
+    return binds, (get if len(names) - binds > 1 else lambda t: (get(t),))
+
+
+def _node(t) -> tuple[Optional[str], tuple]:
+    """The binder of the compound node `t` (None unless its first field is
+    `binder`) and its other fields' values, in order."""
+    binds, values = _shape(type(t))
+    return (t.binder if binds else None), values(t)
+
+
+def free_vars(t) -> frozenset[str]:
+    """The free variables of an index term or a type."""
     match t:
         case Var(name):
             return frozenset((name,))
         case Lit():
             return frozenset()
         case App(_, args):
-            out: frozenset[str] = frozenset()
-            for a in args:
-                out |= free_vars(a)
-            return out
-        case BoundedSum() | Forest():
-            return binder_free_vars(t, free_vars)
-    raise TypeError(f"not an index term: {t!r}")
-
-
-def _outer(t) -> tuple[IndexTerm, ...]:
-    """The index terms of a binding form outside its binder's scope."""
-    return tuple(getattr(t, f.name) for f in fields(t)[1:-1])
-
-
-def binder_free_vars(t, body_free_vars) -> frozenset[str]:
-    """Free variables of the binding form `t`, whose body's free variables
-    are `body_free_vars(t.body)`."""
-    out = body_free_vars(t.body) - {t.binder}
-    for term in _outer(t):
-        out |= free_vars(term)
+            binder, parts = None, args
+        case _:
+            binder, parts = _node(t)
+    out: frozenset[str] = frozenset()
+    if binder is not None:
+        *parts, body = parts
+        out = free_vars(body) - {binder}
+    for part in parts:
+        out |= free_vars(part)
     return out
 
 
@@ -139,8 +150,13 @@ def fresh_name(base: str, avoid: frozenset[str]) -> str:
     return f"{base}_{i}"
 
 
-def subst_index(t: IndexTerm, name: str, repl: IndexTerm) -> IndexTerm:
-    """Capture-avoiding substitution of `repl` for free `name` in `t`."""
+def subst_index(t, name: str, repl: IndexTerm):
+    """Capture-avoiding substitution of `repl` for free `name` in the index
+    term or type `t`.  Under a binding form the body is left alone when the
+    binder shadows `name`, and the binder is renamed, away from every free
+    variable of `repl` and of the form, when a free variable of `repl` of
+    the same name would land anywhere in the form: under the binder, or in
+    an outer term beside it."""
     match t:
         case Var(n):
             return repl if n == name else t
@@ -148,35 +164,27 @@ def subst_index(t: IndexTerm, name: str, repl: IndexTerm) -> IndexTerm:
             return t
         case App(sym, args):
             return App(sym, tuple(subst_index(a, name, repl) for a in args))
-        case BoundedSum() | Forest():
-            return subst_binder(t, name, repl, subst_index, free_vars)
-    raise TypeError(f"not an index term: {t!r}")
-
-
-def subst_binder(t, name: str, repl: IndexTerm, subst_body, body_free_vars):
-    """Capture-avoiding substitution into the binding form `t`: the body is
-    left alone when the binder shadows `name`, and the binder is renamed
-    when a free variable of `repl` of the same name would land anywhere in
-    `t`: under the binder, or in an outer term beside it."""
-    outer = tuple(subst_index(o, name, repl) for o in _outer(t))
-    binder, body = t.binder, t.body
+    binder, parts = _node(t)
+    if binder is None:
+        return type(t)(*(subst_index(p, name, repl) for p in parts))
+    *outer, body = parts
+    outer = [subst_index(o, name, repl) for o in outer]
     if binder != name:
-        if (binder in free_vars(repl)
-                and name in binder_free_vars(t, body_free_vars)):
-            nb = fresh_name(binder, free_vars(repl) | body_free_vars(body))
-            body = subst_body(body, binder, Var(nb))
+        if binder in free_vars(repl) and name in free_vars(t):
+            nb = fresh_name(binder, free_vars(repl) | free_vars(t))
+            body = subst_index(body, binder, Var(nb))
             binder = nb
-        body = subst_body(body, name, repl)
+        body = subst_index(body, name, repl)
     return type(t)(binder, *outer, body)
 
 
-def alpha_eq_index(a: IndexTerm, b: IndexTerm,
-                   env_a: dict[str, int] | None = None,
+def alpha_eq_index(a, b, env_a: dict[str, int] | None = None,
                    env_b: dict[str, int] | None = None,
                    depth: int = 0) -> bool:
-    """Structural equality modulo renaming of the binders of sums, forests
-    and (through `types.alpha_eq_type`) modal types: `env_a` and `env_b` map
-    each binder in scope to the depth that bound it."""
+    """Structural equality of two index terms or types modulo renaming of
+    binders: `env_a` and `env_b` map each binder in scope to the depth that
+    bound it.  Two binding forms are equal when their outer terms are and
+    their bodies are with both binders bound at `depth`."""
     ea = env_a or {}
     eb = env_b or {}
     match (a, b):
@@ -189,21 +197,17 @@ def alpha_eq_index(a: IndexTerm, b: IndexTerm,
             return (f == g and len(xs) == len(ys)
                     and all(alpha_eq_index(x, y, ea, eb, depth)
                             for x, y in zip(xs, ys)))
-        case (BoundedSum() | Forest(), _):
-            return alpha_eq_binder(a, b, ea, eb, depth, alpha_eq_index)
-    return False
-
-
-def alpha_eq_binder(a, b, env_a: dict[str, int], env_b: dict[str, int],
-                    depth: int, body_eq) -> bool:
-    """Alpha-equivalence of two binding forms, given that of their bodies:
-    the same kind of form, equal outer terms, and bodies equal with both
-    binders bound at `depth`."""
-    return (type(a) is type(b)
-            and all(alpha_eq_index(x, y, env_a, env_b, depth)
-                    for x, y in zip(_outer(a), _outer(b)))
-            and body_eq(a.body, b.body, {**env_a, a.binder: depth},
-                        {**env_b, b.binder: depth}, depth + 1))
+    if type(a) is not type(b):
+        return False
+    (binder_a, parts_a), (binder_b, parts_b) = _node(a), _node(b)
+    if binder_a is None:
+        return all(alpha_eq_index(x, y, ea, eb, depth)
+                   for x, y in zip(parts_a, parts_b))
+    return (all(alpha_eq_index(x, y, ea, eb, depth)
+                for x, y in zip(parts_a[:-1], parts_b[:-1]))
+            and alpha_eq_index(parts_a[-1], parts_b[-1],
+                               {**ea, binder_a: depth},
+                               {**eb, binder_b: depth}, depth + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -341,18 +345,24 @@ def register_program(rules: list[Rule], signature: Signature) -> EquationalProgr
     return EquationalProgram(signature, tuple(rules))
 
 
-def check_symbols(t: IndexTerm, signature: Signature) -> None:
-    """ArityError unless every application in `t` matches `signature`."""
+def check_symbols(t, signature: Signature) -> None:
+    """ArityError unless every application in `t` matches `signature`, in
+    the order the applications occur: `t` is an index term, a type, or any
+    record or tuple of them, and strings and None hold none."""
     match t:
+        case Var() | Lit() | str() | None:
+            return
         case App(sym, args):
             expected = signature.arity(sym)
             if len(args) != expected:
                 raise ArityError(sym, expected, len(args))
-            for a in args:
-                check_symbols(a, signature)
-        case BoundedSum() | Forest():
-            for sub in _outer(t) + (t.body,):
-                check_symbols(sub, signature)
+            parts = args
+        case tuple():
+            parts = t
+        case _:
+            parts = _node(t)[1]
+    for part in parts:
+        check_symbols(part, signature)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,11 @@
 and quantified modal types, with bounded-oracle well-definedness, subtyping,
 equivalence, and the sum operations on modal types.
 
+Types are index syntax: `index.free_vars`, `subst_index`, `alpha_eq_index`
+and `check_symbols` take them as they take index terms.  `ModalType` is a
+binding form by the convention `index` states: `binder` first, bound in the
+last field, `body`, only.
+
 All semantic questions reduce to `index.entails` under a constraint context,
 asked of one `index.Oracle`, so every judgement here is three-valued and
 qualified by the oracle's bound and fuel.
@@ -15,17 +20,15 @@ from typing import Union
 
 from . import index as ix
 from .index import (Constraint, ConstraintSet, Defined, IndexTerm, Oracle,
-                    Verdict, alpha_eq_binder, alpha_eq_index,
-                    binder_free_vars, entails, free_vars, fresh_name,
-                    merge_verdicts, show_index, subst_binder, subst_index)
+                    Verdict, alpha_eq_index, entails, free_vars, fresh_name,
+                    merge_verdicts, show_index, subst_index)
 from .pcf import NAT, Arrow, PcfType
 
 __all__ = [
     "BasicType", "NatI", "LinArrow", "ModalType", "TypingContext",
     "erase", "erase_modal", "well_defined", "subtype", "equiv",
     "SumWitness", "BoundedSumWitness", "sum_modal", "bounded_sum_modal",
-    "ShapeMismatch", "free_type_vars", "subst_type", "alpha_eq_type",
-    "parse_basic_type", "parse_modal_type", "show_type", "inequality",
+    "ShapeMismatch", "parse_basic_type", "parse_modal_type", "show_type", "inequality",
 ]
 
 
@@ -64,46 +67,7 @@ class ShapeMismatch(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Structure
-
-def free_type_vars(t: BasicType | ModalType) -> frozenset[str]:
-    match t:
-        case NatI(lo, hi):
-            return free_vars(lo) | free_vars(hi)
-        case LinArrow(dom, cod):
-            return free_type_vars(dom) | free_type_vars(cod)
-        case ModalType():
-            return binder_free_vars(t, free_type_vars)
-    raise TypeError(f"not a type: {t!r}")
-
-
-def subst_type(t, name: str, repl: IndexTerm):
-    """Capture-avoiding substitution of an index term into a type."""
-    match t:
-        case NatI(lo, hi):
-            return NatI(subst_index(lo, name, repl), subst_index(hi, name, repl))
-        case LinArrow(dom, cod):
-            return LinArrow(subst_type(dom, name, repl),
-                            subst_type(cod, name, repl))
-        case ModalType():
-            return subst_binder(t, name, repl, subst_type, free_type_vars)
-    raise TypeError(f"not a type: {t!r}")
-
-
-def alpha_eq_type(a, b, env_a=None, env_b=None, depth: int = 0) -> bool:
-    ea = env_a or {}
-    eb = env_b or {}
-    match (a, b):
-        case (NatI(l1, h1), NatI(l2, h2)):
-            return (alpha_eq_index(l1, l2, ea, eb, depth)
-                    and alpha_eq_index(h1, h2, ea, eb, depth))
-        case (LinArrow(d1, c1), LinArrow(d2, c2)):
-            return (alpha_eq_type(d1, d2, ea, eb, depth)
-                    and alpha_eq_type(c1, c2, ea, eb, depth))
-        case (ModalType(), _):
-            return alpha_eq_binder(a, b, ea, eb, depth, alpha_eq_type)
-    return False
-
+# Erasure
 
 def erase(t: BasicType) -> PcfType:
     match t:
@@ -141,8 +105,8 @@ def well_defined(ctx: ConstraintSet, t: BasicType | ModalType,
 
 def _open(m: ModalType, var: str) -> BasicType:
     """The body of `m` with its binder renamed to `var`."""
-    return m.body if var == m.binder else subst_type(m.body, m.binder,
-                                                     ix.Var(var))
+    return m.body if var == m.binder else subst_index(m.body, m.binder,
+                                                      ix.Var(var))
 
 
 def inequality(precise: bool) -> str:
@@ -166,7 +130,7 @@ def subtype(ctx: ConstraintSet, sub, sup, oracle: Oracle,
                                   subtype(ctx, c1, c2, oracle, precise))
         case (ModalType(v1, b1), ModalType(_, b2)):
             var = fresh_name(v1, frozenset(ctx.variables)
-                             | free_type_vars(sub) | free_type_vars(sup))
+                             | free_vars(sub) | free_vars(sup))
             return merge_verdicts(
                 subtype(ctx.under(var, b1), _open(sub, var), _open(sup, var),
                         oracle, precise),
@@ -208,8 +172,8 @@ def sum_modal(a: ModalType, b: ModalType, witness: SumWitness,
     if erase_modal(a) != erase(witness.body) or erase_modal(b) != erase(witness.body):
         raise ShapeMismatch("sum witness erasure differs from the summands")
     first = ModalType(witness.param, a.bound, witness.body)
-    shifted_body = subst_type(witness.body, witness.param,
-                              ix.add(a.bound, ix.Var(witness.param)))
+    shifted_body = subst_index(witness.body, witness.param,
+                               ix.add(a.bound, ix.Var(witness.param)))
     second = ModalType(witness.param, b.bound, shifted_body)
     verdict = merge_verdicts(equiv(ctx, a, first, oracle),
                              equiv(ctx, b, second, oracle))
@@ -235,9 +199,9 @@ def bounded_sum_modal(binder: str, width: IndexTerm, a: ModalType,
     offset = ix.BoundedSum(inner_var, ix.Var(binder),
                            subst_index(witness.per, binder, ix.Var(inner_var)))
     slot = fresh_name(a.binder, frozenset(inner_ctx.variables)
-                      | free_type_vars(witness.body) | free_vars(offset))
-    inst = subst_type(witness.body, witness.param,
-                      ix.add(offset, ix.Var(slot)))
+                      | free_vars(witness.body) | free_vars(offset))
+    inst = subst_index(witness.body, witness.param,
+                       ix.add(offset, ix.Var(slot)))
     candidate = ModalType(slot, witness.per, inst)
     verdict = equiv(inner_ctx, a, candidate, oracle)
     total = ix.BoundedSum(binder, width, witness.per)

@@ -72,15 +72,20 @@ def gen_index(rng: random.Random, scope: tuple[str, ...]) -> ix.IndexTerm:
 
 
 def gen_basic_type(rng: random.Random, scope: tuple[str, ...],
-                   depth: int) -> ty.BasicType:
-    """Well-defined by construction: only total arithmetic appears."""
+                   depth: int, binders: tuple[str, ...] = ()) -> ty.BasicType:
+    """Well-defined by construction: only total arithmetic appears.  Modal
+    binders are named q1, q2, ..., or drawn from `binders`, where they may
+    shadow a variable of the scope."""
     if depth <= 0 or rng.random() < 0.5:
         lo = gen_index(rng, scope)
         return ty.NatI(lo, ix.add(lo, gen_index(rng, scope)))
-    binder = f"q{depth}"
-    dom = ty.ModalType(binder, gen_index(rng, scope),
-                       gen_basic_type(rng, scope + (binder,), depth - 1))
-    return ty.LinArrow(dom, gen_basic_type(rng, scope, depth - 1))
+    bound = gen_index(rng, scope)
+    binder = (rng.choice([b for b in binders if b not in ix.free_vars(bound)])
+              if binders else f"q{depth}")
+    dom = ty.ModalType(binder, bound,
+                       gen_basic_type(rng, scope + (binder,), depth - 1,
+                                      binders))
+    return ty.LinArrow(dom, gen_basic_type(rng, scope, depth - 1, binders))
 
 
 def widen(rng: random.Random, t: ty.BasicType) -> ty.BasicType:

@@ -11,9 +11,11 @@ from dlpcf.checker import (Annotations, Derivation, StructuralError, bind,
                            check, erase_derivation, load_derivation,
                            parse_derivation)
 from dlpcf.index import (App, Constraint, ConstraintSet, EMPTY_CTX, Lit,
-                         Oracle, Refuted, Var, Verified, entails,
-                         parse_constraint, parse_equations, parse_index)
-from dlpcf.types import alpha_eq_type, parse_basic_type, parse_modal_type
+                         Oracle, Refuted, Var, Verified, alpha_eq_index,
+                         entails, parse_constraint, parse_equations,
+                         parse_index)
+from dlpcf.types import (ModalType, parse_basic_type, parse_modal_type,
+                         show_type)
 
 
 def cs(variables="", *constraints):
@@ -128,8 +130,8 @@ def test_derivations_are_hashable(dbl_term):
 
 
 def test_golden_dbl_root_bounds(dbl_derivation):
-    assert alpha_eq_type(dbl_derivation.type,
-                         B("[b < a + 1] Nat[a] -o Nat[mult(2, a)]"))
+    assert alpha_eq_index(dbl_derivation.type,
+                          B("[b < a + 1] Nat[a] -o Nat[mult(2, a)]"))
     assert ix.alpha_eq_index(dbl_derivation.weight,
                              parse_index("a + sum(b < a+1, a - b)"))
 
@@ -355,7 +357,7 @@ def test_placeholder_resolution(dbl_derivation):
     scrutinee = dbl_derivation.premises[0].premises[0].premises[0]
     entry = scrutinee.context[1]
     assert entry.bound == Lit(0)
-    assert alpha_eq_type(
+    assert alpha_eq_index(
         entry.body, B("[c < a-b] Nat[a-b-1] -o Nat[mult(2, a-b-1)]"))
 
 
@@ -387,6 +389,77 @@ def test_unknown_symbol_is_structural(arith):
     d = leaf_n(3, type_text="Nat[zap(3), 3]")
     with pytest.raises(StructuralError):
         check(d, arith)
+
+
+def zapped_type(t):
+    """`t` with its first application of mult made one of zap."""
+    text = show_type(t).replace("mult", "zap", 1)
+    return M(text) if isinstance(t, ModalType) else B(text)
+
+
+def zapped_index(t):
+    return App("zap", (t,))
+
+
+def at_path(d, path, change):
+    """`d` with the node at `path` replaced by `change` of it."""
+    if not path:
+        return change(d)
+    i, *rest = path
+    premises = list(d.premises)
+    premises[i] = at_path(premises[i], rest, change)
+    return dataclasses.replace(d, premises=tuple(premises))
+
+
+def zapped_annots(**changes):
+    return lambda d: dataclasses.replace(
+        d, annots=dataclasses.replace(d.annots, **{
+            key: change(getattr(d.annots, key))
+            for key, change in changes.items()}))
+
+
+def zapped_witness(i, **changes):
+    def change(witnesses):
+        out = list(witnesses)
+        out[i] = dataclasses.replace(out[i], **{
+            key: f(getattr(out[i], key)) for key, f in changes.items()})
+        return tuple(out)
+    return change
+
+
+APP_NODE = (0, 0, 2, 0, 0)     # the application f (p x) in dbl.deriv
+
+
+# Each node is checked before its premises and no rule reads a premise's
+# annotations, so a zap at the root, or in the annotations of a premise, is
+# found by the symbol check of that node.  The root of dbl.deriv has no
+# constraint and no context entry, so those two cases add one.
+@pytest.mark.parametrize("path, change", [
+    ((), lambda d: dataclasses.replace(d, weight=zapped_index(d.weight))),
+    ((), lambda d: dataclasses.replace(d, ctx=cs("a", "zap(a) <= a"))),
+    ((), lambda d: dataclasses.replace(d, context=(M("[c < zap(a)] Nat[a]"),))),
+    ((), lambda d: dataclasses.replace(d, type=zapped_type(d.type))),
+    ((), zapped_annots(selftype=zapped_type)),
+    ((), zapped_annots(bodytype=zapped_type)),
+    ((), zapped_annots(resulttype=zapped_type)),
+    ((), zapped_annots(unfoldbound=zapped_index)),
+    ((), zapped_annots(callcap=zapped_index)),
+    ((), zapped_annots(bodyweight=zapped_index)),
+    (APP_NODE, zapped_annots(ctxsum=zapped_witness(1, body=zapped_type))),
+    (APP_NODE, zapped_annots(ctxsum=zapped_witness(0, per=zapped_index))),
+    (APP_NODE, zapped_annots(ctxjoin=zapped_witness(1, body=zapped_type))),
+    ((0, 0), zapped_annots(ctxjoin=zapped_witness(1, body=zapped_type))),
+], ids=["weight", "constraint", "context", "type", "selftype", "bodytype",
+        "resulttype", "unfoldbound", "callcap", "bodyweight", "ctxsum-body",
+        "ctxsum-width", "ctxjoin-body", "ctxjoin-body-of-ifz"])
+def test_the_symbol_check_reaches_every_index_term_of_a_node(
+        arith, dbl_derivation, path, change):
+    mutant = at_path(dbl_derivation, path, change)
+    with pytest.raises(StructuralError) as err:
+        check(mutant, arith, bound=3)
+    assert err.value.path == path
+    assert str(err.value) == (f"{ck.path_str(path)}: "
+                              f"unknown function symbol 'zap'")
 
 
 def test_scope_violation_is_structural(arith):

@@ -179,6 +179,17 @@ def test_subst_renames_forest_binder_away_from_replacement():
     assert ev_closed(got, {"c": 2}) == ev_closed(t, {"a": 2}) == 4
 
 
+def test_a_renamed_binder_avoids_the_free_variables_of_its_outer_terms():
+    # x := b renames the binder b, and b_0 is taken: it is free in the bound
+    got = subst_index(parse_index("sum(b < b_0, b + x)"), "x", Var("b"))
+    assert got == parse_index("sum(b_1 < b_0, b_1 + b)")
+    # b_0 := b renames the binder b away from b_0 too, the name replaced in
+    # the bound: the body's b stays bound
+    got = subst_index(parse_index("sum(b < b_0, b)"), "b_0", Var("b"))
+    assert got == parse_index("sum(b_1 < b, b_1)")
+    assert ev_closed(got, {"b": 3}) == 0 + 1 + 2
+
+
 # A small pool of names, so that substitutions regularly hit a binder equal
 # to the substituted name, or a replacement that mentions a binder.
 NAMES = ("a", "b", "x")

@@ -1,17 +1,20 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dlpcf import index as ix
 from dlpcf import pcf
-from dlpcf.index import (ConstraintSet, EMPTY_CTX, Lit, Oracle, Refuted,
-                         Unknown, Var, Verified, declare, parse_index,
-                         register_program)
+from dlpcf.index import (App, BoundedSum, ConstraintSet, EMPTY_CTX, Forest,
+                         Lit, Oracle, Refuted, Unknown, Var, Verified,
+                         alpha_eq_index, declare, free_vars, parse_index,
+                         register_program, subst_index)
 from dlpcf.types import (BoundedSumWitness, LinArrow, ModalType, NatI,
-                         ShapeMismatch, SumWitness, alpha_eq_type,
-                         bounded_sum_modal, equiv, erase, erase_modal,
-                         parse_basic_type, parse_modal_type, show_type,
-                         subst_type, subtype, sum_modal, well_defined)
+                         ShapeMismatch, SumWitness, bounded_sum_modal, equiv,
+                         erase, erase_modal, parse_basic_type,
+                         parse_modal_type, show_type, subtype, sum_modal,
+                         well_defined)
 
 from genterms import gen_basic_type, widen
 
@@ -34,9 +37,9 @@ def test_parse_show_roundtrip():
     assert show_type(B("Nat[3,3]")) == "Nat[3]"
     arrow = B("[a < 5] Nat[a] -o Nat[0]")
     assert isinstance(arrow, LinArrow)
-    assert alpha_eq_type(B(show_type(arrow)), arrow)
+    assert alpha_eq_index(B(show_type(arrow)), arrow)
     nested = M("[v < 2] ([c < a] Nat[c] -o Nat[a])")
-    assert alpha_eq_type(M(show_type(nested)), nested)
+    assert alpha_eq_index(M(show_type(nested)), nested)
 
 
 def test_interval_sugar():
@@ -56,13 +59,13 @@ def test_erase_examples():
 
 
 def test_alpha_eq_type_on_binders():
-    assert alpha_eq_type(M("[a < 3] Nat[a]"), M("[b < 3] Nat[b]"))
-    assert not alpha_eq_type(M("[a < 3] Nat[a]"), M("[b < 3] Nat[1]"))
+    assert alpha_eq_index(M("[a < 3] Nat[a]"), M("[b < 3] Nat[b]"))
+    assert not alpha_eq_index(M("[a < 3] Nat[a]"), M("[b < 3] Nat[1]"))
 
 
 def test_subst_type_capture_avoiding():
     t = B("[c < a] Nat[c + a] -o Nat[a]")
-    got = subst_type(t, "a", parse_index("c + 1"))
+    got = subst_index(t, "a", parse_index("c + 1"))
     # the bound c must be renamed away from the free c being substituted in
     assert isinstance(got, LinArrow)
     assert got.dom.binder != "c"
@@ -71,8 +74,14 @@ def test_subst_type_capture_avoiding():
 
 def test_subst_type_renames_binder_captured_in_bound():
     # x := b lands in the bound only, beside a binder also named b
-    got = subst_type(M("[b < x] Nat[b]"), "x", Var("b"))
-    assert alpha_eq_type(got, M("[b_0 < b] Nat[b_0]"))
+    got = subst_index(M("[b < x] Nat[b]"), "x", Var("b"))
+    assert alpha_eq_index(got, M("[b_0 < b] Nat[b_0]"))
+
+
+def test_renamed_binder_avoids_the_free_variables_of_its_bound():
+    # x := b renames the binder b, and b_0 is taken: it is free in the bound
+    got = subst_index(M("[b < b_0] Nat[b + x]"), "x", Var("b"))
+    assert got == M("[b_1 < b_0] Nat[b_1 + b]")
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +210,7 @@ def test_sum_modal_example(arith):
     result, verdict = sum_modal(a, b, SumWitness("c", B("Nat[c]")),
                                 EMPTY_CTX, Oracle(arith))
     assert isinstance(verdict, Verified)
-    assert alpha_eq_type(result, M("[c < 2 + 3] Nat[c]"))
+    assert alpha_eq_index(result, M("[c < 2 + 3] Nat[c]"))
     assert erase_modal(result) == erase_modal(a)
 
 
@@ -245,7 +254,7 @@ def test_bounded_sum_example(arith):
         "a", Lit(3), a, BoundedSumWitness("c", B("Nat[c]"), Lit(1)),
         EMPTY_CTX, Oracle(arith))
     assert isinstance(verdict, Verified)
-    assert alpha_eq_type(result.body, B("Nat[c]")) or result.body == B("Nat[c]")
+    assert alpha_eq_index(result.body, B("Nat[c]")) or result.body == B("Nat[c]")
     assert ix.eval_index(result.bound, {}, arith) == 3
     assert erase_modal(result) == pcf.NAT
 
@@ -280,3 +289,231 @@ def test_erasure_commutes_with_sums(arith):
 def test_a_modal_binder_must_be_a_name(text):
     with pytest.raises(ValueError, match="expected a variable name"):
         parse_modal_type(text)
+
+
+# ---------------------------------------------------------------------------
+# Structural operations
+#
+# Recursive copies of the operations that index terms and types each had
+# before `free_vars`, `subst_index` and `alpha_eq_index` took both: one set
+# per syntax, and the binding-form rules they shared through callbacks.
+# One line is added to the copies: `RenamedIntoOuterTerm` where the fresh
+# name of a renamed binder was free in the form's own outer terms.  There
+# the copies went wrong (a modal type refused to be built, or the body's
+# occurrences of the substituted name captured the renamed binder), and
+# everywhere else the new operations must give the same results.
+
+class RenamedIntoOuterTerm(Exception):
+    pass
+
+
+def reference_free_vars(t):
+    match t:
+        case Var(name):
+            return frozenset((name,))
+        case Lit():
+            return frozenset()
+        case App(_, args):
+            out = frozenset()
+            for a in args:
+                out |= reference_free_vars(a)
+            return out
+        case BoundedSum() | Forest():
+            return reference_binder_free_vars(t, reference_free_vars)
+
+
+def reference_free_type_vars(t):
+    match t:
+        case NatI(lo, hi):
+            return reference_free_vars(lo) | reference_free_vars(hi)
+        case LinArrow(dom, cod):
+            return reference_free_type_vars(dom) | reference_free_type_vars(cod)
+        case ModalType():
+            return reference_binder_free_vars(t, reference_free_type_vars)
+
+
+def reference_outer(t):
+    match t:
+        case BoundedSum(_, bound, _) | ModalType(_, bound, _):
+            return (bound,)
+        case Forest(_, start, count, _):
+            return (start, count)
+
+
+def reference_binder_free_vars(t, body_free_vars):
+    out = body_free_vars(t.body) - {t.binder}
+    for term in reference_outer(t):
+        out |= reference_free_vars(term)
+    return out
+
+
+def reference_subst_index(t, name, repl):
+    match t:
+        case Var(n):
+            return repl if n == name else t
+        case Lit():
+            return t
+        case App(sym, args):
+            return App(sym, tuple(reference_subst_index(a, name, repl)
+                                  for a in args))
+        case BoundedSum() | Forest():
+            return reference_subst_binder(t, name, repl, reference_subst_index,
+                                          reference_free_vars)
+
+
+def reference_subst_type(t, name, repl):
+    match t:
+        case NatI(lo, hi):
+            return NatI(reference_subst_index(lo, name, repl),
+                        reference_subst_index(hi, name, repl))
+        case LinArrow(dom, cod):
+            return LinArrow(reference_subst_type(dom, name, repl),
+                            reference_subst_type(cod, name, repl))
+        case ModalType():
+            return reference_subst_binder(t, name, repl, reference_subst_type,
+                                          reference_free_type_vars)
+
+
+def reference_subst_binder(t, name, repl, subst_body, body_free_vars):
+    outer = tuple(reference_subst_index(o, name, repl)
+                  for o in reference_outer(t))
+    binder, body = t.binder, t.body
+    if binder != name:
+        if (binder in reference_free_vars(repl)
+                and name in reference_binder_free_vars(t, body_free_vars)):
+            nb = ix.fresh_name(binder,
+                               reference_free_vars(repl) | body_free_vars(body))
+            if any(nb in reference_free_vars(o) for o in reference_outer(t)):
+                raise RenamedIntoOuterTerm(nb)
+            body = subst_body(body, binder, Var(nb))
+            binder = nb
+        body = subst_body(body, name, repl)
+    return type(t)(binder, *outer, body)
+
+
+def reference_alpha_eq_index(a, b, env_a=None, env_b=None, depth=0):
+    ea = env_a or {}
+    eb = env_b or {}
+    match (a, b):
+        case (Var(x), Var(y)):
+            ia, ib = ea.get(x), eb.get(y)
+            return ia == ib if (ia is not None or ib is not None) else x == y
+        case (Lit(m), Lit(n)):
+            return m == n
+        case (App(f, xs), App(g, ys)):
+            return (f == g and len(xs) == len(ys)
+                    and all(reference_alpha_eq_index(x, y, ea, eb, depth)
+                            for x, y in zip(xs, ys)))
+        case (BoundedSum() | Forest(), _):
+            return reference_alpha_eq_binder(a, b, ea, eb, depth,
+                                             reference_alpha_eq_index)
+    return False
+
+
+def reference_alpha_eq_type(a, b, env_a=None, env_b=None, depth=0):
+    ea = env_a or {}
+    eb = env_b or {}
+    match (a, b):
+        case (NatI(l1, h1), NatI(l2, h2)):
+            return (reference_alpha_eq_index(l1, l2, ea, eb, depth)
+                    and reference_alpha_eq_index(h1, h2, ea, eb, depth))
+        case (LinArrow(d1, c1), LinArrow(d2, c2)):
+            return (reference_alpha_eq_type(d1, d2, ea, eb, depth)
+                    and reference_alpha_eq_type(c1, c2, ea, eb, depth))
+        case (ModalType(), _):
+            return reference_alpha_eq_binder(a, b, ea, eb, depth,
+                                             reference_alpha_eq_type)
+    return False
+
+
+def reference_alpha_eq_binder(a, b, env_a, env_b, depth, body_eq):
+    return (type(a) is type(b)
+            and all(reference_alpha_eq_index(x, y, env_a, env_b, depth)
+                    for x, y in zip(reference_outer(a), reference_outer(b)))
+            and body_eq(a.body, b.body, {**env_a, a.binder: depth},
+                        {**env_b, b.binder: depth}, depth + 1))
+
+
+def is_type(t):
+    return isinstance(t, (NatI, LinArrow, ModalType))
+
+
+def reference_subst(t, name, repl):
+    return (reference_subst_type if is_type(t)
+            else reference_subst_index)(t, name, repl)
+
+
+def reference_alpha_eq(a, b):
+    return (reference_alpha_eq_type if is_type(a)
+            else reference_alpha_eq_index)(a, b)
+
+
+def apart(t, counter):
+    """`t` with each binder renamed to a new name z0, z1, ...: a
+    substitution of names outside these never renames a binder of it."""
+    match t:
+        case Var() | Lit():
+            return t
+        case App(sym, args):
+            return App(sym, tuple(apart(a, counter) for a in args))
+        case NatI(lo, hi):
+            return NatI(apart(lo, counter), apart(hi, counter))
+        case LinArrow(dom, cod):
+            return LinArrow(apart(dom, counter), apart(cod, counter))
+    fresh = f"z{next(counter)}"
+    outer = [apart(o, counter) for o in reference_outer(t)]
+    body = reference_subst(apart(t.body, counter), t.binder, Var(fresh))
+    return type(t)(fresh, *outer, body)
+
+
+# Names that fresh_name hands out (b_0, b_1) beside the ones it renames, so
+# that renamed binders regularly meet free variables of the same name.
+POOL = ("a", "b", "b_0", "b_1", "c")
+pool = st.sampled_from(POOL)
+pool_index_terms = st.recursive(
+    st.one_of(st.integers(0, 3).map(Lit), pool.map(Var)),
+    lambda sub: st.one_of(st.builds(ix.add, sub, sub),
+                          st.builds(BoundedSum, pool, sub, sub),
+                          st.builds(Forest, pool, sub, sub, sub)),
+    max_leaves=8)
+# random basic types over POOL, their binders drawn from POOL too
+pool_types = st.integers(0, 2**32 - 1).map(
+    lambda seed: gen_basic_type(random.Random(seed), POOL, 3, POOL))
+
+
+def assert_matches_the_references(t, other, name, repl):
+    assert free_vars(t) == (reference_free_type_vars if is_type(t)
+                            else reference_free_vars)(t)
+    got = subst_index(t, name, repl)
+    try:
+        assert got == reference_subst(t, name, repl)
+    except RenamedIntoOuterTerm:
+        pass
+    # against a substitution that renames nothing
+    assert alpha_eq_index(
+        got, reference_subst(apart(t, itertools.count()), name, repl))
+    for a, b in ((t, t), (t, other), (got, t), (t, got)):
+        assert alpha_eq_index(a, b) == reference_alpha_eq(a, b)
+
+
+@given(pool_types, pool_types, pool, pool_index_terms)
+@example(M("[b < b_0] Nat[b + x]"), M("[b_1 < b_0] Nat[b_1 + b]"), "x",
+         Var("b"))
+@example(M("[b < b_0] Nat[b]"), M("[b_1 < b] Nat[b_1]"), "b_0", Var("b"))
+@settings(max_examples=300, deadline=None)
+def test_operations_on_types_match_the_recursive_references(
+        t, other, name, repl):
+    assert_matches_the_references(t, other, name, repl)
+    if isinstance(t, LinArrow):
+        assert_matches_the_references(t.dom, other, name, repl)
+
+
+@given(pool_index_terms, pool_index_terms, pool, pool_index_terms)
+@example(parse_index("sum(b < b_0, b + x)"),
+         parse_index("sum(b_1 < b_0, b_1 + b)"), "x", Var("b"))
+@example(parse_index("sum(b < b_0, b)"), parse_index("sum(b_1 < b, b_1)"),
+         "b_0", Var("b"))
+@settings(max_examples=300, deadline=None)
+def test_operations_on_index_terms_match_the_recursive_references(
+        t, other, name, repl):
+    assert_matches_the_references(t, other, name, repl)
