@@ -26,13 +26,13 @@ from .index import (Constraint, ConstraintSet, EquationError,
                     alpha_eq_index, free_vars, merge_verdicts,
                     parse_constraint, parse_index, show_constraint, show_index,
                     subst_index)
-from .pcf import (BINDERS, NAT, App, Arrow, Const, Fix, IfZ, Lam, PcfType,
+from .pcf import (BINDERS, App, Const, Fix, IfZ, Lam, PcfType, PcfTypeError,
                   Pred, Succ, Term, TVar, max_free_index, pcf_typecheck,
-                  show_pcf_type, subterms, with_subterms)
+                  subterms, with_subterms)
 from .sexpr import SExprError, SString, parse_sexpr
 from .types import (BasicType, BoundedSumWitness, LinArrow, ModalType, NatI,
                     ShapeMismatch, SumWitness, bounded_sum_modal, erase,
-                    erase_modal, inequality, parse_basic_type,
+                    inequality, parse_basic_type,
                     parse_modal_type, show_type, subtype, sum_modal,
                     well_defined)
 
@@ -540,46 +540,33 @@ def check(d: Derivation, program: EquationalProgram,
 # Erasure
 
 def erase_derivation(d: Derivation) -> PcfDerivation:
-    """Structure-preserving erasure into a plain PCF derivation, cross-checked
-    against the simple typechecker."""
-    erased = _erase_node(d, ())
-    got = pcf_typecheck(erased.context, erased.term)
-    if got != erased.type:
-        raise StructuralError((), f"erasure typechecks to {show_pcf_type(got)}, "
-                                  f"expected {show_pcf_type(erased.type)}")
-    return erased
+    """Structure-preserving erasure into a plain PCF derivation.  A node is
+    accepted only where `pcf_typecheck` types its subject in its erased
+    context at its erased type, and each premise's erased context is the
+    node's (behind the bound variable under a binder)."""
+    return _erase_node(d, ())
 
 
 def _erase_node(d: Derivation, path) -> PcfDerivation:
     if d.subject is None or any(e is None for e in d.context):
         raise StructuralError(path, "derivation is not bound to a program")
-    context = tuple(erase_modal(e) for e in d.context)
-    ty = erase(d.type)
+    _check_shape(d, d.subject, path)
     premises = tuple(_erase_node(p, path + (i,))
                      for i, p in enumerate(d.premises))
-    ok = True
-    match d.rule:
-        case "V":
-            ok = context[d.subject.index] == ty
-        case "N":
-            ok = ty == NAT
-        case "S" | "P":
-            ok = ty == premises[0].type
-        case "L":
-            ok = (isinstance(ty, Arrow) and premises[0].type == ty.cod
-                  and premises[0].context[0] == ty.dom)
-        case "A":
-            ok = premises[0].type == Arrow(premises[1].type, ty)
-        case "F":
-            ok = (premises[1].type == ty and premises[2].type == ty)
-        case "R":
-            ok = premises[0].type == ty and premises[0].context[0] == ty
-    if not ok:
-        raise StructuralError(path, "erasure does not follow the simple rules")
-    # The subject, with the binder annotations read off the erased types.
+    context = tuple(map(erase, d.context))
+    ty = erase(d.type)
     term = with_subterms(d.subject, [p.term for p in premises])
-    if d.rule in ("L", "R"):
-        term = replace(term, ann=ty.dom if d.rule == "L" else ty)
+    binder = isinstance(term, BINDERS)
+    if binder:
+        # The bound variable's erased entry annotates the binder; an empty
+        # premise context leaves none, which the typechecker rejects.
+        term = replace(term, ann=next(iter(premises[0].context), None))
+    try:
+        ok = pcf_typecheck(context, term) == ty
+    except PcfTypeError:
+        ok = False
+    if not ok or any(p.context[binder:] != context for p in premises):
+        raise StructuralError(path, "erasure does not follow the simple rules")
     return PcfDerivation(context, term, ty, premises)
 
 

@@ -739,23 +739,26 @@ def _satisfying(ctx: ConstraintSet,
         tests[max((depth[v] for v in free_vars(c.lhs) | free_vars(c.rhs)),
                   default=0)].append((c.rel, _side(c.lhs, variables, oracle),
                                       _side(c.rhs, variables, oracle)))
-    values = [0] * len(variables)
     points: list[tuple[tuple[int, ...], bool]] = []
-
-    def walk(level: int, settled: bool) -> None:
-        holds = _satisfies(tests[level], values, oracle)
-        if holds is False:
-            return
-        settled = settled and holds is True
-        if level == len(variables):
-            points.append((tuple(values), settled))
-            return
-        for value in range(oracle.bound + 1):
-            values[level] = value
-            walk(level + 1, settled)
-
-    walk(0, True)
+    _extend(0, True, tests, [0] * len(variables), points, oracle)
     return points
+
+
+def _extend(level: int, settled: bool, tests, values: list[int], points,
+            oracle: Oracle) -> None:
+    """Append to `points` every extension of `values[:level]` that
+    `_satisfying` lists.  A module-level function, not a closure, so that
+    no reference cycle keeps the oracle alive after the check."""
+    holds = _satisfies(tests[level], values, oracle)
+    if holds is False:
+        return
+    settled = settled and holds is True
+    if level == len(values):
+        points.append((tuple(values), settled))
+        return
+    for value in range(oracle.bound + 1):
+        values[level] = value
+        _extend(level + 1, settled, tests, values, points, oracle)
 
 
 def _goal_sides(goal: Constraint | Defined) -> tuple[IndexTerm, ...]:
@@ -1033,8 +1036,6 @@ def parse_equations(text: str) -> EquationalProgram:
         params_text = m.group("params").strip()
         params = tuple(_parse_pattern(p) for p in params_text.split(",")) \
             if params_text else ()
-        if sym in BUILTIN_ARITIES:
-            raise EquationError(f"line {lineno}: builtin {sym!r} cannot be redefined")
         if sym in arities and arities[sym] != len(params):
             raise ArityError(sym, arities[sym], len(params))
         arities[sym] = len(params)

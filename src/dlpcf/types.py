@@ -26,7 +26,7 @@ from .pcf import NAT, Arrow, PcfType
 
 __all__ = [
     "BasicType", "NatI", "LinArrow", "ModalType", "TypingContext",
-    "erase", "erase_modal", "well_defined", "subtype", "equiv",
+    "erase", "well_defined", "subtype", "equiv",
     "SumWitness", "BoundedSumWitness", "sum_modal", "bounded_sum_modal",
     "ShapeMismatch", "parse_basic_type", "parse_modal_type", "show_type", "inequality",
 ]
@@ -69,17 +69,16 @@ class ShapeMismatch(Exception):
 # ---------------------------------------------------------------------------
 # Erasure
 
-def erase(t: BasicType) -> PcfType:
+def erase(t: BasicType | ModalType) -> PcfType:
+    """The PCF type `t` refines: a modal type erases as its body."""
     match t:
         case NatI():
             return NAT
         case LinArrow(dom, cod):
-            return Arrow(erase_modal(dom), erase(cod))
-    raise TypeError(f"not a basic type: {t!r}")
-
-
-def erase_modal(t: ModalType) -> PcfType:
-    return erase(t.body)
+            return Arrow(erase(dom), erase(cod))
+        case ModalType(_, _, body):
+            return erase(body)
+    raise TypeError(f"not a type: {t!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +168,7 @@ def sum_modal(a: ModalType, b: ModalType, witness: SumWitness,
               ctx: ConstraintSet, oracle: Oracle) -> tuple[ModalType, Verdict]:
     """A + B where A holds the first I instances of the witness shape and B
     the next J: the result holds the first I+J."""
-    if erase_modal(a) != erase(witness.body) or erase_modal(b) != erase(witness.body):
+    if erase(a) != erase(witness.body) or erase(b) != erase(witness.body):
         raise ShapeMismatch("sum witness erasure differs from the summands")
     first = ModalType(witness.param, a.bound, witness.body)
     shifted_body = subst_index(witness.body, witness.param,
@@ -189,7 +188,7 @@ def bounded_sum_modal(binder: str, width: IndexTerm, a: ModalType,
     `ctx` is the outer context; the equivalence premise runs under it
     extended with binder < width.
     """
-    if erase_modal(a) != erase(witness.body):
+    if erase(a) != erase(witness.body):
         raise ShapeMismatch("bounded-sum witness erasure differs from the summand")
     inner_ctx = ctx.under(binder, width)
     inner_var = fresh_name("d", frozenset(inner_ctx.variables)

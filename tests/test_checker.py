@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import pathlib
+import weakref
 
 import pytest
 
@@ -157,6 +159,20 @@ def test_lambda_of_interval_type_does_not_erase():
                      (body,), subject=pcf.Lam(pcf.Const(0)))
     with pytest.raises(StructuralError):
         erase_derivation(lam)
+
+
+@pytest.mark.parametrize("rule, subject, type_text", [
+    ("V", pcf.TVar(0), "Nat[0]"),
+    ("N", pcf.TVar(0), "Nat[0]"),
+    ("N", pcf.Succ(pcf.Const(2)), "Nat[3]"),
+    ("L", pcf.Lam(pcf.Const(0)), "[c < 1] Nat[0] -o Nat[0]"),
+    ("S", pcf.Succ(pcf.Const(0)), "Nat[1]"),
+])
+def test_malformed_leaf_does_not_erase(rule, subject, type_text):
+    node = Derivation(rule, EMPTY_CTX, (), Lit(0), B(type_text), Annotations(),
+                      (), subject=subject)
+    with pytest.raises(StructuralError):
+        erase_derivation(node)
 
 
 def test_single_node_erasure(arith):
@@ -486,3 +502,21 @@ def test_declared_index_variables_must_be_names(text):
     with pytest.raises(ck.DerivationSyntaxError,
                        match="must be a bare index variable name"):
         parse_derivation(text)
+
+
+def test_check_frees_its_oracle_without_the_cycle_collector(
+        arith, dbl_derivation, monkeypatch):
+    made = []
+
+    def recording_oracle(*args):
+        oracle = Oracle(*args)
+        made.append(weakref.ref(oracle))
+        return oracle
+
+    monkeypatch.setattr(ck, "Oracle", recording_oracle)
+    gc.disable()
+    try:
+        check(dbl_derivation, arith, bound=4)
+        assert len(made) == 1 and made[0]() is None
+    finally:
+        gc.enable()

@@ -5,6 +5,7 @@ checker bug that lets an unsound claim through would surface here as a
 verified derivation whose promised step or value bounds the machine then
 breaks."""
 
+import dataclasses
 import pathlib
 import random
 import re
@@ -13,8 +14,10 @@ import pytest
 
 from dlpcf import checker as ck
 from dlpcf import index as ix
+from dlpcf import pcf
 from dlpcf.cli import soundness_rows
 from dlpcf.index import Verified
+from dlpcf.types import LinArrow, parse_basic_type
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -86,3 +89,47 @@ def test_verified_mutants_of_the_vacuous_fix(arith):
     # bumping the root weight or a comment digit verifies; shrinking the
     # argument interval or the unfolding bound must not
     assert verified >= 1 and rejected >= 10
+
+
+# ---------------------------------------------------------------------------
+# Erasure: literals never change it, a type of another shape always breaks it
+
+def fixture_text_and_term(name):
+    term = pcf.parse_term((FIXTURES / f"{name}.pcf").read_text())
+    return (FIXTURES / f"{name}.deriv").read_text(), term
+
+
+def nodes(d, path=()):
+    yield path, d
+    for i, premise in enumerate(d.premises):
+        yield from nodes(premise, path + (i,))
+
+
+def replace_at(d, path, **changes):
+    if not path:
+        return dataclasses.replace(d, **changes)
+    premises = list(d.premises)
+    premises[path[0]] = replace_at(premises[path[0]], path[1:], **changes)
+    return dataclasses.replace(d, premises=tuple(premises))
+
+
+@pytest.mark.parametrize("name", ["dbl", "delay5"])
+def test_literal_mutants_erase_as_the_fixture(name):
+    text, term = fixture_text_and_term(name)
+    # repr, not ==: binder annotations take no part in term equality
+    want = repr(ck.erase_derivation(ck.bind(ck.parse_derivation(text), term)))
+    for mutant_text in all_literal_mutants(text):
+        deriv = ck.bind(ck.parse_derivation(mutant_text), term)
+        assert repr(ck.erase_derivation(deriv)) == want, mutant_text
+
+
+@pytest.mark.parametrize("name", ["dbl", "delay5"])
+def test_a_type_of_another_erasure_is_a_structural_error(name):
+    text, term = fixture_text_and_term(name)
+    deriv = ck.bind(ck.parse_derivation(text), term)
+    for path, node in nodes(deriv):
+        other = parse_basic_type("Nat[0]" if isinstance(node.type, LinArrow)
+                                 else "[c < 1] Nat[0] -o Nat[0]")
+        with pytest.raises(ck.StructuralError) as caught:
+            ck.erase_derivation(replace_at(deriv, path, type=other))
+        assert caught.value.path == path

@@ -12,7 +12,7 @@ from dlpcf.index import (App, BoundedSum, ConstraintSet, EMPTY_CTX, Forest,
                          register_program, subst_index)
 from dlpcf.types import (BoundedSumWitness, LinArrow, ModalType, NatI,
                          ShapeMismatch, SumWitness, bounded_sum_modal, equiv,
-                         erase, erase_modal, parse_basic_type,
+                         erase, parse_basic_type,
                          parse_modal_type, show_type, subtype, sum_modal,
                          well_defined)
 
@@ -211,7 +211,7 @@ def test_sum_modal_example(arith):
                                 EMPTY_CTX, Oracle(arith))
     assert isinstance(verdict, Verified)
     assert alpha_eq_index(result, M("[c < 2 + 3] Nat[c]"))
-    assert erase_modal(result) == erase_modal(a)
+    assert erase(result) == erase(a)
 
 
 def test_sum_modal_zero_width_left(arith):
@@ -256,7 +256,7 @@ def test_bounded_sum_example(arith):
     assert isinstance(verdict, Verified)
     assert alpha_eq_index(result.body, B("Nat[c]")) or result.body == B("Nat[c]")
     assert ix.eval_index(result.bound, {}, arith) == 3
-    assert erase_modal(result) == pcf.NAT
+    assert erase(result) == pcf.NAT
 
 
 def test_bounded_sum_shape_mismatch(arith):
@@ -281,7 +281,7 @@ def test_erasure_commutes_with_sums(arith):
     b = M("[b < 3] Nat[2 + b]")
     result, _ = sum_modal(a, b, SumWitness("c", B("Nat[c]")), EMPTY_CTX,
                           Oracle(arith))
-    assert erase_modal(result) == erase_modal(a) == erase_modal(b)
+    assert erase(result) == erase(a) == erase(b)
 
 
 @pytest.mark.parametrize("text", ["[3 < 2] Nat[0]", "[sum < 2] Nat[0]",
