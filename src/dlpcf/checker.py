@@ -295,8 +295,6 @@ class _Checker:
 
     def _rule_V(self, node, path) -> None:
         m = node.subject.index
-        if m >= len(node.context):
-            raise StructuralError(path, f"variable {m} has no context slot")
         entry = node.context[m]
         self.entail(path, node, "weight is a natural",
                     ix.Lit(0), self.rel, node.weight)

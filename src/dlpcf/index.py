@@ -768,7 +768,7 @@ def _goal_sides(goal: Constraint | Defined) -> tuple[IndexTerm, ...]:
 def _goal_over(variables: tuple[str, ...], points, goal: Constraint | Defined,
                oracle: Oracle) -> Verdict:
     """The verdict of the goal over `points`, as `_satisfying` lists them:
-    `_goal_at` at each, with the goal's sides looked up in their tables."""
+    its fate at each, with the goal's sides looked up in their tables."""
     sides = [_side(term, variables, oracle) for term in _goal_sides(goal)]
     unknown: Unknown | None = None
     for values, settled in points:
@@ -782,15 +782,6 @@ def _goal_over(variables: tuple[str, ...], points, goal: Constraint | Defined,
         if unknown is None:
             unknown = verdict
     return unknown if unknown is not None else Verified(oracle.bound)
-
-
-def _goal_at(goal: Constraint | Defined, rho: Assignment,
-             oracle: Oracle) -> Verdict | None:
-    """The goal's verdict at rho, None where it holds: the one-point
-    specification of `_goal_over`, evaluating every side afresh."""
-    return _verdict_at(
-        _fate(goal, [_outcome(term, rho, oracle) for term in _goal_sides(goal)]),
-        rho)
 
 
 def _fate(goal: Constraint | Defined,

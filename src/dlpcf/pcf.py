@@ -19,7 +19,7 @@ __all__ = [
     "parse_term", "show_term", "show_pcf_type",
     "size", "subterm_sizes", "pcf_typecheck", "PcfTypeError",
     "PcfSyntaxError",
-    "shift", "subst", "wh_step", "wh_eval", "StuckTerm", "max_free_index",
+    "shift", "subst", "wh_eval", "StuckTerm", "max_free_index",
     "BINDERS", "subterms", "with_subterms", "walk", "map_vars",
 ]
 
@@ -216,65 +216,89 @@ class PcfTypeError(Exception):
     pass
 
 
+# How a type error names each subterm field on its path from the root.
+_ROLE = {"body": "the body", "fn": "the function", "arg": "the argument",
+         "scrut": "the scrutinee", "zero": "the zero branch",
+         "succ": "the successor branch"}
+
+
 def pcf_typecheck(gamma: Sequence[PcfType], t: Term) -> PcfType:
     """Syntax-directed typing; Lam/Fix nodes must carry annotations.
-    Errors name the offending subterm by its path from the root."""
-    return _typecheck(tuple(gamma), t, ())
+    Errors name the offending subterm by its path from the root.
+
+    Iterative: `frames` holds each node being typed, root first, with the
+    types of its subterms typed so far, so the next subterm to type is
+    `subterms(node)[len(done)]`.  Each node's checks run in field order,
+    and an arrow is checked before its argument is typed."""
+    env = list(gamma)[::-1]          # the type of TVar(k) is env[-1 - k]
+    frames: list[tuple[Term, list[PcfType]]] = []
+    node = t
+    while True:
+        match node:                  # enter `node`: type a leaf, or descend
+            case TVar(k):
+                if k >= len(env):
+                    raise _fail(frames, f"variable index {k} out of scope")
+                ty = env[-1 - k]
+            case Const():
+                ty = NAT
+            case Lam(_, None) | Fix(_, None):
+                kind = "lambda" if isinstance(node, Lam) else "fix"
+                raise _fail(frames, f"{kind} binder lacks a type annotation")
+            case Succ() | Pred() | Lam() | Fix() | App() | IfZ():
+                if isinstance(node, BINDERS):
+                    env.append(node.ann)
+                frames.append((node, []))
+                node = getattr(node, _SUBTERMS[type(node)][0])
+                continue
+            case _:
+                raise TypeError(f"not a term: {node!r}")
+        while frames:                # `ty` is the type of the subterm just typed
+            node, done = frames.pop()
+            done.append(ty)
+            match node:
+                case Succ() | Pred() if ty != NAT:
+                    raise _fail(frames, "s/p expects Nat, got "
+                                        f"{show_pcf_type(ty)}")
+                case Lam():
+                    ty = Arrow(node.ann, ty)
+                case Fix() if ty != node.ann:
+                    raise _fail(frames, f"fix body has type {show_pcf_type(ty)}"
+                                f", annotation says {show_pcf_type(node.ann)}")
+                case App() if len(done) == 1 and not isinstance(ty, Arrow):
+                    raise _fail(frames, "applying a non-function of type "
+                                        f"{show_pcf_type(ty)}")
+                case App() if len(done) == 2 and ty != done[0].dom:
+                    raise _fail(frames, f"argument type {show_pcf_type(ty)} "
+                                "does not match domain "
+                                f"{show_pcf_type(done[0].dom)}")
+                case App() if len(done) == 2:
+                    ty = done[0].cod
+                case IfZ() if len(done) == 1 and ty != NAT:
+                    raise _fail(frames, "ifz scrutinee must have type Nat")
+                case IfZ() if len(done) == 3 and done[1] != ty:
+                    raise _fail(frames, "ifz branches disagree: "
+                                f"{show_pcf_type(done[1])} vs "
+                                f"{show_pcf_type(ty)}")
+                case IfZ() if len(done) == 3:
+                    ty = done[1]
+            fields = _SUBTERMS[type(node)]
+            if len(done) < len(fields):
+                frames.append((node, done))
+                node = getattr(node, fields[len(done)])
+                break
+            if isinstance(node, BINDERS):
+                env.pop()
+        else:
+            return ty
 
 
-def _fail(path: tuple[str, ...], message: str) -> "PcfTypeError":
-    where = " of ".join(reversed(path)) if path else "the whole term"
-    return PcfTypeError(f"{message} (in {where})")
-
-
-def _typecheck(gamma: tuple[PcfType, ...], t: Term,
-               path: tuple[str, ...]) -> PcfType:
-    match t:
-        case TVar(k):
-            if k >= len(gamma):
-                raise _fail(path, f"variable index {k} out of scope")
-            return gamma[k]
-        case Const():
-            return NAT
-        case Succ(b) | Pred(b):
-            inner = _typecheck(gamma, b, path + ("the body",))
-            if inner != NAT:
-                raise _fail(path, f"s/p expects Nat, got {show_pcf_type(inner)}")
-            return NAT
-        case Lam(b, ann):
-            if ann is None:
-                raise _fail(path, "lambda binder lacks a type annotation")
-            return Arrow(ann, _typecheck((ann,) + gamma, b,
-                                         path + ("the body",)))
-        case App(f, a):
-            fn_ty = _typecheck(gamma, f, path + ("the function",))
-            if not isinstance(fn_ty, Arrow):
-                raise _fail(path, "applying a non-function of type "
-                                  f"{show_pcf_type(fn_ty)}")
-            arg_ty = _typecheck(gamma, a, path + ("the argument",))
-            if arg_ty != fn_ty.dom:
-                raise _fail(path, f"argument type {show_pcf_type(arg_ty)} "
-                                  f"does not match domain "
-                                  f"{show_pcf_type(fn_ty.dom)}")
-            return fn_ty.cod
-        case IfZ(s, z, u):
-            if _typecheck(gamma, s, path + ("the scrutinee",)) != NAT:
-                raise _fail(path, "ifz scrutinee must have type Nat")
-            zt = _typecheck(gamma, z, path + ("the zero branch",))
-            ut = _typecheck(gamma, u, path + ("the successor branch",))
-            if zt != ut:
-                raise _fail(path, f"ifz branches disagree: {show_pcf_type(zt)}"
-                                  f" vs {show_pcf_type(ut)}")
-            return zt
-        case Fix(b, ann):
-            if ann is None:
-                raise _fail(path, "fix binder lacks a type annotation")
-            got = _typecheck((ann,) + gamma, b, path + ("the body",))
-            if got != ann:
-                raise _fail(path, f"fix body has type {show_pcf_type(got)}, "
-                                  f"annotation says {show_pcf_type(ann)}")
-            return ann
-    raise TypeError(f"not a term: {t!r}")
+def _fail(frames: list[tuple[Term, list[PcfType]]],
+          message: str) -> PcfTypeError:
+    """The error at the subterm that `frames`, the nodes above it, lead to:
+    each node's next subterm to type is the one on the path."""
+    where = " of ".join(_ROLE[_SUBTERMS[type(node)][len(done)]]
+                        for node, done in reversed(frames))
+    return PcfTypeError(f"{message} (in {where or 'the whole term'})")
 
 
 # ---------------------------------------------------------------------------
@@ -285,52 +309,8 @@ class StuckTerm(Exception):
     cannot happen for well-typed programs."""
 
 
-def wh_step(t: Term) -> Optional[Term]:
-    """One weak-head step, or None when `t` is normal (numerals, lambdas)."""
-    match t:
-        case Const() | Lam():
-            return None
-        case TVar():
-            raise StuckTerm("free variable in a closed reduction")
-        case Succ(Const(n)):
-            return Const(n + 1)
-        case Succ(b):
-            inner = wh_step(b)
-            if inner is None:
-                raise StuckTerm("s applied to a non-numeral normal form")
-            return Succ(inner)
-        case Pred(Const(0)):
-            return Const(0)
-        case Pred(Const(n)):
-            return Const(n - 1)
-        case Pred(b):
-            inner = wh_step(b)
-            if inner is None:
-                raise StuckTerm("p applied to a non-numeral normal form")
-            return Pred(inner)
-        case App(Lam(body), arg):
-            return subst(body, arg)
-        case App(f, a):
-            inner = wh_step(f)
-            if inner is None:
-                raise StuckTerm("applying a non-function normal form")
-            return App(inner, a)
-        case IfZ(Const(0), z, _):
-            return z
-        case IfZ(Const(_), _, u):
-            return u
-        case IfZ(s, z, u):
-            inner = wh_step(s)
-            if inner is None:
-                raise StuckTerm("ifz scrutinee is a non-numeral normal form")
-            return IfZ(inner, z, u)
-        case Fix(body):
-            return subst(body, t)
-    raise TypeError(f"not a term: {t!r}")
-
-
-# The message `wh_step` raises for each frame whose hole holds a normal form
-# the frame cannot consume: a lambda under s, p or ifz, a numeral applied.
+# The message for each frame whose hole holds a normal form the frame
+# cannot consume: a lambda under s, p or ifz, a numeral applied.
 _STUCK = {Succ: "s applied to a non-numeral normal form",
           Pred: "p applied to a non-numeral normal form",
           App: "applying a non-function normal form",
@@ -348,7 +328,8 @@ def wh_eval(t: Term, fuel: int = DEFAULT_FUEL) -> tuple[int, int]:
     it, and goes on from the contractum in the same context, so a step
     costs O(1) in the depth of the term, and nothing recurses.  It counts
     the steps, ticks the fuel and raises the `StuckTerm` messages of
-    iterating `wh_step`, its one-step specification, from the root."""
+    iterating one weak-head step from the root, the specification that
+    the tests keep."""
     gas = Fuel(fuel)
     steps = 0
     frames: list[Term] = []
@@ -469,39 +450,89 @@ class _PcfParser:
 def parse_term(text: str) -> Term:
     """Parse the surface grammar, resolving named variables to de Bruijn
     indices.  Binder annotations (`\\x:T. e`, `fix f:T. e`) are optional in
-    the grammar and required only by the typechecker."""
+    the grammar and required only by the typechecker:
+
+        expr  ::= \\x[:T]. expr | fix x[:T]. expr
+                | ifz expr then expr else expr | unary unary*
+        unary ::= s unary | p unary | numeral | x | ( expr )
+
+    Iterative: `frames` holds, innermost last, each phrase that encloses
+    the one being parsed, as (kind, data): a binder and its annotation,
+    an `IfZ` and its parts so far, an open parenthesis, or one that awaits
+    a unary term, an `s` or `p` or an `App` and its function.  A binder's
+    name is in `scope` until its body ends."""
     p = _PcfParser(_lex(text))
-    t = _parse_expr(p, ())
-    if p.peek() is not None:
-        raise p.error(f"trailing input {p.peek().text!r}")
-    return t
+    scope: list[str] = []            # binder names, innermost last
+    frames: list[tuple] = []
+    while True:
+        tok = p.peek()
+        if not frames or frames[-1][0] not in (Succ, Pred, App):
+            if tok is None:          # an expression starts here
+                raise p.error("unexpected end of input")
+            if tok.text in ("\\", "fix", "ifz"):
+                p.next()
+                if tok.text == "ifz":
+                    frames.append((IfZ, []))
+                    continue
+                scope.append(_binder_name(p))
+                frames.append((Lam if tok.text == "\\" else Fix,
+                               _optional_ann(p)))
+                p.expect(".")
+                continue
+        tok = p.next()               # a unary term starts here
+        if tok.text in ("s", "p"):
+            frames.append((Succ if tok.text == "s" else Pred, None))
+            continue
+        if tok.text == "(":
+            frames.append(("(", None))
+            continue
+        t = _atom(tok, scope)
+        while True:                  # t is a unary term: close what it ends
+            while frames and frames[-1][0] in (Succ, Pred):
+                t = frames.pop()[0](t)
+            if frames and frames[-1][0] is App:
+                t = App(frames.pop()[1], t)
+            tok = p.peek()
+            if tok is not None and (tok.text == "(" or (
+                    tok.kind in ("num", "id")
+                    and tok.text not in ("then", "else"))):
+                frames.append((App, t))      # an argument follows
+                break
+            # t is an expression: close the binders and the ifz it ends
+            while frames and (frames[-1][0] in BINDERS or (
+                    frames[-1][0] is IfZ and len(frames[-1][1]) == 2)):
+                kind, data = frames.pop()
+                if kind is IfZ:
+                    t = IfZ(*data, t)
+                else:
+                    scope.pop()
+                    t = kind(t, data)
+            if not frames:
+                if tok is not None:
+                    raise p.error(f"trailing input {tok.text!r}")
+                return t
+            kind, data = frames[-1]
+            if kind is IfZ:              # the ifz awaits its next part
+                data.append(t)
+                p.expect(("then", "else")[len(data) - 1])
+                break
+            frames.pop()                 # a parenthesised expression
+            p.expect(")")
 
 
-def _parse_expr(p: _PcfParser, scope: tuple[str, ...]) -> Term:
-    tok = p.peek()
-    if tok is None:
-        raise p.error("unexpected end of input")
-    if tok.text == "\\":
-        p.next()
-        name = _binder_name(p)
-        ann = _optional_ann(p)
-        p.expect(".")
-        return Lam(_parse_expr(p, (name,) + scope), ann)
-    if tok.text == "fix":
-        p.next()
-        name = _binder_name(p)
-        ann = _optional_ann(p)
-        p.expect(".")
-        return Fix(_parse_expr(p, (name,) + scope), ann)
-    if tok.text == "ifz":
-        p.next()
-        scrut = _parse_expr(p, scope)
-        p.expect("then")
-        zero = _parse_expr(p, scope)
-        p.expect("else")
-        succ = _parse_expr(p, scope)
-        return IfZ(scrut, zero, succ)
-    return _parse_app(p, scope)
+def _atom(tok: _Tok, scope: list[str]) -> Term:
+    """The numeral or variable `tok`: the unary terms of one token."""
+    if tok.kind == "num":
+        return Const(int(tok.text))
+    if tok.kind != "id":
+        raise PcfSyntaxError(f"unexpected token {tok.text!r}", tok.line, tok.col)
+    if tok.text in KEYWORDS:
+        raise PcfSyntaxError(f"unexpected keyword {tok.text!r}",
+                             tok.line, tok.col)
+    if tok.text not in scope:
+        raise PcfSyntaxError(f"unbound identifier {tok.text!r}",
+                             tok.line, tok.col)
+    return TVar(scope[::-1].index(tok.text))
 
 
 def _binder_name(p: _PcfParser) -> str:
@@ -517,51 +548,6 @@ def _optional_ann(p: _PcfParser) -> Optional[PcfType]:
         p.next()
         return _parse_type(p)
     return None
-
-
-_APP_STARTERS = ("num", "id")
-
-
-def _parse_app(p: _PcfParser, scope: tuple[str, ...]) -> Term:
-    t = _parse_unary(p, scope)
-    while True:
-        tok = p.peek()
-        if tok is None:
-            return t
-        if tok.text == "(" or (tok.kind in _APP_STARTERS
-                               and tok.text not in ("then", "else")):
-            t = App(t, _parse_unary(p, scope))
-        else:
-            return t
-
-
-def _parse_unary(p: _PcfParser, scope: tuple[str, ...]) -> Term:
-    tok = p.peek()
-    if tok is not None and tok.text in ("s", "p"):
-        p.next()
-        inner = _parse_unary(p, scope)
-        return Succ(inner) if tok.text == "s" else Pred(inner)
-    return _parse_atom(p, scope)
-
-
-def _parse_atom(p: _PcfParser, scope: tuple[str, ...]) -> Term:
-    tok = p.next()
-    if tok.kind == "num":
-        return Const(int(tok.text))
-    if tok.text == "(":
-        t = _parse_expr(p, scope)
-        p.expect(")")
-        return t
-    if tok.kind == "id":
-        if tok.text in KEYWORDS:
-            raise PcfSyntaxError(f"unexpected keyword {tok.text!r}",
-                                 tok.line, tok.col)
-        try:
-            return TVar(scope.index(tok.text))
-        except ValueError:
-            raise PcfSyntaxError(f"unbound identifier {tok.text!r}",
-                                 tok.line, tok.col) from None
-    raise PcfSyntaxError(f"unexpected token {tok.text!r}", tok.line, tok.col)
 
 
 def _parse_type(p: _PcfParser) -> PcfType:
@@ -585,40 +571,38 @@ def _parse_type_atom(p: _PcfParser) -> PcfType:
 
 
 def show_term(t: Term, scope: tuple[str, ...] = ()) -> str:
-    """Print with invented binder names; inverse of parse_term up to alpha."""
-    def name_for(depth: int) -> str:
-        return f"x{depth}"
-
-    def go(t: Term, depth: int, scope: tuple[str, ...]) -> str:
-        match t:
+    """Print with invented binder names; inverse of parse_term up to alpha.
+    A binder under d others is named `x<d>`.  One fold of `walk`, read in
+    reverse so a node's subterms are printed before it."""
+    done: list[str] = []
+    for node, depth in reversed(walk(t)):
+        match node:
+            case TVar(k) if k < depth:
+                text = f"x{depth - 1 - k}"
+            case TVar(k) if k - depth < len(scope):
+                text = scope[k - depth]
             case TVar(k):
-                return scope[k] if k < len(scope) else f"?{k - len(scope)}"
+                text = f"?{k - depth - len(scope)}"
             case Const(n):
-                return str(n)
-            case Succ(b):
-                return f"s({go(b, depth, scope)})"
-            case Pred(b):
-                return f"p({go(b, depth, scope)})"
-            case Lam(b):
-                x = name_for(depth)
-                return f"\\{x}. {go(b, depth + 1, (x,) + scope)}"
-            case Fix(b):
-                x = name_for(depth)
-                return f"fix {x}. {go(b, depth + 1, (x,) + scope)}"
+                text = str(n)
+            case Succ() | Pred():
+                text = f"{'s' if isinstance(node, Succ) else 'p'}({done.pop()})"
+            case Lam():
+                text = f"\\x{depth}. {done.pop()}"
+            case Fix():
+                text = f"fix x{depth}. {done.pop()}"
             case App(f, a):
-                fs = go(f, depth, scope)
+                fs, As = done.pop(), done.pop()
                 if isinstance(f, (Lam, Fix, IfZ)):
                     fs = f"({fs})"
-                As = go(a, depth, scope)
                 if isinstance(a, (App, Lam, Fix, IfZ)):
                     As = f"({As})"
-                return f"{fs} {As}"
-            case IfZ(s, z, u):
-                return (f"ifz {go(s, depth, scope)} then {go(z, depth, scope)} "
-                        f"else {go(u, depth, scope)}")
-        raise TypeError(f"not a term: {t!r}")
-
-    return go(t, 0, scope)
+                text = f"{fs} {As}"
+            case IfZ():
+                text = (f"ifz {done.pop()} then {done.pop()} "
+                        f"else {done.pop()}")
+        done.append(text)
+    return done[0]
 
 
 def term_head(t: Term) -> str:

@@ -175,6 +175,15 @@ def test_malformed_leaf_does_not_erase(rule, subject, type_text):
         erase_derivation(node)
 
 
+def test_variable_outside_the_context_is_structural(arith):
+    node = Derivation("V", EMPTY_CTX, (), Lit(0), B("Nat[0]"), Annotations(),
+                      (), subject=pcf.TVar(0))
+    with pytest.raises(StructuralError) as err:
+        check(node, arith)
+    assert str(err.value) == ("root: subject has free variables outside the "
+                              "typing context")
+
+
 def test_single_node_erasure(arith):
     erased = erase_derivation(leaf_n(3, type_text="Nat[3, 3]"))
     assert erased.type == pcf.NAT and erased.node_count() == 1

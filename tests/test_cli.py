@@ -50,13 +50,32 @@ def test_eval_rejects_open_or_arrow_programs(runner, tmp_path):
     assert "unbound identifier" in result.output
 
 
-@pytest.mark.parametrize("source", ["s(" * 3000 + "0" + ")" * 3000,
-                                    "(" * 1200 + "0" + ")" * 1200],
-                         ids=["successors", "parentheses"])
-def test_eval_deeply_nested_input_exits_three(runner, tmp_path, source):
+@pytest.mark.parametrize("source, fields", [
+    ("s(" * 3000 + "0" + ")" * 3000, "3000\t6000\t6001\t6001"),
+    ("(" * 1200 + "0" + ")" * 1200, "0\t0\t1\t1"),
+], ids=["successors", "parentheses"])
+def test_eval_deeply_nested_program(runner, tmp_path, source, fields):
     path = tmp_path / "deep.pcf"
     path.write_text(source + "\n")
+    result = runner.invoke(main, ["eval", str(path), "--format", "tsv"])
+    assert result.exit_code == 0, result.output
+    assert result.output == f"{path}\t{fields}\n"
+
+
+def test_eval_deeply_nested_annotation_exits_three(runner, tmp_path):
+    # type annotations are still parsed by recursive descent
+    path = tmp_path / "deep.pcf"
+    path.write_text(r"(\x: " + "(" * 1200 + "Nat" + ")" * 1200 + ". x) 0\n")
     result = runner.invoke(main, ["eval", str(path)])
+    assert result.exit_code == 3
+    assert result.stderr == "error: input nested too deeply\n"
+
+
+def test_check_deeply_nested_equation_exits_three(runner, tmp_path):
+    eqs = tmp_path / "deep.eqs"
+    eqs.write_text(pathlib.Path(EQS).read_text()
+                   + "deep(a) = " + "(" * 1200 + "a" + ")" * 1200 + "\n")
+    result = runner.invoke(main, ["check", DERIV, DBL, "--eqprog", str(eqs)])
     assert result.exit_code == 3
     assert result.stderr == "error: input nested too deeply\n"
 

@@ -374,6 +374,15 @@ def reference_satisfies(ctx, rho, oracle):
     return out
 
 
+def goal_at(goal, rho, oracle):
+    """The goal's verdict at rho, None where it holds: the one-point
+    specification of `_goal_over`, evaluating every side afresh."""
+    return ix._verdict_at(
+        ix._fate(goal, [ix._outcome(term, rho, oracle)
+                        for term in ix._goal_sides(goal)]),
+        rho)
+
+
 def reference_entails(ctx, goal, oracle):
     unknown = None
     for values in itertools.product(range(oracle.bound + 1),
@@ -382,7 +391,7 @@ def reference_entails(ctx, goal, oracle):
         satisfied = reference_satisfies(ctx, rho, oracle)
         if satisfied is False:
             continue
-        verdict = (ix._goal_at(goal, rho, oracle) if satisfied
+        verdict = (goal_at(goal, rho, oracle) if satisfied
                    else ix.Unknown("fuel-exhausted", tuple(sorted(rho.items()))))
         if isinstance(verdict, Refuted):
             return verdict

@@ -8,7 +8,7 @@ from dlpcf.fuel import DEFAULT_FUEL, Fuel, FuelExhausted
 from dlpcf.pcf import (NAT, App, Arrow, Const, Fix, IfZ, Lam, PcfSyntaxError,
                        PcfTypeError, Pred, StuckTerm, Succ, TVar,
                        max_free_index, parse_term, pcf_typecheck, shift, size,
-                       subst, subterm_sizes, wh_eval, wh_step)
+                       subst, subterm_sizes, wh_eval)
 
 from genterms import gen_nat_term
 from test_machine import CORPUS
@@ -147,6 +147,51 @@ def test_branch_types_must_agree():
 
 # ---------------------------------------------------------------------------
 # Weak-head reduction
+
+def wh_step(t):
+    """One weak-head step, or None when `t` is normal (numerals, lambdas):
+    the one-step specification of the refocusing `wh_eval`."""
+    match t:
+        case Const() | Lam():
+            return None
+        case TVar():
+            raise StuckTerm("free variable in a closed reduction")
+        case Succ(Const(n)):
+            return Const(n + 1)
+        case Succ(b):
+            inner = wh_step(b)
+            if inner is None:
+                raise StuckTerm("s applied to a non-numeral normal form")
+            return Succ(inner)
+        case Pred(Const(0)):
+            return Const(0)
+        case Pred(Const(n)):
+            return Const(n - 1)
+        case Pred(b):
+            inner = wh_step(b)
+            if inner is None:
+                raise StuckTerm("p applied to a non-numeral normal form")
+            return Pred(inner)
+        case App(Lam(body), arg):
+            return subst(body, arg)
+        case App(f, a):
+            inner = wh_step(f)
+            if inner is None:
+                raise StuckTerm("applying a non-function normal form")
+            return App(inner, a)
+        case IfZ(Const(0), z, _):
+            return z
+        case IfZ(Const(_), _, u):
+            return u
+        case IfZ(s, z, u):
+            inner = wh_step(s)
+            if inner is None:
+                raise StuckTerm("ifz scrutinee is a non-numeral normal form")
+            return IfZ(inner, z, u)
+        case Fix(body):
+            return subst(body, t)
+    raise TypeError(f"not a term: {t!r}")
+
 
 def test_pred_of_zero_steps_to_zero():
     assert wh_step(Pred(Const(0))) == Const(0)
@@ -479,3 +524,300 @@ def test_walkers_handle_a_term_5000_deep():
     assert max_free_index(opened) == 0
     assert same_term(shift(opened, 3), nested_succ(5000, TVar(3)))
     assert same_term(subst(opened, Const(7)), nested_succ(5000, Const(7)))
+
+
+# ---------------------------------------------------------------------------
+# The iterative parser, typechecker and printer against recursive references
+#
+# `parse_term`, `pcf_typecheck` and `show_term` as they were when each
+# recursed once per nesting level: the explicit-stack passes must give the
+# same tree, type, string or error (message, path and line:col) wherever
+# these do not run out of stack.
+
+def reference_parse_term(text):
+    p = pcf._PcfParser(pcf._lex(text))
+    t = _reference_parse_expr(p, ())
+    if p.peek() is not None:
+        raise p.error(f"trailing input {p.peek().text!r}")
+    return t
+
+
+def _reference_parse_expr(p, scope):
+    tok = p.peek()
+    if tok is None:
+        raise p.error("unexpected end of input")
+    if tok.text in ("\\", "fix"):
+        p.next()
+        name = pcf._binder_name(p)
+        ann = pcf._optional_ann(p)
+        p.expect(".")
+        body = _reference_parse_expr(p, (name,) + scope)
+        return Lam(body, ann) if tok.text == "\\" else Fix(body, ann)
+    if tok.text == "ifz":
+        p.next()
+        scrut = _reference_parse_expr(p, scope)
+        p.expect("then")
+        zero = _reference_parse_expr(p, scope)
+        p.expect("else")
+        return IfZ(scrut, zero, _reference_parse_expr(p, scope))
+    t = _reference_parse_unary(p, scope)
+    while (tok := p.peek()) is not None and (
+            tok.text == "(" or (tok.kind in ("num", "id")
+                                and tok.text not in ("then", "else"))):
+        t = App(t, _reference_parse_unary(p, scope))
+    return t
+
+
+def _reference_parse_unary(p, scope):
+    tok = p.peek()
+    if tok is not None and tok.text in ("s", "p"):
+        p.next()
+        inner = _reference_parse_unary(p, scope)
+        return Succ(inner) if tok.text == "s" else Pred(inner)
+    tok = p.next()
+    if tok.kind == "num":
+        return Const(int(tok.text))
+    if tok.text == "(":
+        t = _reference_parse_expr(p, scope)
+        p.expect(")")
+        return t
+    if tok.kind == "id":
+        if tok.text in pcf.KEYWORDS:
+            raise PcfSyntaxError(f"unexpected keyword {tok.text!r}",
+                                 tok.line, tok.col)
+        try:
+            return TVar(scope.index(tok.text))
+        except ValueError:
+            raise PcfSyntaxError(f"unbound identifier {tok.text!r}",
+                                 tok.line, tok.col) from None
+    raise PcfSyntaxError(f"unexpected token {tok.text!r}", tok.line, tok.col)
+
+
+def reference_typecheck(gamma, t, path=()):
+    def fail(message):
+        where = " of ".join(reversed(path)) if path else "the whole term"
+        return PcfTypeError(f"{message} (in {where})")
+
+    show = pcf.show_pcf_type
+    match t:
+        case TVar(k):
+            if k >= len(gamma):
+                raise fail(f"variable index {k} out of scope")
+            return gamma[k]
+        case Const():
+            return NAT
+        case Succ(b) | Pred(b):
+            inner = reference_typecheck(gamma, b, path + ("the body",))
+            if inner != NAT:
+                raise fail(f"s/p expects Nat, got {show(inner)}")
+            return NAT
+        case Lam(b, ann):
+            if ann is None:
+                raise fail("lambda binder lacks a type annotation")
+            return Arrow(ann, reference_typecheck((ann,) + gamma, b,
+                                                  path + ("the body",)))
+        case App(f, a):
+            fn_ty = reference_typecheck(gamma, f, path + ("the function",))
+            if not isinstance(fn_ty, Arrow):
+                raise fail(f"applying a non-function of type {show(fn_ty)}")
+            arg_ty = reference_typecheck(gamma, a, path + ("the argument",))
+            if arg_ty != fn_ty.dom:
+                raise fail(f"argument type {show(arg_ty)} does not match "
+                           f"domain {show(fn_ty.dom)}")
+            return fn_ty.cod
+        case IfZ(s, z, u):
+            if reference_typecheck(gamma, s,
+                                   path + ("the scrutinee",)) != NAT:
+                raise fail("ifz scrutinee must have type Nat")
+            zt = reference_typecheck(gamma, z, path + ("the zero branch",))
+            ut = reference_typecheck(gamma, u,
+                                     path + ("the successor branch",))
+            if zt != ut:
+                raise fail(f"ifz branches disagree: {show(zt)} vs {show(ut)}")
+            return zt
+        case Fix(b, ann):
+            if ann is None:
+                raise fail("fix binder lacks a type annotation")
+            got = reference_typecheck((ann,) + gamma, b, path + ("the body",))
+            if got != ann:
+                raise fail(f"fix body has type {show(got)}, "
+                           f"annotation says {show(ann)}")
+            return ann
+
+
+def reference_show_term(t, depth=0, scope=()):
+    go = reference_show_term
+    match t:
+        case TVar(k):
+            return scope[k] if k < len(scope) else f"?{k - len(scope)}"
+        case Const(n):
+            return str(n)
+        case Succ(b):
+            return f"s({go(b, depth, scope)})"
+        case Pred(b):
+            return f"p({go(b, depth, scope)})"
+        case Lam(b):
+            return f"\\x{depth}. {go(b, depth + 1, (f'x{depth}',) + scope)}"
+        case Fix(b):
+            return f"fix x{depth}. {go(b, depth + 1, (f'x{depth}',) + scope)}"
+        case App(f, a):
+            fs = go(f, depth, scope)
+            if isinstance(f, (Lam, Fix, IfZ)):
+                fs = f"({fs})"
+            args = go(a, depth, scope)
+            if isinstance(a, (App, Lam, Fix, IfZ)):
+                args = f"({args})"
+            return f"{fs} {args}"
+        case IfZ(s, z, u):
+            return (f"ifz {go(s, depth, scope)} then {go(z, depth, scope)} "
+                    f"else {go(u, depth, scope)}")
+
+
+def parsed(parse, text):
+    """The tree and its binder annotations, or the error's type, message
+    and line:col."""
+    try:
+        t = parse(text)
+    except PcfSyntaxError as e:
+        return type(e), str(e), e.line, e.col
+    return t, annotations(t)
+
+
+def typed(typecheck, gamma, t):
+    try:
+        return typecheck(gamma, t)
+    except PcfTypeError as e:
+        return type(e), str(e)
+
+
+VOCABULARY = ["\\", "fix", "ifz", "then", "else", "s", "p", "(", ")", ".",
+              ":", "->", "Nat", "0", "7", "x", "y", "f", "x'", "#c\n", "\n",
+              "@"]
+tokens = st.lists(st.sampled_from(VOCABULARY), max_size=24)
+
+
+@st.composite
+def edited_programs(draw):
+    """A shown random term with a few tokens deleted, replaced or inserted:
+    well-formed text and text that fails deep inside."""
+    words = reference_show_term(draw(open_terms), 0, ("x", "y")).split(" ")
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(words)))
+        edit = draw(st.sampled_from(["delete", "replace", "insert"]))
+        if edit != "insert" and at < len(words):
+            del words[at]
+        if edit != "delete":
+            words.insert(at, draw(st.sampled_from(VOCABULARY)))
+    return draw(st.sampled_from([" ", "  ", "\n"])).join(words)
+
+
+@given(st.one_of(tokens.map(" ".join), tokens.map("".join), edited_programs(),
+                 open_terms.map(lambda t: reference_show_term(t, 0, ("x",)))
+                 .map(lambda text: f"\\x: Nat -> Nat. {text}")))
+@example(r"\x. \y. x y (s y) p x")
+@example("ifz ifz 0 then 1 else 2 then (fix f: Nat. f) else x")
+@example(r"\f: (Nat -> Nat) -> Nat. f (\x. x) 3")
+@settings(max_examples=600, deadline=None)
+def test_parser_matches_the_recursive_reference(text):
+    assert parsed(parse_term, text) == parsed(reference_parse_term, text)
+
+
+PCF_TYPES = [NAT, Arrow(NAT, NAT), Arrow(Arrow(NAT, NAT), NAT),
+             Arrow(NAT, Arrow(NAT, NAT))]
+
+# Terms with every binder annotation, or none.
+typed_terms = st.recursive(
+    st.builds(TVar, st.integers(0, 3)) | st.builds(Const, st.integers(0, 3)),
+    lambda sub: (st.builds(Succ, sub) | st.builds(Pred, sub)
+                 | st.builds(Lam, sub, st.sampled_from([None] + PCF_TYPES))
+                 | st.builds(Fix, sub, st.sampled_from([None] + PCF_TYPES))
+                 | st.builds(App, sub, sub) | st.builds(IfZ, sub, sub, sub)),
+    max_leaves=10)
+
+
+# Open, ill-typed and unannotated terms, and well-typed ones from genterms.
+@given(st.lists(st.sampled_from(PCF_TYPES), max_size=3),
+       typed_terms | st.integers(0, 10**6).map(
+           lambda seed: gen_nat_term(random.Random(seed), (), 5)))
+# the function is typed, and found not to be an arrow, before the argument
+@example([], App(Const(0), TVar(2)))
+@example([NAT], IfZ(Lam(TVar(0), NAT), TVar(3), Const(0)))
+@settings(max_examples=600, deadline=None)
+def test_typechecker_matches_the_recursive_reference(gamma, t):
+    assert typed(pcf_typecheck, gamma, t) == typed(reference_typecheck,
+                                                    tuple(gamma), t)
+
+
+@given(open_terms, st.lists(st.sampled_from(["a", "b", "x0"]), max_size=2))
+@settings(max_examples=200, deadline=None)
+def test_printer_matches_the_recursive_reference(t, scope):
+    scope = tuple(scope)
+    assert pcf.show_term(t, scope) == reference_show_term(t, 0, scope)
+
+
+DEEP = 5000
+
+
+def deep_chains():
+    """Terms nested DEEP levels: s(...), annotated lambdas, an application
+    spine and ifz scrutinees, each with its printed text."""
+    lams, spine, ifzs = Const(0), TVar(0), Const(0)
+    for _ in range(DEEP):
+        lams = Lam(lams, NAT)
+        spine = App(spine, Const(1))
+        ifzs = IfZ(ifzs, Const(1), Const(0))
+    return {
+        "succ": (nested_succ(DEEP), "s(" * DEEP + "0" + ")" * DEEP),
+        "lam": (lams, "".join(f"\\x{d}. " for d in range(DEEP)) + "0"),
+        "spine": (Lam(spine, NAT), r"\x0. x0" + " 1" * DEEP),
+        "ifz": (ifzs, "ifz " * DEEP + "0" + " then 1 else 0" * DEEP),
+    }
+
+
+def test_show_and_parse_handle_terms_5000_deep():
+    for name, (t, text) in deep_chains().items():
+        shown = pcf.show_term(t)
+        assert shown == text, name
+        assert same_term(parse_term(shown), t), name
+    annotated = parse_term("".join(f"\\x{d}: Nat. " for d in range(DEEP))
+                           + "x0")
+    binders = [node for node, _ in pcf.walk(annotated)[:-1]]
+    assert all(isinstance(b, Lam) and b.ann == NAT for b in binders)
+    assert len(binders) == DEEP
+    assert pcf.walk(annotated)[-1] == (TVar(DEEP - 1), DEEP)
+    assert parse_term("(" * DEEP + "0" + ")" * DEEP) == Const(0)
+    right = Const(0)
+    for _ in range(DEEP):
+        right = App(TVar(0), right)
+    assert same_term(parse_term(r"\f. " + "f (" * DEEP + "0" + ")" * DEEP),
+                     Lam(right))
+
+
+def arrows(depth):
+    """Nat -> Nat -> ... -> Nat with `depth` arrows."""
+    ty = NAT
+    for _ in range(depth):
+        ty = Arrow(NAT, ty)
+    return ty
+
+
+def test_typechecker_handles_terms_5000_deep():
+    chains = {name: t for name, (t, _) in deep_chains().items()}
+    assert pcf_typecheck((), chains["succ"]) == NAT
+    assert pcf_typecheck((), chains["ifz"]) == NAT
+    ty = pcf_typecheck((), chains["lam"])
+    for _ in range(DEEP):
+        assert ty.dom == NAT
+        ty = ty.cod
+    assert ty == NAT
+    spine = chains["spine"].body
+    assert pcf_typecheck((arrows(DEEP),), spine) == NAT
+    with pytest.raises(PcfTypeError) as err:
+        pcf_typecheck((), chains["spine"])
+    assert str(err.value) == (
+        "applying a non-function of type Nat (in "
+        + " of ".join(["the function"] * (DEEP - 1) + ["the body"]) + ")")
+    with pytest.raises(PcfTypeError) as err:
+        pcf_typecheck((), nested_succ(DEEP, Lam(TVar(0))))
+    assert str(err.value) == ("lambda binder lacks a type annotation (in "
+                              + " of ".join(["the body"] * DEEP) + ")")
