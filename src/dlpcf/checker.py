@@ -260,12 +260,8 @@ class _Checker:
 
     def same_ctx(self, path, got: ConstraintSet, want: ConstraintSet,
                  what: str) -> None:
-        ok = (got.variables == want.variables
-              and len(got.constraints) == len(want.constraints)
-              and all(a.rel == b.rel and alpha_eq_index(a.lhs, b.lhs)
-                      and alpha_eq_index(a.rhs, b.rhs)
-                      for a, b in zip(got.constraints, want.constraints)))
-        if not ok:
+        if not (got.variables == want.variables
+                and alpha_eq_index(got.constraints, want.constraints)):
             raise StructuralError(path, f"{what}: expected constraint context "
                                         f"{_show_ctx(want)}, got {_show_ctx(got)}")
 

@@ -13,20 +13,22 @@ the satisfying assignments of each context, and each term's outcome at each
 assignment of its own free variables.
 
 Types (`types.NatI`, `LinArrow`, `ModalType`) are this syntax plus three
-constructors, and `free_vars`, `subst_index`, `alpha_eq_index` and
-`check_symbols` take index terms and types alike.  `Var`, `Lit` and `App`
-are their own cases; every other node is a frozen dataclass read field by
-field.  The binding forms `BoundedSum`, `Forest` and `types.ModalType` have
-`binder` as their first field, bound in the last, `body`, only; the fields
-between (`bound`, or `start` and `count`) are index terms outside its scope.
-A node whose first field is not `binder` binds nothing.
+constructors.  `walk` takes index terms and types alike, and so do
+`free_vars`, `subst_index`, `alpha_eq_index` and `check_symbols`, which are
+folds over it.  `Var`, `Lit` and `App` are their own cases; every other
+node is a frozen dataclass read field by field.  The binding forms
+`BoundedSum`, `Forest` and `types.ModalType` have `binder` as their first
+field, bound in the last, `body`, only; the fields between (`bound`, or
+`start` and `count`) are index terms outside its scope.  A node whose first
+field is not `binder` binds nothing.  `walk` is the one place that reads
+this rule.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, fields, is_dataclass
-from functools import cache
+from itertools import repeat
 from operator import attrgetter, itemgetter
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -43,7 +45,7 @@ __all__ = [
     "eval_index", "Oracle", "entails", "free_vars", "subst_index",
     "IDENT", "is_name", "alpha_eq_index", "fresh_name", "check_symbols",
     "parse_index", "parse_constraint", "show_index", "show_constraint",
-    "tokenize", "Parser", "parse_sum_expr", "add", "monus",
+    "tokenize", "Parser", "parse_sum_expr", "add", "monus", "walk",
 ]
 
 
@@ -101,43 +103,87 @@ def monus(a: IndexTerm, b: IndexTerm) -> App:
     return App("-", (a, b))
 
 
-@cache
-def _shape(cls) -> tuple[bool, Callable]:
-    """Does the first field of the node class `cls` bind, and a getter of
-    the tuple of its other fields' values, in order."""
-    if not is_dataclass(cls):
-        raise TypeError(f"not index syntax: {cls.__name__}")
-    names = [f.name for f in fields(cls)]
-    binds = names[0] == "binder"
-    get = attrgetter(*names[binds:])
-    return binds, (get if len(names) - binds > 1 else lambda t: (get(t),))
+class _Shapes(dict):
+    """Node class -> whether its first field binds, and a getter of the
+    tuple of its parts: an application's arguments, a tuple's items, no
+    parts for a leaf (`Var`, `Lit`, a string or None), and otherwise the
+    values of the node's other fields, in order."""
+
+    def __missing__(self, cls) -> tuple[bool, Callable]:
+        if cls in (Var, Lit, str, type(None)):
+            self[cls] = False, lambda t: ()
+        elif cls in (App, tuple):
+            self[cls] = False, (attrgetter("args") if cls is App
+                                else lambda t: t)
+        elif is_dataclass(cls):
+            names = [f.name for f in fields(cls)]
+            binds = names[0] == "binder"
+            get = attrgetter(*names[binds:])
+            self[cls] = binds, (get if len(names) - binds > 1
+                                else lambda t: (get(t),))
+        else:
+            raise TypeError(f"not index syntax: {cls.__name__}")
+        return self[cls]
 
 
-def _node(t) -> tuple[Optional[str], tuple]:
-    """The binder of the compound node `t` (None unless its first field is
-    `binder`) and its other fields' values, in order."""
-    binds, values = _shape(type(t))
-    return (t.binder if binds else None), values(t)
+_SHAPES = _Shapes()
+
+
+def _parts(t) -> tuple:
+    """The parts of the node `t`, in order."""
+    return _SHAPES[type(t)][1](t)
+
+
+def walk(t) -> list[tuple]:
+    """Every node of the index term, type, or record or tuple of them `t`
+    in pre-order, with the binders in scope at it: None at the top, else a
+    pair of the innermost binding form and the scope around that.  A form
+    is in its own scope, and its binder is in scope in its last part,
+    `body`, only: its other parts see the scope around it.  Iterative, so
+    the depth of `t` is bounded by memory only."""
+    nodes = []
+    stack = [(t, None)]
+    while stack:
+        node, scope = stack.pop()
+        binds, get = _SHAPES[type(node)]
+        parts = get(node)
+        if parts:
+            stack.extend(zip(reversed(parts), repeat(scope)))
+            if binds:
+                scope = (node, scope)
+                stack[-len(parts)] = (parts[-1], scope)
+        nodes.append((node, scope))
+    return nodes
+
+
+def _bound_at(scope, name: str) -> Optional[int]:
+    """How many binders of `scope` are inside the innermost one of `name`,
+    or None when `name` is free there."""
+    depth = 0
+    while scope is not None:
+        node, scope = scope
+        if node.binder == name:
+            return depth
+        depth += 1
+    return None
+
+
+def _rebuild(nodes, combine):
+    """`combine(node, scope, values of its parts)` at every node of a walk,
+    in reverse pre-order, where a node's parts come before it: the value at
+    the root."""
+    done: list = []
+    for node, scope in reversed(nodes):
+        split = len(done) - len(_parts(node))
+        done[split:] = [combine(node, scope, done[split:][::-1])]
+    return done[0]
 
 
 def free_vars(t) -> frozenset[str]:
     """The free variables of an index term or a type."""
-    match t:
-        case Var(name):
-            return frozenset((name,))
-        case Lit():
-            return frozenset()
-        case App(_, args):
-            binder, parts = None, args
-        case _:
-            binder, parts = _node(t)
-    out: frozenset[str] = frozenset()
-    if binder is not None:
-        *parts, body = parts
-        out = free_vars(body) - {binder}
-    for part in parts:
-        out |= free_vars(part)
-    return out
+    return frozenset(node.name for node, scope in walk(t)
+                     if type(node) is Var
+                     and (scope is None or _bound_at(scope, node.name) is None))
 
 
 def fresh_name(base: str, avoid: frozenset[str]) -> str:
@@ -156,58 +202,87 @@ def subst_index(t, name: str, repl: IndexTerm):
     binder shadows `name`, and the binder is renamed, away from every free
     variable of `repl` and of the form, when a free variable of `repl` of
     the same name would land anywhere in the form: under the binder, or in
-    an outer term beside it."""
-    match t:
-        case Var(n):
-            return repl if n == name else t
-        case Lit():
-            return t
-        case App(sym, args):
-            return App(sym, tuple(subst_index(a, name, repl) for a in args))
-    binder, parts = _node(t)
-    if binder is None:
-        return type(t)(*(subst_index(p, name, repl) for p in parts))
-    *outer, body = parts
-    outer = [subst_index(o, name, repl) for o in outer]
-    if binder != name:
-        if binder in free_vars(repl) and name in free_vars(t):
-            nb = fresh_name(binder, free_vars(repl) | free_vars(t))
-            body = subst_index(body, binder, Var(nb))
-            binder = nb
-        body = subst_index(body, name, repl)
-    return type(t)(binder, *outer, body)
+    an outer term beside it.
+
+    A renamed binder's new name is substituted in its body before the
+    substitutions around it are, so each scope makes a list of them in
+    order, found in pre-order from the list around its form.  The term is
+    then rebuilt in reverse pre-order."""
+    nodes = walk(t)
+    # id of a scope -> its form's new binder and its substitutions, each
+    # with the free variables of its replacement
+    made = {id(None): (None, [(name, repl, free_vars(repl))])}
+    for node, scope in nodes:
+        if scope is None or scope[0] is not node:
+            continue
+        around, binder, inside = made[id(scope[1])][1], node.binder, []
+        for i, (old, new, new_vars) in enumerate(around):
+            if binder == old:
+                continue
+            if (binder in new_vars
+                    and old in (seen := _free_after(node, around[:i]))):
+                fresh = fresh_name(binder, new_vars | seen)
+                inside.append((binder, Var(fresh), frozenset((fresh,))))
+                binder = fresh
+            inside.append((old, new, new_vars))
+        made[id(scope)] = binder, inside
+
+    def combine(node, scope, parts):
+        binder, subs = made[id(scope)]
+        if type(node) is Var:
+            # Only the last substitution of a list may be of `repl`; the
+            # others rename a variable to a variable.
+            for old, new, _ in subs:
+                if type(node) is Var and node.name == old:
+                    node = new
+            return node
+        if type(node) is App:
+            return App(node.symbol, tuple(parts))
+        if scope is not None and scope[0] is node:
+            return type(node)(binder, *parts)
+        return type(node)(*parts) if parts else node
+
+    return _rebuild(nodes, combine)
 
 
-def alpha_eq_index(a, b, env_a: dict[str, int] | None = None,
-                   env_b: dict[str, int] | None = None,
-                   depth: int = 0) -> bool:
+def _free_after(t, subs) -> frozenset[str]:
+    """The free variables of `t` once the substitutions `subs`, as
+    `subst_index` lists them, are made in order."""
+    out = free_vars(t)
+    for old, _, new_vars in subs:
+        if old in out:
+            out = (out - {old}) | new_vars
+    return out
+
+
+def alpha_eq_index(a, b) -> bool:
     """Structural equality of two index terms or types modulo renaming of
-    binders: `env_a` and `env_b` map each binder in scope to the depth that
-    bound it.  Two binding forms are equal when their outer terms are and
-    their bodies are with both binders bound at `depth`."""
-    ea = env_a or {}
-    eb = env_b or {}
-    match (a, b):
-        case (Var(x), Var(y)):
-            ia, ib = ea.get(x), eb.get(y)
-            return ia == ib if (ia is not None or ib is not None) else x == y
-        case (Lit(m), Lit(n)):
-            return m == n
-        case (App(f, xs), App(g, ys)):
-            return (f == g and len(xs) == len(ys)
-                    and all(alpha_eq_index(x, y, ea, eb, depth)
-                            for x, y in zip(xs, ys)))
-    if type(a) is not type(b):
+    binders: their walks agree node by node in type and `_label`.  Where
+    all nodes before agree, the two scopes have the same shape, so two
+    bound variables agree when their binders are at the same depth."""
+    walk_a, walk_b = walk(a), walk(b)
+    if len(walk_a) != len(walk_b):
         return False
-    (binder_a, parts_a), (binder_b, parts_b) = _node(a), _node(b)
-    if binder_a is None:
-        return all(alpha_eq_index(x, y, ea, eb, depth)
-                   for x, y in zip(parts_a, parts_b))
-    return (all(alpha_eq_index(x, y, ea, eb, depth)
-                for x, y in zip(parts_a[:-1], parts_b[:-1]))
-            and alpha_eq_index(parts_a[-1], parts_b[-1],
-                               {**ea, binder_a: depth},
-                               {**eb, binder_b: depth}, depth + 1))
+    for (x, sx), (y, sy) in zip(walk_a, walk_b):
+        if type(x) is not type(y) or _label(x, sx) != _label(y, sy):
+            return False
+    return True
+
+
+def _label(node, scope):
+    """A bound variable's distance to its binder, a free one's name, a
+    numeral's value, an application's symbol and arity, any other leaf
+    itself and any other node's number of parts."""
+    cls = type(node)
+    if cls is Var:
+        depth = _bound_at(scope, node.name)
+        return node.name if depth is None else depth
+    if cls is Lit:
+        return node.value
+    if cls is App:
+        return node.symbol, len(node.args)
+    parts = _parts(node)
+    return len(parts) if parts else node
 
 
 # ---------------------------------------------------------------------------
@@ -349,20 +424,11 @@ def check_symbols(t, signature: Signature) -> None:
     """ArityError unless every application in `t` matches `signature`, in
     the order the applications occur: `t` is an index term, a type, or any
     record or tuple of them, and strings and None hold none."""
-    match t:
-        case Var() | Lit() | str() | None:
-            return
-        case App(sym, args):
-            expected = signature.arity(sym)
-            if len(args) != expected:
-                raise ArityError(sym, expected, len(args))
-            parts = args
-        case tuple():
-            parts = t
-        case _:
-            parts = _node(t)[1]
-    for part in parts:
-        check_symbols(part, signature)
+    for node, _ in walk(t):
+        if type(node) is App:
+            expected = signature.arity(node.symbol)
+            if len(node.args) != expected:
+                raise ArityError(node.symbol, expected, len(node.args))
 
 
 # ---------------------------------------------------------------------------
@@ -386,112 +452,109 @@ def eval_index(term: IndexTerm, rho: Assignment, program: EquationalProgram,
 
     Raises IndexUndefined when no rule matches a ground redex, FuelExhausted
     when the budget runs out (possible divergence), ValueError on variables
-    outside rho's domain.
+    outside rho's domain.  The fuel is the only budget: a deep term, or deep
+    non-tail rewriting, takes memory, not interpreter stack.
     """
-    gas = Fuel(fuel)
-    try:
-        return _eval(term, rho, program, gas)
-    except RecursionError:
-        # Deep non-tail rewriting exhausts the interpreter stack before the
-        # fuel; both are resource budgets, so report it the same way.
-        raise FuelExhausted(gas.budget) from None
+    return _eval(term, rho, program, Fuel(fuel))
+
+
+# The kinds of `_eval`'s frames other than (ticks >= 0, term, rho).
+_APPLY, _LOOP = -1, -2
+_BUILTINS = {("+", 2): lambda a, b: a + b,
+             ("-", 2): lambda a, b: max(0, a - b),
+             ("0", 0): lambda: 0, ("1", 0): lambda: 1}
 
 
 def _eval(term: IndexTerm, rho: Assignment, program: EquationalProgram,
           gas: Fuel) -> int:
-    gas.tick()
-    match term:
-        case Var(name):
-            if name not in rho:
-                raise ValueError(f"unbound index variable {name!r}")
-            return rho[name]
-        case Lit(value):
-            return value
-        case App("+", (a, b)):
-            return _eval(a, rho, program, gas) + _eval(b, rho, program, gas)
-        case App("-", (a, b)):
-            return max(0, _eval(a, rho, program, gas) - _eval(b, rho, program, gas))
-        case App("0", ()):
-            return 0
-        case App("1", ()):
-            return 1
-        case App(sym, args):
-            values = [_eval(a, rho, program, gas) for a in args]
-            return _apply(sym, values, program, gas)
-        case BoundedSum(binder, bound, body):
-            n = _eval(bound, rho, program, gas)
-            total = 0
-            inner = dict(rho)
-            for v in range(n):
-                gas.tick()
-                inner[binder] = v
-                total += _eval(body, inner, program, gas)
-            return total
-        case Forest(binder, start, count, body):
-            start_v = _eval(start, rho, program, gas)
-            count_v = _eval(count, rho, program, gas)
-            inner = dict(rho)
-
-            def children(pos: int) -> int:
-                inner[binder] = pos
-                return _eval(body, inner, program, gas)
-
-            return _forest_nodes(start_v, count_v, children, gas)
-    raise TypeError(f"not an index term: {term!r}")
-
-
-def _apply(symbol: str, values: list[int], program: EquationalProgram,
-           gas: Fuel) -> int:
-    # Tail rewrites loop here instead of recursing, so self-recursive
-    # equations burn fuel rather than interpreter stack.
-    while True:
-        if symbol not in program.signature:
-            raise ArityError(symbol, -1, len(values))
-        for rule in program.rules:
-            if rule.symbol != symbol:
+    """`term` at rho, as one loop over a stack of frames (kind, node, data)
+    whose results go on a stack of values.  A frame (k, term, rho) with
+    k >= 0 pushes the term's value at rho and ticks k: 1, or a rewrite to a
+    defined symbol's number of arguments.  (_APPLY, symbol, n) applies the
+    symbol to the top n values, and (_LOOP, sum or forest, [rho, label,
+    counts, total]) runs its loop once its parts before `body` are in."""
+    values: list[int] = []
+    frames: list[tuple] = [(1, term, rho)]
+    while frames:
+        kind, node, data = frame = frames.pop()
+        if kind >= 0:
+            gas.tick(kind)
+            cls = type(node)
+            if cls is Var:
+                if node.name not in data:
+                    raise ValueError(f"unbound index variable {node.name!r}")
+                values.append(data[node.name])
+            elif cls is Lit:
+                values.append(node.value)
+            elif cls is App:
+                frames.append((_APPLY, node.symbol, len(node.args)))
+                for arg in reversed(node.args):
+                    frames.append((1, arg, data))
+            elif cls is BoundedSum or cls is Forest:
+                frames.append((_LOOP, node, [dict(data), 0, None, 0]))
+                for part in reversed(_parts(node)[:-1]):
+                    frames.append((1, part, data))
+            else:
+                raise TypeError(f"not an index term: {node!r}")
+        elif kind == _APPLY:
+            split = len(values) - data
+            args = values[split:]
+            del values[split:]
+            builtin = _BUILTINS.get((node, data))
+            if builtin is not None:
+                values.append(builtin(*args))
                 continue
-            binding: dict[str, int] = {}
-            ok = True
-            for pat, v in zip(rule.params, values):
-                m = pat.match(v)
-                if m is None:
-                    ok = False
-                    break
-                binding.update(m)
-            if ok:
-                gas.tick()
-                rhs = rule.rhs
-                if (isinstance(rhs, App)
-                        and rhs.symbol not in BUILTIN_ARITIES):
-                    gas.tick(len(rhs.args))
-                    symbol = rhs.symbol
-                    values = [_eval(a, binding, program, gas)
-                              for a in rhs.args]
-                    break
-                return _eval(rhs, binding, program, gas)
+            rhs, binding = _rewrite(node, args, program)
+            gas.tick()
+            # The rewrite's frame takes this one's place, so self-recursive
+            # tail equations burn fuel in constant space.
+            tail = isinstance(rhs, App) and rhs.symbol not in BUILTIN_ARITIES
+            frames.append((len(rhs.args) if tail else 1, rhs, binding))
         else:
-            raise IndexUndefined(
-                f"no rule matches {symbol}({', '.join(map(str, values))})")
+            # A forest is counted in a single left-to-right pass over its
+            # nodes in pre-order, from label `start`: each node is visited
+            # exactly once, so the repeated subterm in the defining
+            # recursion is never re-evaluated.  `counts` holds, for each
+            # tree being visited, how many of its children are still to go.
+            # A sum runs as `bound` trees of no children, labelled from 0,
+            # that add their bodies' values to the total.
+            inner, label, counts, total = data
+            forest = type(node) is Forest
+            if counts is None:
+                counts = [values.pop()]
+                label = values.pop() if forest else 0
+            else:
+                if forest:
+                    counts.append(values.pop())
+                else:
+                    total += values.pop()
+                label += 1
+            while counts and not counts[-1]:
+                counts.pop()
+            if counts:
+                gas.tick()
+                counts[-1] -= 1
+                inner[node.binder] = label
+                data[:] = inner, label, counts, total + 1 if forest else total
+                frames += (frame, (1, node.body, inner))
+            else:
+                values.append(total)
+    return values[0]
 
 
-def _forest_nodes(start: int, count: int, children, gas: Fuel) -> int:
-    """Pre-order count of nodes in `count` consecutive trees from label
-    `start`.  Single left-to-right pass: each node is visited exactly once,
-    so the repeated subterm in the defining recursion is never re-evaluated.
-    """
-    total = 0
-    pos = start
-    stack = [count]
-    while stack:
-        c = stack.pop()
-        if c == 0:
-            continue
-        gas.tick()
-        stack.append(c - 1)
-        total += 1
-        stack.append(children(pos))
-        pos += 1
-    return total
+def _rewrite(symbol: str, values: list[int],
+             program: EquationalProgram) -> tuple[IndexTerm, Assignment]:
+    """The right side of the rule of `program` that matches `symbol`
+    applied to `values`, and the values of its pattern variables."""
+    if symbol not in program.signature:
+        raise ArityError(symbol, -1, len(values))
+    for rule in program.rules:
+        if rule.symbol == symbol:
+            found = [pat.match(v) for pat, v in zip(rule.params, values)]
+            if None not in found:
+                return rule.rhs, {k: v for m in found for k, v in m.items()}
+    raise IndexUndefined(
+        f"no rule matches {symbol}({', '.join(map(str, values))})")
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +590,7 @@ class ConstraintSet:
             raise ValueError("duplicate constraint variable")
         scope = set(self.variables)
         for c in self.constraints:
-            stray = (free_vars(c.lhs) | free_vars(c.rhs)) - scope
+            stray = free_vars(c) - scope
             if stray:
                 raise ValueError(
                     f"constraint mentions undeclared variables {sorted(stray)}")
@@ -710,8 +773,7 @@ def entails(ctx: ConstraintSet, goal: Constraint | Defined,
     outcome of an equal term at equal values of the term's free variables,
     are reused.
     """
-    stray = (frozenset().union(*map(free_vars, _goal_sides(goal)))
-             - set(ctx.variables))
+    stray = free_vars(goal) - set(ctx.variables)
     if stray:
         raise ValueError(f"goal mentions undeclared variables {sorted(stray)}")
 
@@ -736,9 +798,9 @@ def _satisfying(ctx: ConstraintSet,
     tests: list[list[tuple[str, _Side, _Side]]] = [
         [] for _ in range(len(variables) + 1)]
     for c in ctx.constraints:
-        tests[max((depth[v] for v in free_vars(c.lhs) | free_vars(c.rhs)),
-                  default=0)].append((c.rel, _side(c.lhs, variables, oracle),
-                                      _side(c.rhs, variables, oracle)))
+        tests[max((depth[v] for v in free_vars(c)), default=0)].append(
+            (c.rel, _side(c.lhs, variables, oracle),
+             _side(c.rhs, variables, oracle)))
     points: list[tuple[tuple[int, ...], bool]] = []
     _extend(0, True, tests, [0] * len(variables), points, oracle)
     return points
@@ -961,25 +1023,28 @@ def _parse_atom(p: Parser) -> IndexTerm:
 
 
 def show_index(t: IndexTerm) -> str:
-    match t:
-        case Var(name):
-            return name
-        case Lit(v):
-            return str(v)
-        case App("+" | "-" as op, (a, b)):
-            left = show_index(a)
-            right = show_index(b)
-            if isinstance(b, App) and b.symbol in ("+", "-"):
-                right = f"({right})"
-            return f"{left} {op} {right}"
-        case App(sym, args):
-            return f"{sym}({', '.join(show_index(a) for a in args)})"
-        case BoundedSum(binder, bound, body):
-            return f"sum({binder} < {show_index(bound)}, {show_index(body)})"
-        case Forest(binder, start, count, body):
-            return (f"forest({binder}, {show_index(start)}, "
-                    f"{show_index(count)}, {show_index(body)})")
-    raise TypeError(f"not an index term: {t!r}")
+    return _rebuild(walk(t), _show_node)
+
+
+def _show_node(node, _scope, parts: list[str]) -> str:
+    """A node of an index term printed, given its parts printed."""
+    cls = type(node)
+    if cls is Var:
+        return node.name
+    if cls is Lit:
+        return str(node.value)
+    if cls is App and node.symbol in ("+", "-") and len(parts) == 2:
+        right, b = parts[1], node.args[1]
+        if isinstance(b, App) and b.symbol in ("+", "-"):
+            right = f"({right})"
+        return f"{parts[0]} {node.symbol} {right}"
+    if cls is App:
+        return f"{node.symbol}({', '.join(parts)})"
+    if cls is BoundedSum:
+        return f"sum({node.binder} < {parts[0]}, {parts[1]})"
+    if cls is Forest:
+        return "forest({}, {}, {}, {})".format(node.binder, *parts)
+    raise TypeError(f"not an index term: {node!r}")
 
 
 def show_constraint(c: Constraint) -> str:

@@ -43,15 +43,15 @@ NAT = NatT()
 
 
 def show_pcf_type(t: PcfType) -> str:
-    match t:
-        case NatT():
-            return "Nat"
-        case Arrow(dom, cod):
-            left = show_pcf_type(dom)
-            if isinstance(dom, Arrow):
-                left = f"({left})"
-            return f"{left} -> {show_pcf_type(cod)}"
-    raise TypeError(f"not a PCF type: {t!r}")
+    """`t` printed; the arrows of its right spine, by a loop."""
+    pieces = []
+    while isinstance(t, Arrow):
+        left = show_pcf_type(t.dom)
+        pieces.append(f"({left})" if isinstance(t.dom, Arrow) else left)
+        t = t.cod
+    if not isinstance(t, NatT):
+        raise TypeError(f"not a PCF type: {t!r}")
+    return " -> ".join(pieces + ["Nat"])
 
 
 # ---------------------------------------------------------------------------

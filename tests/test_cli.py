@@ -80,6 +80,25 @@ def test_check_deeply_nested_equation_exits_three(runner, tmp_path):
     assert result.stderr == "error: input nested too deeply\n"
 
 
+def test_check_long_flat_equation(runner, tmp_path):
+    # a flat right side 3,000 terms long is no deeper than the evaluator's
+    # frame stack allows
+    eqs = tmp_path / "long.eqs"
+    eqs.write_text(pathlib.Path(EQS).read_text()
+                   + "long(a) = a" + " + 1" * 3000 + "\n")
+    result = runner.invoke(main, ["check", DERIV, DBL, "--eqprog", str(eqs)])
+    assert result.exit_code == 0, result.output
+
+
+def test_eval_unapplied_lambda_chain_names_its_type(runner, tmp_path):
+    path = tmp_path / "lambdas.pcf"
+    path.write_text(r"\x: Nat. " * 3000 + "x\n")
+    result = runner.invoke(main, ["eval", str(path)])
+    assert result.exit_code == 3
+    assert result.stderr == ("error: programs must have type Nat, got "
+                             + " -> ".join(["Nat"] * 3001) + "\n")
+
+
 def test_eval_trace_file(runner, tmp_path):
     trace = tmp_path / "trace.txt"
     result = runner.invoke(main, ["eval", DBL, "--arg", "1",
@@ -161,6 +180,16 @@ def test_soundness_all_rows_pass(runner):
     rows = [line for line in result.output.splitlines() if "a:=" in line]
     assert len(rows) == 9
     assert all("pass" in row and "FAIL" not in row for row in rows)
+
+
+def test_soundness_evaluates_deeply_rewriting_root_bounds(runner):
+    # the weight at a=400 rewrites add and mult thousands of calls deep, so
+    # it ran out of interpreter stack before the evaluator had a frame stack
+    result = runner.invoke(main, ["soundness", DERIV, DBL, "--eqprog", EQS,
+                                  "-n", "400", "--format", "tsv"])
+    assert result.exit_code == 0, result.output
+    row, = [line for line in result.output.splitlines() if "a:=400" in line]
+    assert row.split("\t")[1:3] == ["800", "245006"]
 
 
 def test_soundness_constant_derivation(runner, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import pathlib
 import random
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dlpcf import index as ix
-from dlpcf.fuel import FuelExhausted
+from dlpcf.fuel import Fuel, FuelExhausted
 from dlpcf.index import (App, BoundedSum, Constraint, ConstraintSet, Defined,
                          EMPTY_CTX, Forest, IndexUndefined, Lit, NatPattern,
                          NonLinearPattern, Oracle, OverlapError, Refuted, Rule,
@@ -14,7 +15,7 @@ from dlpcf.index import (App, BoundedSum, Constraint, ConstraintSet, Defined,
                          eval_index, parse_equations, parse_index,
                          register_program, show_index, subst_index)
 
-from genterms import table_program
+from genterms import gen_basic_type, table_program
 
 
 def ev(text, rho, program, fuel=10**6):
@@ -408,20 +409,33 @@ DIFF_PROGRAM = parse_equations(
 DIFF_FUEL = 200
 
 
+def query_terms(variables, binders=()):
+    """Index terms over `variables` with DIFF_PROGRAM's symbols, and with
+    sums and forests whose binders are drawn from `binders`."""
+    leaves = st.integers(0, 3).map(Lit)
+    if variables:
+        leaves = leaves | st.sampled_from(variables).map(Var)
+
+    def compound(sub):
+        forms = [st.builds(ix.add, sub, sub), st.builds(ix.monus, sub, sub),
+                 st.builds(lambda f, x, y: App(f, (x, y)),
+                           st.sampled_from(("gt", "add", "mult")), sub, sub),
+                 st.builds(lambda f, x: App(f, (x,)),
+                           st.sampled_from(("half", "loop")), sub)]
+        if binders:
+            names = st.sampled_from(binders)
+            forms += [st.builds(BoundedSum, names, sub, sub),
+                      st.builds(Forest, names, sub, sub, sub)]
+        return st.one_of(forms)
+
+    return st.recursive(leaves, compound, max_leaves=5)
+
+
 @st.composite
 def entailment_queries(draw):
     k = draw(st.integers(0, 3))
     variables = tuple(draw(st.permutations(("a", "b", "c")))[:k])
-    leaves = st.integers(0, 3).map(Lit)
-    if variables:
-        leaves = leaves | st.sampled_from(variables).map(Var)
-    terms = st.recursive(leaves, lambda sub: st.one_of(
-        st.builds(ix.add, sub, sub), st.builds(ix.monus, sub, sub),
-        st.builds(lambda f, x, y: App(f, (x, y)),
-                  st.sampled_from(("gt", "add", "mult")), sub, sub),
-        st.builds(lambda f, x: App(f, (x,)),
-                  st.sampled_from(("half", "loop")), sub)),
-        max_leaves=5)
+    terms = query_terms(variables)
     constraints = st.builds(Constraint, terms,
                             st.sampled_from(("<=", "<", "=")), terms)
     ctx = ConstraintSet(variables,
@@ -608,3 +622,378 @@ def test_a_binder_must_be_a_name(text):
 def test_binders_that_are_names_print_back_to_themselves():
     for text in ("sum(b < 2, b)", "forest(x', 0, 1, x')", "sum(_a < 1, 0)"):
         assert show_index(parse_index(text)) == text
+
+
+# ---------------------------------------------------------------------------
+# Index syntax walkers and the evaluator loop
+#
+# Recursive copies of `free_vars`, `subst_index`, `alpha_eq_index`,
+# `check_symbols`, `show_index` and the evaluator (`_eval`, `_apply` and
+# `_forest_nodes`) as they were before `walk` and the evaluator's frame
+# stack replaced them: the walkers and the loop must agree with them
+# wherever these do not run out of stack.
+
+def reference_node(t):
+    """The binder of a compound node (None unless its first field is
+    `binder`) and its other fields' values, in order."""
+    names = [f.name for f in dataclasses.fields(t)]
+    binds = names[0] == "binder"
+    return ((t.binder if binds else None),
+            tuple(getattr(t, name) for name in names[binds:]))
+
+
+def reference_free_vars(t):
+    match t:
+        case Var(name):
+            return frozenset((name,))
+        case Lit():
+            return frozenset()
+        case App(_, args):
+            binder, parts = None, args
+        case _:
+            binder, parts = reference_node(t)
+    out = frozenset()
+    if binder is not None:
+        *parts, body = parts
+        out = reference_free_vars(body) - {binder}
+    for part in parts:
+        out |= reference_free_vars(part)
+    return out
+
+
+def reference_subst_index(t, name, repl):
+    match t:
+        case Var(n):
+            return repl if n == name else t
+        case Lit():
+            return t
+        case App(sym, args):
+            return App(sym, tuple(reference_subst_index(a, name, repl)
+                                  for a in args))
+    binder, parts = reference_node(t)
+    if binder is None:
+        return type(t)(*(reference_subst_index(p, name, repl) for p in parts))
+    *outer, body = parts
+    outer = [reference_subst_index(o, name, repl) for o in outer]
+    if binder != name:
+        if (binder in reference_free_vars(repl)
+                and name in reference_free_vars(t)):
+            nb = ix.fresh_name(binder, reference_free_vars(repl)
+                               | reference_free_vars(t))
+            body = reference_subst_index(body, binder, Var(nb))
+            binder = nb
+        body = reference_subst_index(body, name, repl)
+    return type(t)(binder, *outer, body)
+
+
+def reference_alpha_eq_index(a, b, env_a=None, env_b=None, depth=0):
+    ea = env_a or {}
+    eb = env_b or {}
+    match (a, b):
+        case (Var(x), Var(y)):
+            ia, ib = ea.get(x), eb.get(y)
+            return ia == ib if (ia is not None or ib is not None) else x == y
+        case (Lit(m), Lit(n)):
+            return m == n
+        case (App(f, xs), App(g, ys)):
+            return (f == g and len(xs) == len(ys)
+                    and all(reference_alpha_eq_index(x, y, ea, eb, depth)
+                            for x, y in zip(xs, ys)))
+    if type(a) is not type(b):
+        return False
+    binder_a, parts_a = reference_node(a)
+    binder_b, parts_b = reference_node(b)
+    if binder_a is None:
+        return all(reference_alpha_eq_index(x, y, ea, eb, depth)
+                   for x, y in zip(parts_a, parts_b))
+    return (all(reference_alpha_eq_index(x, y, ea, eb, depth)
+                for x, y in zip(parts_a[:-1], parts_b[:-1]))
+            and reference_alpha_eq_index(parts_a[-1], parts_b[-1],
+                                         {**ea, binder_a: depth},
+                                         {**eb, binder_b: depth}, depth + 1))
+
+
+def reference_check_symbols(t, signature):
+    match t:
+        case Var() | Lit() | str() | None:
+            return
+        case App(sym, args):
+            expected = signature.arity(sym)
+            if len(args) != expected:
+                raise ix.ArityError(sym, expected, len(args))
+            parts = args
+        case tuple():
+            parts = t
+        case _:
+            parts = reference_node(t)[1]
+    for part in parts:
+        reference_check_symbols(part, signature)
+
+
+def reference_show_index(t):
+    match t:
+        case Var(name):
+            return name
+        case Lit(v):
+            return str(v)
+        case App("+" | "-" as op, (a, b)):
+            left = reference_show_index(a)
+            right = reference_show_index(b)
+            if isinstance(b, App) and b.symbol in ("+", "-"):
+                right = f"({right})"
+            return f"{left} {op} {right}"
+        case App(sym, args):
+            return f"{sym}({', '.join(reference_show_index(a) for a in args)})"
+        case BoundedSum(binder, bound, body):
+            return (f"sum({binder} < {reference_show_index(bound)}, "
+                    f"{reference_show_index(body)})")
+        case Forest(binder, start, count, body):
+            return (f"forest({binder}, {reference_show_index(start)}, "
+                    f"{reference_show_index(count)}, "
+                    f"{reference_show_index(body)})")
+    raise TypeError(f"not an index term: {t!r}")
+
+
+def reference_eval(term, rho, program, gas):
+    gas.tick()
+    match term:
+        case Var(name):
+            if name not in rho:
+                raise ValueError(f"unbound index variable {name!r}")
+            return rho[name]
+        case Lit(value):
+            return value
+        case App("+", (a, b)):
+            return (reference_eval(a, rho, program, gas)
+                    + reference_eval(b, rho, program, gas))
+        case App("-", (a, b)):
+            return max(0, reference_eval(a, rho, program, gas)
+                       - reference_eval(b, rho, program, gas))
+        case App("0", ()):
+            return 0
+        case App("1", ()):
+            return 1
+        case App(sym, args):
+            values = [reference_eval(a, rho, program, gas) for a in args]
+            return reference_apply(sym, values, program, gas)
+        case BoundedSum(binder, bound, body):
+            n = reference_eval(bound, rho, program, gas)
+            total = 0
+            inner = dict(rho)
+            for v in range(n):
+                gas.tick()
+                inner[binder] = v
+                total += reference_eval(body, inner, program, gas)
+            return total
+        case Forest(binder, start, count, body):
+            start_v = reference_eval(start, rho, program, gas)
+            count_v = reference_eval(count, rho, program, gas)
+            inner = dict(rho)
+
+            def children(pos):
+                inner[binder] = pos
+                return reference_eval(body, inner, program, gas)
+
+            return reference_forest_nodes(start_v, count_v, children, gas)
+    raise TypeError(f"not an index term: {term!r}")
+
+
+def reference_apply(symbol, values, program, gas):
+    while True:
+        if symbol not in program.signature:
+            raise ix.ArityError(symbol, -1, len(values))
+        for rule in program.rules:
+            if rule.symbol != symbol:
+                continue
+            binding = {}
+            ok = True
+            for pat, v in zip(rule.params, values):
+                m = pat.match(v)
+                if m is None:
+                    ok = False
+                    break
+                binding.update(m)
+            if ok:
+                gas.tick()
+                rhs = rule.rhs
+                if (isinstance(rhs, App)
+                        and rhs.symbol not in ix.BUILTIN_ARITIES):
+                    gas.tick(len(rhs.args))
+                    symbol = rhs.symbol
+                    values = [reference_eval(a, binding, program, gas)
+                              for a in rhs.args]
+                    break
+                return reference_eval(rhs, binding, program, gas)
+        else:
+            raise IndexUndefined(
+                f"no rule matches {symbol}({', '.join(map(str, values))})")
+
+
+def reference_forest_nodes(start, count, children, gas):
+    total = 0
+    pos = start
+    stack = [count]
+    while stack:
+        c = stack.pop()
+        if c == 0:
+            continue
+        gas.tick()
+        stack.append(c - 1)
+        total += 1
+        stack.append(children(pos))
+        pos += 1
+    return total
+
+
+def raised(f, *args):
+    """f(*args), or the type and message of the exception it raised."""
+    try:
+        return f(*args)
+    except (ValueError, TypeError, ix.EquationError, IndexUndefined,
+            FuelExhausted) as e:
+        return type(e), str(e)
+
+
+def eval_outcome(evaluate, term, rho, program, budget):
+    gas = Fuel(budget)
+    return raised(evaluate, term, rho, program, gas), gas.remaining
+
+
+# Sums, forests and applications of DIFF_PROGRAM's symbols, over the free
+# variables a and x, whose binders clash with them and with one another.
+syntax_terms = query_terms(("a", "x"), NAMES)
+# Types with modal binders drawn from NAMES, which may shadow a or x.
+syntax_types = st.integers(0, 10**6).map(
+    lambda seed: gen_basic_type(random.Random(seed), ("a", "x"), 3, NAMES))
+syntax = syntax_terms | syntax_types | index_terms
+
+
+def alpha_variant(t):
+    """`t` with every binder renamed to a fresh name, by the reference
+    substitution: alpha-equal to `t`, and equal to it nowhere a binder is."""
+    if isinstance(t, (Var, Lit)):
+        return t
+    if isinstance(t, App):
+        return App(t.symbol, tuple(map(alpha_variant, t.args)))
+    binder, parts = reference_node(t)
+    parts = tuple(map(alpha_variant, parts))
+    if binder is None:
+        return type(t)(*parts)
+    *outer, body = parts
+    renamed = ix.fresh_name(binder + "'", reference_free_vars(t)
+                            | reference_free_vars(body))
+    return type(t)(renamed, *outer,
+                   reference_subst_index(body, binder, Var(renamed)))
+
+
+@given(syntax, syntax, names, syntax)
+# the renamed outer binder's new name, b_0, is the inner binder's, which is
+# renamed in turn
+@example(parse_index("sum(b < 1, sum(b_0 < 1, b + b_0 + x))"), Lit(0), "x",
+         Var("b"))
+# ... and renamed again, away from the replacement, for the substitution
+@example(parse_index("sum(b < 1, sum(b_0 < 1, b + b_0 + x))"), Lit(0), "x",
+         parse_index("b + b_0_0"))
+# the renaming reaches the inner sum's bound, an outer part
+@example(parse_index("forest(b, x, 1, sum(b_0 < b, x - b_0))"), Lit(0), "x",
+         Var("b"))
+# the inner b is renamed away from b_0, which its bound is renamed to first
+@example(parse_index("sum(b < 1, sum(b < b, b + x))"), Lit(0), "x", Var("b"))
+@settings(max_examples=300, deadline=None)
+def test_syntax_walkers_match_the_recursive_references(t, other, name, repl):
+    assert ix.free_vars(t) == reference_free_vars(t)
+    # the same text; on a type, both raise a TypeError
+    shown, want = raised(show_index, t), raised(reference_show_index, t)
+    assert shown == want or shown[0] is want[0] is TypeError
+    got = raised(subst_index, t, name, repl)
+    assert got == raised(reference_subst_index, t, name, repl)
+    assert ix.free_vars(got) == reference_free_vars(got)
+    variant = alpha_variant(t)
+    for a, b in ((t, other), (t, variant), (variant, t), (t, t)):
+        assert ix.alpha_eq_index(a, b) == reference_alpha_eq_index(a, b)
+    assert ix.alpha_eq_index(t, variant)
+    record = (t, "<=", None, (other, repl))
+    for signature in (DIFF_PROGRAM.signature, declare({"gt": 1, "half": 1})):
+        assert (raised(ix.check_symbols, record, signature)
+                == raised(reference_check_symbols, record, signature))
+
+
+EVAL_CAP = 200
+
+
+# At the top, often a symbol whose rules rewrite to a defined symbol.
+eval_terms = (st.builds(lambda f, x, y: App(f, (x, y)),
+                        st.sampled_from(("gt", "add", "mult")),
+                        syntax_terms, syntax_terms)
+              | syntax_terms | index_terms)
+
+
+@given(eval_terms,
+       st.fixed_dictionaries({"a": st.integers(0, 3), "x": st.integers(0, 3)})
+       | st.just({}))
+@example(parse_index("mult(2, 3)"), {})
+@example(parse_index("forest(a, x, 2, half(a))"), {"a": 0, "x": 2})
+@example(parse_index("sum(a < x, a + y)"), {"a": 0, "x": 2})
+@example(BoundedSum("a", Lit(1), App("+", (Lit(1),))), {})
+@example(App("nosuch", (Lit(1),)), {})
+@example(Constraint(Lit(0), "<", Lit(1)), {})
+@settings(max_examples=150, deadline=None)
+def test_the_evaluator_loop_matches_the_recursive_evaluator(term, rho):
+    # at every budget from 1 to one more than the evaluation costs, or to
+    # EVAL_CAP: the same value or exception, and the same fuel left
+    gas = Fuel(EVAL_CAP)
+    raised(reference_eval, term, rho, DIFF_PROGRAM, gas)
+    for budget in range(1, EVAL_CAP - max(gas.remaining, 0) + 2):
+        assert (eval_outcome(ix._eval, term, rho, DIFF_PROGRAM, budget)
+                == eval_outcome(reference_eval, term, rho, DIFF_PROGRAM,
+                                budget))
+
+
+DEPTH = 5000
+
+
+def deep_terms(binder="a"):
+    """A `+` chain over a, sums over x and forests, each DEPTH deep, the
+    sums and forests binding `binder` at every level."""
+    plus, sums, forests = Var("a"), Var("x"), Lit(1)
+    for _ in range(DEPTH):
+        plus = ix.add(plus, Lit(1))
+        sums = BoundedSum(binder, Lit(1), ix.add(sums, Var(binder)))
+        forests = Forest(binder, Lit(0), Lit(1), ix.monus(forests, Lit(1)))
+    return plus, sums, forests
+
+
+def test_the_walkers_and_the_evaluator_handle_terms_5000_deep():
+    plus, sums, forests = deep_terms()
+    texts = ("a" + " + 1" * DEPTH,
+             "sum(a < 1, " * DEPTH + "x" + " + a)" * DEPTH,
+             "forest(a, 0, 1, " * DEPTH + "1" + " - 1)" * DEPTH)
+    for term, text, free, value in zip(deep_terms(), texts, ("a", "x", ""),
+                                       (2 + DEPTH, 7, 1)):
+        assert show_index(term) == text
+        assert ix.free_vars(term) == frozenset(free)
+        assert eval_index(term, {"a": 2, "x": 7}, ix.EMPTY_PROGRAM) == value
+        ix.check_symbols(term, ix.EMPTY_PROGRAM.signature)
+        with pytest.raises(ix.ArityError, match="'zap'"):
+            ix.check_symbols((term, App("zap", ())),
+                             ix.EMPTY_PROGRAM.signature)
+        # a is bound in the sums and the forests, x only free in the sums
+        for name in ("a", "x"):
+            got = show_index(subst_index(term, name, Var("y")))
+            assert got == (text.replace(name, "y") if name == free else text)
+        assert ix.alpha_eq_index(term, subst_index(term, "y", Lit(0)))
+    for term, variant in zip((sums, forests), deep_terms("b")[1:]):
+        assert ix.alpha_eq_index(term, variant)
+    assert not ix.alpha_eq_index(plus, subst_index(plus, "a", Var("b")))
+    assert not ix.alpha_eq_index(sums, subst_index(sums, "x", Var("y")))
+
+
+CNT = parse_equations("cnt(0) = 0\ncnt(a+1) = cnt(a) + 1")
+
+
+def test_deep_non_tail_rewriting_runs_out_of_fuel_only():
+    term = parse_index("cnt(5000)")
+    assert eval_index(term, {}, CNT, 10**6) == 5000
+    with pytest.raises(FuelExhausted,
+                       match=r"^fuel exhausted \(budget 3000\)$"):
+        eval_index(term, {}, CNT, 3000)
