@@ -204,9 +204,23 @@ def shift(t: Term, by: int, cutoff: int = 0) -> Term:
 
 
 def subst(t: Term, repl: Term, j: int = 0) -> Term:
-    """Substitute `repl` for TVar(j) in `t`, lowering the indices above j."""
-    return map_vars(t, lambda k, d: shift(repl, d) if k == j + d
-                    else TVar(k - 1 if k > j + d else k))
+    """Substitute `repl` for TVar(j) in `t`, lowering the indices above j.
+
+    Under binders `repl` is shifted, unless it is closed: then every
+    occurrence is `repl` itself, so a `Fix` unfolding does not rebuild
+    the `Fix`.  Whether it is closed is decided once, at the first
+    occurrence under a binder."""
+    closed = None
+
+    def on_var(k: int, d: int) -> Term:
+        nonlocal closed
+        if k != j + d:
+            return TVar(k - 1 if k > j + d else k)
+        if d and closed is None:
+            closed = max_free_index(repl) < 0
+        return repl if closed or not d else shift(repl, d)
+
+    return map_vars(t, on_var)
 
 
 # ---------------------------------------------------------------------------

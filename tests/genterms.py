@@ -1,7 +1,10 @@
 """Generators shared by the fuzz and corpus tests: random child-count tables
-for forest bodies, random well-typed PCF terms, and random ordered types."""
+for forest bodies, random well-typed PCF terms, untyped open PCF terms, and
+random ordered types."""
 
 import random
+
+from hypothesis import strategies as st
 
 from dlpcf import index as ix
 from dlpcf import pcf
@@ -60,6 +63,21 @@ def gen_term(rng: random.Random, want: pcf.PcfType,
     fn = gen_term(rng, pcf.Arrow(dom, pcf.NAT), env, depth - 1)
     arg = gen_term(rng, dom, env, depth - 1)
     return pcf.App(fn, arg)
+
+
+# Untyped open terms: free variables at several binder depths, annotated
+# binders.
+open_terms = st.recursive(
+    st.builds(pcf.TVar, st.integers(0, 4))
+    | st.builds(pcf.Const, st.integers(0, 3)),
+    lambda sub: (st.builds(pcf.Succ, sub) | st.builds(pcf.Pred, sub)
+                 | st.builds(pcf.Lam, sub,
+                             st.sampled_from([None, pcf.NAT,
+                                              pcf.Arrow(pcf.NAT, pcf.NAT)]))
+                 | st.builds(pcf.Fix, sub, st.sampled_from([None, pcf.NAT]))
+                 | st.builds(pcf.App, sub, sub)
+                 | st.builds(pcf.IfZ, sub, sub, sub)),
+    max_leaves=12)
 
 
 def gen_index(rng: random.Random, scope: tuple[str, ...]) -> ix.IndexTerm:

@@ -10,7 +10,7 @@ from dlpcf.pcf import (NAT, App, Arrow, Const, Fix, IfZ, Lam, PcfSyntaxError,
                        max_free_index, parse_term, pcf_typecheck, shift, size,
                        subst, subterm_sizes, wh_eval)
 
-from genterms import gen_nat_term
+from genterms import gen_nat_term, open_terms
 from test_machine import CORPUS
 
 
@@ -215,6 +215,18 @@ def test_fix_unfolds():
 
 def test_beta_substitutes():
     assert wh_step(App(Lam(Succ(TVar(0))), Const(1))) == Succ(Const(1))
+
+
+def test_subst_shares_a_closed_replacement_under_binders():
+    closed = Fix(Lam(TVar(1)))
+    got = subst(Lam(Fix(App(TVar(2), TVar(0)))), closed)
+    assert got.body.body.fn is closed
+    # an open replacement is shifted past the two binders
+    opened = subst(Lam(Fix(TVar(2))), Succ(TVar(0)))
+    assert opened == Lam(Fix(Succ(TVar(2))))
+    # a `Fix` unfolding puts the `Fix` itself under its binder
+    fix = Fix(Lam(TVar(1)))
+    assert wh_step(fix).body is fix
 
 
 def test_reduction_under_contexts():
@@ -453,17 +465,6 @@ def reference_subst(t, repl, j=0):
 def annotations(t):
     """The binder annotations of `t` in pre-order: equality ignores them."""
     return [u.ann for u in _subterms(t) if isinstance(u, (Lam, Fix))]
-
-
-# Open terms: free variables at several binder depths, annotated binders.
-open_terms = st.recursive(
-    st.builds(TVar, st.integers(0, 4)) | st.builds(Const, st.integers(0, 3)),
-    lambda sub: (st.builds(Succ, sub) | st.builds(Pred, sub)
-                 | st.builds(Lam, sub, st.sampled_from([None, NAT,
-                                                        Arrow(NAT, NAT)]))
-                 | st.builds(Fix, sub, st.sampled_from([None, NAT]))
-                 | st.builds(App, sub, sub) | st.builds(IfZ, sub, sub, sub)),
-    max_leaves=12)
 
 
 @given(open_terms, st.integers(1, 30))
