@@ -207,11 +207,14 @@ def subst_index(t, name: str, repl: IndexTerm):
     A renamed binder's new name is substituted in its body before the
     substitutions around it are, so each scope makes a list of them in
     order, found in pre-order from the list around its form.  The term is
-    then rebuilt in reverse pre-order."""
+    then rebuilt in reverse pre-order.  The free variables of the forms
+    are tabled in one bottom-up pass, made the first time a binder may be
+    renamed, so renaming at every level of a deep term stays linear."""
     nodes = walk(t)
     # id of a scope -> its form's new binder and its substitutions, each
     # with the free variables of its replacement
     made = {id(None): (None, [(name, repl, free_vars(repl))])}
+    free: Optional[dict[int, frozenset[str]]] = None
     for node, scope in nodes:
         if scope is None or scope[0] is not node:
             continue
@@ -219,11 +222,14 @@ def subst_index(t, name: str, repl: IndexTerm):
         for i, (old, new, new_vars) in enumerate(around):
             if binder == old:
                 continue
-            if (binder in new_vars
-                    and old in (seen := _free_after(node, around[:i]))):
-                fresh = fresh_name(binder, new_vars | seen)
-                inside.append((binder, Var(fresh), frozenset((fresh,))))
-                binder = fresh
+            if binder in new_vars:
+                if free is None:
+                    free = _free_table(nodes)
+                seen = _free_after(free[id(node)], around[:i])
+                if old in seen:
+                    fresh = fresh_name(binder, new_vars | seen)
+                    inside.append((binder, Var(fresh), frozenset((fresh,))))
+                    binder = fresh
             inside.append((old, new, new_vars))
         made[id(scope)] = binder, inside
 
@@ -245,10 +251,29 @@ def subst_index(t, name: str, repl: IndexTerm):
     return _rebuild(nodes, combine)
 
 
-def _free_after(t, subs) -> frozenset[str]:
-    """The free variables of `t` once the substitutions `subs`, as
-    `subst_index` lists them, are made in order."""
-    out = free_vars(t)
+def _free_table(nodes) -> dict[int, frozenset[str]]:
+    """The free variables of every node of the walk `nodes`, keyed by the
+    node's `id`: one fold in reverse pre-order.  A form's binder is
+    removed from its body's only."""
+    free: dict[int, frozenset[str]] = {}
+
+    def combine(node, scope, parts):
+        if type(node) is Var:
+            out = frozenset((node.name,))
+        elif scope is not None and scope[0] is node:
+            out = frozenset().union(*parts[:-1], parts[-1] - {node.binder})
+        else:
+            out = frozenset().union(*parts)
+        free[id(node)] = out
+        return out
+
+    _rebuild(nodes, combine)
+    return free
+
+
+def _free_after(out: frozenset[str], subs) -> frozenset[str]:
+    """The free variables `out` of a term once the substitutions `subs`,
+    as `subst_index` lists them, are made in order."""
     for old, _, new_vars in subs:
         if old in out:
             out = (out - {old}) | new_vars

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, TextIO, Union
 
 from .fuel import Fuel, DEFAULT_FUEL
-from .pcf import (App, Const, Fix, IfZ, Lam, Pred, Succ, Term, TVar,
-                  max_free_index, size, subterm_sizes, term_head)
+from .pcf import (App, Const, Fix, IfZ, Lam, Numerals, Pred, Succ, Term,
+                  TVar, max_free_index, size, subterm_sizes, term_head)
 
 __all__ = [
     "Closure", "Environment", "Arg", "SMark", "PMark", "Branches",
@@ -117,18 +117,23 @@ def run(t: Term, fuel: int = DEFAULT_FUEL, *, debug: bool = False,
 
     The configuration size is kept as it goes.  Every term the machine
     focuses or stacks is a subterm of `t`, sized once up front, or a
-    numeral it made, of size 1.  A step pushes or pops at most the top
-    stack item, so the stack's share changes by that item's size.
+    numeral it made, of size 1.  The numerals come from a table made for
+    this run, so each is built once.  A numeral in the table is a live
+    object that is never a subterm of `t`, so its `id` is not a key of
+    `sizes`, and `sizes.get(id(term), 1)` stays exact.  A step pushes or
+    pops at most the top stack item, so the stack's share changes by that
+    item's size.
     `debug` asserts that the running size equals `config_size`, its
     specification, at every configuration, and that each term saved in a
     closure or a stack item is no larger than `t` when it is saved:
     closures never change and the run starts with an empty environment,
     so those are all the terms the environments can reach.
     """
-    gas = Fuel(fuel)
+    tick = Fuel(fuel).tick
     if max_free_index(t) >= 0:
         raise ClosedTermRequired("machine programs must be closed")
     sizes = subterm_sizes(t)
+    numerals = Numerals()
     limit = max_size = sizes[id(t)]
     term: Term = t
     env: Environment = ()
@@ -138,7 +143,7 @@ def run(t: Term, fuel: int = DEFAULT_FUEL, *, debug: bool = False,
         if debug:
             assert (sizes.get(id(term), 1) + stack_size
                     == config_size(term, stack))
-        gas.tick()
+        tick()
         kind = type(term)
         if kind is App:
             arg = term.arg
@@ -165,10 +170,11 @@ def run(t: Term, fuel: int = DEFAULT_FUEL, *, debug: bool = False,
             top = stack.pop()
             if top is _S:
                 stack_size -= 1
-                term, tag = Const(term.value + 1), "s-apply"
+                term, tag = numerals[term.value + 1], "s-apply"
             elif top is _P:
                 stack_size -= 1
-                term, tag = Const(term.value - 1 if term.value else 0), "p-apply"
+                n = term.value
+                term, tag = numerals[n - 1 if n else 0], "p-apply"
             elif type(top) is Branches:
                 stack_size -= sizes[id(top.zero)] + sizes[id(top.succ)]
                 env = top.env

@@ -19,7 +19,7 @@ __all__ = [
     "parse_term", "show_term", "show_pcf_type",
     "size", "subterm_sizes", "pcf_typecheck", "PcfTypeError",
     "PcfSyntaxError",
-    "shift", "subst", "wh_eval", "StuckTerm", "max_free_index",
+    "shift", "subst", "wh_eval", "StuckTerm", "max_free_index", "Numerals",
     "BINDERS", "subterms", "with_subterms", "walk", "map_vars",
 ]
 
@@ -109,6 +109,16 @@ class Fix:
 
 
 Term = Union[TVar, Const, Succ, Pred, Lam, App, IfZ, Fix]
+
+
+class Numerals(dict):
+    """n -> `Const(n)`, built on first use.  An evaluator makes one per
+    run, so the numerals its s and p steps make are shared within the run
+    and nothing is kept across runs."""
+
+    def __missing__(self, n: int) -> Const:
+        self[n] = numeral = Const(n)
+        return numeral
 
 
 # Each constructor's subterm fields, in order; `Lam` and `Fix` bind de
@@ -343,46 +353,63 @@ def wh_eval(t: Term, fuel: int = DEFAULT_FUEL) -> tuple[int, int]:
     costs O(1) in the depth of the term, and nothing recurses.  It counts
     the steps, ticks the fuel and raises the `StuckTerm` messages of
     iterating one weak-head step from the root, the specification that
-    the tests keep."""
-    gas = Fuel(fuel)
+    the tests keep.
+
+    It dispatches on the focus's type, then on the frame's, as
+    `machine.run` does, and takes the numerals it makes from a table of
+    its own, so each numeral is built once per call."""
+    tick = Fuel(fuel).tick
+    numerals = Numerals()
     steps = 0
     frames: list[Term] = []
     focus = t
     while True:
-        match focus:
-            case Succ(hole) | Pred(hole) | App(hole, _) | IfZ(hole, _, _):
-                frames.append(focus)
-                focus = hole
-                continue
-            case Const(n) if not frames:
-                return n, steps
-            case Const() | Lam():
-                gas.tick()
-                if not frames:
-                    raise StuckTerm("normal form is not a numeral")
-            case Fix(body):
-                gas.tick()
-                focus = subst(body, focus)
-                steps += 1
-                continue
-            case TVar():
-                gas.tick()
-                raise StuckTerm("free variable in a closed reduction")
-            case _:
-                raise TypeError(f"not a term: {focus!r}")
-        # a numeral or a lambda fills the hole of the innermost frame
-        frame = frames.pop()
-        match frame, focus:
-            case Succ(), Const(n):
-                focus = Const(n + 1)
-            case Pred(), Const(n):
-                focus = Const(n - 1 if n else 0)
-            case App(_, arg), Lam(body):
-                focus = subst(body, arg)
-            case IfZ(_, zero, succ), Const(n):
-                focus = succ if n else zero
-            case _:
+        kind = type(focus)
+        if kind is App:
+            frames.append(focus)
+            focus = focus.fn
+            continue
+        if kind is Succ or kind is Pred:
+            frames.append(focus)
+            focus = focus.body
+            continue
+        if kind is IfZ:
+            frames.append(focus)
+            focus = focus.scrut
+            continue
+        if kind is Const:
+            if not frames:
+                return focus.value, steps
+            tick()
+            # a numeral fills the hole of the innermost frame
+            frame = frames.pop()
+            frame_kind = type(frame)
+            n = focus.value
+            if frame_kind is Succ:
+                focus = numerals[n + 1]
+            elif frame_kind is Pred:
+                focus = numerals[n - 1 if n else 0]
+            elif frame_kind is IfZ:
+                focus = frame.succ if n else frame.zero
+            else:
+                raise StuckTerm(_STUCK[frame_kind])
+        elif kind is Lam:
+            tick()
+            if not frames:
+                raise StuckTerm("normal form is not a numeral")
+            # a lambda fills the hole of the innermost frame
+            frame = frames.pop()
+            if type(frame) is not App:
                 raise StuckTerm(_STUCK[type(frame)])
+            focus = subst(focus.body, frame.arg)
+        elif kind is Fix:
+            tick()
+            focus = subst(focus.body, focus)
+        elif kind is TVar:
+            tick()
+            raise StuckTerm("free variable in a closed reduction")
+        else:
+            raise TypeError(f"not a term: {focus!r}")
         steps += 1
 
 

@@ -1,9 +1,11 @@
+import io
 import pathlib
 
 import pytest
 from click.testing import CliRunner
 
-from dlpcf.cli import main
+from dlpcf.cli import eval_report, main
+from dlpcf.fuel import FuelExhausted
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -38,6 +40,24 @@ def test_eval_omega_exhausts_fuel(runner):
                                   "--fuel", "20000"])
     assert result.exit_code == 1
     assert "fuel" in result.output
+
+
+def test_eval_report_does_not_depend_on_earlier_runs():
+    # each run of the machine and the reducer makes its own numerals, so
+    # a diverging run and a larger one leave nothing behind for the next
+    def report():
+        trace = io.StringIO()
+        return eval_report(DBL, 10**6, (7,), trace=trace), trace.getvalue()
+
+    fresh = report()
+    with pytest.raises(FuelExhausted):
+        eval_report(OMEGA, 20_000, (1,))
+    after_omega = report()
+    assert eval_report(DBL, 10**6, (200,)).value == 400
+    after_dbl = report()
+    assert fresh == after_omega == after_dbl
+    first = fresh[0]
+    assert (first.value, first.steps, first.max_config_size) == (14, 167, 33)
 
 
 def test_eval_rejects_open_or_arrow_programs(runner, tmp_path):

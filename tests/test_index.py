@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import pathlib
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -986,6 +987,22 @@ def test_the_walkers_and_the_evaluator_handle_terms_5000_deep():
         assert ix.alpha_eq_index(term, variant)
     assert not ix.alpha_eq_index(plus, subst_index(plus, "a", Var("b")))
     assert not ix.alpha_eq_index(sums, subst_index(sums, "x", Var("y")))
+
+
+def test_subst_index_renames_at_every_level_of_a_deep_term():
+    # x := a under 2,000 sums that each bind a: every binder is renamed to
+    # a_0.  Reading the forms' free variables from one table takes a
+    # fraction of a second; recomputing them at each binder took seconds.
+    depth = 2000
+    sums = Var("x")
+    for _ in range(depth):
+        sums = BoundedSum("a", Lit(1), ix.add(sums, Var("a")))
+    started = time.monotonic()
+    got = subst_index(sums, "x", Var("a"))
+    elapsed = time.monotonic() - started
+    assert show_index(got) == ("sum(a_0 < 1, " * depth + "a"
+                               + " + a_0)" * depth)
+    assert elapsed < 2.0
 
 
 CNT = parse_equations("cnt(0) = 0\ncnt(a+1) = cnt(a) + 1")

@@ -238,6 +238,12 @@ def test_dbl_runs(dbl_term):
     assert r0.steps == 6
     assert run(App(dbl_term, Const(1))).steps == 20
     assert run(App(dbl_term, Const(2))).steps == 37
+    # the closed form 3n(n+1)/2 + 11n + 6: three times the reducer's
+    # quadratic part, where each unfolding re-reduces p(...(p n)) to test it
+    for n in (0, 1, 2, 3, 17, 640):
+        r = run(App(dbl_term, Const(n)))
+        assert (r.value, r.steps) == (2 * n, 3 * n * (n + 1) // 2 + 11 * n + 6)
+    assert r.steps == 622_406
 
 
 def test_omega_exhausts_fuel(omega_term):

@@ -248,6 +248,12 @@ def test_wh_eval_succ():
 def test_wh_eval_dbl(dbl_term):
     value, steps = wh_eval(App(dbl_term, Const(3)))
     assert value == 6 and steps > 0
+    # the closed form n(n+1)/2 + 5n + 3: under call by name, the n-th
+    # unfolding re-reduces p(...(p n)) to test it
+    for n in (0, 1, 2, 3, 17, 640):
+        assert (wh_eval(App(dbl_term, Const(n)))
+                == (2 * n, n * (n + 1) // 2 + 5 * n + 3))
+    assert wh_eval(App(dbl_term, Const(640)))[1] == 208_323
 
 
 def test_wh_eval_omega_diverges(omega_term):
@@ -327,16 +333,21 @@ def test_refocusing_matches_iterated_wh_step_on_generated_terms(seed):
     assert_refocusing_matches(gen_nat_term(random.Random(seed), (), 5))
 
 
-def test_wh_eval_on_constructed_chains_1100_deep():
+def test_wh_eval_on_constructed_chains_50000_deep():
+    # built in the library, not parsed: each contraction pops one frame,
+    # so a step costs the same at any depth of the context
     succs, preds, ifzs = Const(0), Const(0), Const(0)
-    for _ in range(1100):
+    for _ in range(50_000):
         succs = Succ(succs)
         preds = Pred(preds)
         ifzs = IfZ(ifzs, Const(1), Const(0))
-    assert wh_eval(succs, fuel=10**8) == (1100, 1100)
-    assert wh_eval(preds, fuel=10**8) == (0, 1100)
-    # the innermost test picks 1, the next 0, and so on: 1,100 is even
-    assert wh_eval(ifzs, fuel=10**8) == (0, 1100)
+    assert wh_eval(succs, fuel=10**6) == (50_000, 50_000)
+    assert wh_eval(preds, fuel=10**6) == (0, 50_000)
+    # the innermost test picks 1, the next 0, and so on: 50,000 is even
+    assert wh_eval(ifzs, fuel=10**6) == (0, 50_000)
+    with pytest.raises(FuelExhausted) as err:
+        wh_eval(succs, fuel=49_999)
+    assert err.value.budget == 49_999
 
 
 def test_capture_avoidance_in_beta():
