@@ -11,14 +11,19 @@ class FuelExhausted(Exception):
         self.budget = budget
 
 
+def check_budget(budget: int) -> None:
+    """Raise ValueError unless `budget` allows at least one tick."""
+    if budget <= 0:
+        raise ValueError("fuel budget must be positive")
+
+
 class Fuel:
     """A mutable countdown.  `tick` raises FuelExhausted at zero."""
 
     __slots__ = ("remaining", "budget")
 
     def __init__(self, budget: int):
-        if budget <= 0:
-            raise ValueError("fuel budget must be positive")
+        check_budget(budget)
         self.budget = budget
         self.remaining = budget
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, TextIO, Union
 
-from .fuel import Fuel, DEFAULT_FUEL
+from .fuel import DEFAULT_FUEL, FuelExhausted, check_budget
 from .pcf import (App, Const, Fix, IfZ, Lam, Numerals, Pred, Succ, Term,
                   TVar, max_free_index, size, subterm_sizes, term_head)
 
@@ -113,7 +113,9 @@ def run(t: Term, fuel: int = DEFAULT_FUEL, *, debug: bool = False,
     configuration takes one transition, or raises StuckConfiguration.  The
     tests keep the one-step transition relation as the specification:
     iterating it counts the same steps, ticks the same fuel and raises the
-    same errors.
+    same errors.  Fuel is counted on `steps`: every configuration, the
+    final one included, ticks once, and the ticks before it number
+    `steps`.
 
     The configuration size is kept as it goes.  Every term the machine
     focuses or stacks is a subterm of `t`, sized once up front, or a
@@ -129,7 +131,7 @@ def run(t: Term, fuel: int = DEFAULT_FUEL, *, debug: bool = False,
     closures never change and the run starts with an empty environment,
     so those are all the terms the environments can reach.
     """
-    tick = Fuel(fuel).tick
+    check_budget(fuel)
     if max_free_index(t) >= 0:
         raise ClosedTermRequired("machine programs must be closed")
     sizes = subterm_sizes(t)
@@ -143,7 +145,8 @@ def run(t: Term, fuel: int = DEFAULT_FUEL, *, debug: bool = False,
         if debug:
             assert (sizes.get(id(term), 1) + stack_size
                     == config_size(term, stack))
-        tick()
+        if steps >= fuel:            # the tick of every configuration
+            raise FuelExhausted(fuel)
         kind = type(term)
         if kind is App:
             arg = term.arg

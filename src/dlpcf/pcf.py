@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
-from .fuel import Fuel, DEFAULT_FUEL
+from .fuel import DEFAULT_FUEL, FuelExhausted, check_budget
 
 __all__ = [
     "Term", "TVar", "Const", "Succ", "Pred", "Lam", "App", "IfZ", "Fix",
@@ -19,7 +19,8 @@ __all__ = [
     "parse_term", "show_term", "show_pcf_type",
     "size", "subterm_sizes", "pcf_typecheck", "PcfTypeError",
     "PcfSyntaxError",
-    "shift", "subst", "wh_eval", "StuckTerm", "max_free_index", "Numerals",
+    "shift", "subst", "wh_eval", "StuckTerm", "bound", "max_free_index",
+    "Numerals",
     "BINDERS", "subterms", "with_subterms", "walk", "map_vars",
 ]
 
@@ -57,14 +58,22 @@ def show_pcf_type(t: PcfType) -> str:
 # ---------------------------------------------------------------------------
 # Terms
 
+class _Node:
+    """What every term constructor shares: `_bound`, where `bound` keeps a
+    node's free-variable bound once it has computed it.  It is not a
+    dataclass field, so equality, hashing and printing do not read it."""
+    _bound: Optional[int] = None
+
+
 @dataclass(frozen=True)
-class TVar:
+class TVar(_Node):
     index: int
 
 
 @dataclass(frozen=True)
-class Const:
+class Const(_Node):
     value: int
+    _bound = 0                       # a numeral is closed
 
     def __post_init__(self):
         if self.value < 0:
@@ -72,17 +81,17 @@ class Const:
 
 
 @dataclass(frozen=True)
-class Succ:
+class Succ(_Node):
     body: "Term"
 
 
 @dataclass(frozen=True)
-class Pred:
+class Pred(_Node):
     body: "Term"
 
 
 @dataclass(frozen=True)
-class Lam:
+class Lam(_Node):
     # Binder annotations come from the surface syntax and only feed the
     # typechecker; they do not affect equality, size, or evaluation.
     body: "Term"
@@ -90,20 +99,20 @@ class Lam:
 
 
 @dataclass(frozen=True)
-class App:
+class App(_Node):
     fn: "Term"
     arg: "Term"
 
 
 @dataclass(frozen=True)
-class IfZ:
+class IfZ(_Node):
     scrut: "Term"
     zero: "Term"
     succ: "Term"
 
 
 @dataclass(frozen=True)
-class Fix:
+class Fix(_Node):
     body: "Term"
     ann: Optional[PcfType] = field(default=None, compare=False)
 
@@ -158,19 +167,42 @@ def walk(t: Term) -> list[tuple[Term, int]]:
     return nodes
 
 
-def map_vars(t: Term, on_var: Callable[[int, int], Term]) -> Term:
-    """`t` with each variable `TVar(k)` under `depth` binders replaced by
-    `on_var(k, depth)`.  Rebuilds in reverse pre-order, where a node's
-    subterms come before it, so it is as iterative as `walk`."""
-    done: list[Term] = []
-    for node, depth in reversed(walk(t)):
-        if isinstance(node, TVar):
-            node = on_var(node.index, depth)
-        elif n := len(_SUBTERMS[type(node)]):
-            parts = done[-n:][::-1]
-            del done[-n:]
-            node = with_subterms(node, parts)
-        done.append(node)
+def map_vars(t: Term, on_var: Callable[[int, int], Term],
+             cutoff: int = 0) -> Term:
+    """`t` with each variable `TVar(k)` under `depth` binders, for `k` at
+    or above `cutoff + depth`, replaced by `on_var(k, depth)`.
+
+    A subterm whose `bound` is at most `cutoff + depth` has no such
+    variable, so it is kept as the same object and not walked: only the
+    nodes on the paths to the replaced variables are visited and rebuilt.
+    They are listed in pre-order, then rebuilt in reverse, where a node's
+    walked subterms come before it, so it is as iterative as `walk`."""
+    if bound(t) <= cutoff:
+        return t
+    nodes = []                       # (node, cutoff + depth), in pre-order
+    stack = [(t, cutoff)]
+    while stack:
+        node, limit = pair = stack.pop()
+        nodes.append(pair)
+        kind = type(node)
+        if kind is not TVar:
+            limit += kind is Lam or kind is Fix
+            for f in reversed(_SUBTERMS[kind]):
+                sub = getattr(node, f)
+                if sub._bound > limit:
+                    stack.append((sub, limit))
+    done: list[Term] = []            # the rebuilt subterms, the next on top
+    for node, limit in reversed(nodes):
+        kind = type(node)
+        if kind is TVar:
+            done.append(on_var(node.index, limit - cutoff))
+            continue
+        limit += kind is Lam or kind is Fix
+        parts = []
+        for f in _SUBTERMS[kind]:
+            sub = getattr(node, f)
+            parts.append(sub if sub._bound <= limit else done.pop())
+        done.append(with_subterms(node, parts))
     return done[0]
 
 
@@ -196,41 +228,67 @@ def subterm_sizes(t: Term) -> dict[int, int]:
     return sizes
 
 
+def bound(t: Term) -> int:
+    """1 + the largest free de Bruijn index of `t`, or 0 when `t` is closed.
+
+    Kept on each node once computed: a node never changes, so neither does
+    its bound.  An iterative post-order fold that stops at the nodes that
+    already carry a bound, so every subterm of a node with a bound has one
+    too, and a term built from parts with bounds costs only its new nodes."""
+    if t._bound is not None:
+        return t._bound
+    stack = [t]
+    while stack:
+        node = stack[-1]
+        kind = type(node)
+        if kind is TVar:
+            b = node.index + 1
+        else:
+            b = 0
+            for f in _SUBTERMS[kind]:
+                sub = getattr(node, f)
+                if sub._bound is None:
+                    stack.append(sub)
+                elif sub._bound > b:
+                    b = sub._bound
+            if stack[-1] is not node:    # a subterm's bound comes first
+                continue
+            if b and (kind is Lam or kind is Fix):
+                b -= 1
+        stack.pop()
+        object.__setattr__(node, "_bound", b)
+    return t._bound
+
+
 def max_free_index(t: Term, depth: int = 0) -> int:
-    """Largest free de Bruijn index, or -1 for a closed term."""
-    return max((node.index - depth - d for node, d in walk(t)
-                if isinstance(node, TVar) and node.index >= depth + d),
-               default=-1)
+    """Largest free de Bruijn index of `t` under `depth` binders, or -1
+    when there is none."""
+    return max(bound(t) - 1 - depth, -1)
 
 
 # ---------------------------------------------------------------------------
 # de Bruijn machinery (used only by the reducer)
 
 def shift(t: Term, by: int, cutoff: int = 0) -> Term:
-    """Add `by` to the free variables of `t` from index `cutoff` up."""
+    """Add `by` to the free variables of `t` from index `cutoff` up.  A
+    term with none is returned as itself."""
     if by == 0:
         return t
-    return map_vars(t, lambda k, d: TVar(k + by if k >= cutoff + d else k))
+    return map_vars(t, lambda k, d: TVar(k + by), cutoff)
 
 
 def subst(t: Term, repl: Term, j: int = 0) -> Term:
     """Substitute `repl` for TVar(j) in `t`, lowering the indices above j.
 
-    Under binders `repl` is shifted, unless it is closed: then every
-    occurrence is `repl` itself, so a `Fix` unfolding does not rebuild
-    the `Fix`.  Whether it is closed is decided once, at the first
-    occurrence under a binder."""
-    closed = None
-
+    Under binders `repl` is shifted, and `shift` returns a closed `repl`
+    as itself.  As `map_vars` keeps closed subterms too, neither a `Fix`
+    unfolding nor the beta step after it rebuilds the `Fix`."""
     def on_var(k: int, d: int) -> Term:
-        nonlocal closed
-        if k != j + d:
-            return TVar(k - 1 if k > j + d else k)
-        if d and closed is None:
-            closed = max_free_index(repl) < 0
-        return repl if closed or not d else shift(repl, d)
+        if k > j + d:
+            return TVar(k - 1)
+        return shift(repl, d)
 
-    return map_vars(t, on_var)
+    return map_vars(t, on_var, j)
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +415,11 @@ def wh_eval(t: Term, fuel: int = DEFAULT_FUEL) -> tuple[int, int]:
 
     It dispatches on the focus's type, then on the frame's, as
     `machine.run` does, and takes the numerals it makes from a table of
-    its own, so each numeral is built once per call."""
-    tick = Fuel(fuel).tick
+    its own, so each numeral is built once per call.  Fuel is counted on
+    `steps`: every tick is followed by a step or a raise, so the ticks
+    before each one number `steps`, and `steps >= fuel` is the tick that
+    would exhaust it."""
+    check_budget(fuel)
     numerals = Numerals()
     steps = 0
     frames: list[Term] = []
@@ -380,7 +441,8 @@ def wh_eval(t: Term, fuel: int = DEFAULT_FUEL) -> tuple[int, int]:
         if kind is Const:
             if not frames:
                 return focus.value, steps
-            tick()
+            if steps >= fuel:
+                raise FuelExhausted(fuel)
             # a numeral fills the hole of the innermost frame
             frame = frames.pop()
             frame_kind = type(frame)
@@ -394,7 +456,8 @@ def wh_eval(t: Term, fuel: int = DEFAULT_FUEL) -> tuple[int, int]:
             else:
                 raise StuckTerm(_STUCK[frame_kind])
         elif kind is Lam:
-            tick()
+            if steps >= fuel:
+                raise FuelExhausted(fuel)
             if not frames:
                 raise StuckTerm("normal form is not a numeral")
             # a lambda fills the hole of the innermost frame
@@ -403,10 +466,12 @@ def wh_eval(t: Term, fuel: int = DEFAULT_FUEL) -> tuple[int, int]:
                 raise StuckTerm(_STUCK[type(frame)])
             focus = subst(focus.body, frame.arg)
         elif kind is Fix:
-            tick()
+            if steps >= fuel:
+                raise FuelExhausted(fuel)
             focus = subst(focus.body, focus)
         elif kind is TVar:
-            tick()
+            if steps >= fuel:
+                raise FuelExhausted(fuel)
             raise StuckTerm("free variable in a closed reduction")
         else:
             raise TypeError(f"not a term: {focus!r}")

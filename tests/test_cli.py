@@ -42,6 +42,12 @@ def test_eval_omega_exhausts_fuel(runner):
     assert "fuel" in result.output
 
 
+def test_eval_rejects_a_fuel_budget_with_no_step(runner):
+    result = runner.invoke(main, ["eval", DBL, "--arg", "3", "--fuel", "0"])
+    assert result.exit_code == 3
+    assert result.output == "error: fuel budget must be positive\n"
+
+
 def test_eval_report_does_not_depend_on_earlier_runs():
     # each run of the machine and the reducer makes its own numerals, so
     # a diverging run and a larger one leave nothing behind for the next

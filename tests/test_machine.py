@@ -251,6 +251,15 @@ def test_omega_exhausts_fuel(omega_term):
         run(App(omega_term, Const(1)), fuel=30000)
 
 
+@pytest.mark.parametrize("fuel", [0, -1])
+def test_run_rejects_a_budget_with_no_step(dbl_term, fuel):
+    with pytest.raises(ValueError, match="^fuel budget must be positive$"):
+        run(App(dbl_term, Const(3)), fuel)
+    # the budget is checked before the program is
+    with pytest.raises(ValueError, match="^fuel budget must be positive$"):
+        run(TVar(0), fuel)
+
+
 def test_omega_exhausts_a_large_budget(omega_term):
     # the stack keeps growing: if a step re-sized the whole configuration
     # this would take time growing as about fuel^1.5, tens of seconds

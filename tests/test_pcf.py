@@ -261,6 +261,12 @@ def test_wh_eval_omega_diverges(omega_term):
         wh_eval(App(omega_term, Const(1)), fuel=20000)
 
 
+@pytest.mark.parametrize("fuel", [0, -1])
+def test_wh_eval_rejects_a_budget_with_no_step(fuel):
+    with pytest.raises(ValueError, match="^fuel budget must be positive$"):
+        wh_eval(App(DBL, Const(3)), fuel)
+
+
 # ---------------------------------------------------------------------------
 # The refocusing reducer against its one-step specification
 
@@ -498,10 +504,60 @@ def test_walkers_match_the_recursive_references(t, repl, by, cutoff, j):
     assert all(sizes[id(u)] == reference_size(u) for u in _subterms(t))
     assert max_free_index(t) == reference_max_free_index(t)
     assert max_free_index(t, cutoff) == reference_max_free_index(t, cutoff)
-    for got, want in ((shift(t, by, cutoff), reference_shift(t, by, cutoff)),
-                      (subst(t, repl, j), reference_subst(t, repl, j))):
+    assert_bounds_cached(t)
+    for got, want, start in (
+            (shift(t, by, cutoff), reference_shift(t, by, cutoff), cutoff),
+            (subst(t, repl, j), reference_subst(t, repl, j), j)):
         assert got == want
         assert annotations(got) == annotations(want)
+        # the nodes rebuilt come without a bound; the fold computes theirs
+        assert_bounds_cached(got)
+        assert_kept_where_nothing_changes(t, got, start)
+
+
+def assert_bounds_cached(t):
+    """`bound(t)` is right, and leaves the right bound on every subterm."""
+    assert pcf.bound(t) == reference_max_free_index(t) + 1
+    assert all(u._bound == reference_max_free_index(u) + 1
+               for u in _subterms(t))
+
+
+def assert_kept_where_nothing_changes(t, got, start):
+    """Every subterm of `t` with no variable at or above `start` plus the
+    binders above it is in `got`, at its place, as the same object."""
+    pairs = [(t, got, start)]
+    while pairs:
+        u, v, limit = pairs.pop()
+        if reference_max_free_index(u, limit) < 0:
+            assert v is u, pcf.show_term(u)
+        elif not isinstance(u, TVar):
+            limit += isinstance(u, (Lam, Fix))
+            pairs.extend((a, b, limit) for a, b in zip(pcf.subterms(u),
+                                                      pcf.subterms(v)))
+
+
+def test_substitution_rebuilds_only_the_paths_to_the_variable(monkeypatch):
+    calls = []                       # the nodes `map_vars` rebuilt
+    original = pcf.with_subterms
+
+    def counting(t, parts):
+        calls.append(t)
+        return original(t, parts)
+
+    monkeypatch.setattr(pcf, "with_subterms", counting)
+    # one level of dbl: its `Fix` unfolds (the `Lam`, `IfZ`, two `Succ` and
+    # the `App` above the recursive call) and its `Lam` meets a numeral (the
+    # `IfZ`, two `Succ`, the `App` and the `Pred` above the two `x`); the
+    # `Fix` itself, put under a binder or met inside the body, is kept
+    lam = subst(DBL.body, DBL)
+    assert lam.body.succ.body.body.fn is DBL
+    body = subst(lam.body, Const(3))
+    assert body.succ.body.body.fn is DBL
+    assert len(calls) == 10
+    calls.clear()
+    for n in (43, 56, 70, 85):
+        wh_eval(App(DBL, Const(n)))
+    assert len(calls) == 2580
 
 
 def nested_succ(depth, inner=Const(0)):
