@@ -8,9 +8,9 @@ fixpoint rule).  `check` re-derives every side condition of each rule and
 discharges it through the bounded entailment oracle, reporting every
 obligation with its three-valued verdict.
 
-Shape and bookkeeping problems (wrong rule for the subject, missing
-annotations, mismatched premise contexts, unknown symbols) raise
-StructuralError; they are never conflated with Refuted.
+Shape and bookkeeping problems (wrong rule for the subject, missing or
+unread annotations, premise judgements unlike the rule's, unknown symbols)
+raise StructuralError; they are never conflated with Refuted.
 """
 
 from __future__ import annotations
@@ -47,7 +47,10 @@ __all__ = [
 _SHAPE = {"V": TVar, "L": Lam, "A": App, "S": Succ, "P": Pred, "N": Const,
           "F": IfZ, "R": Fix}
 
-RULES = tuple(_SHAPE)
+# rule -> the annotations it reads; the other rules read none
+_TAKES = {"A": ("ctxsum", "ctxjoin"), "F": ("ctxjoin",),
+          "R": ("recvar", "selftype", "bodytype", "resulttype", "unfoldbound",
+                "callcap", "bodyweight", "ctxsum")}
 
 
 class StructuralError(Exception):
@@ -237,6 +240,11 @@ class _Checker:
         if node.subject is None:
             raise StructuralError(path, "derivation is not bound to a program")
         _check_shape(node, node.subject, path)
+        for key in _ANNOT_KEYS:
+            if (getattr(node.annots, key) is not None
+                    and key not in _TAKES.get(node.rule, ())):
+                raise StructuralError(path, f"rule {node.rule} does not take "
+                                            f"the {key!r} annotation")
         if any(e is None for e in node.context):
             raise StructuralError(path, "unresolved context placeholder")
         if max_free_index(node.subject) >= len(node.context):
@@ -258,28 +266,32 @@ class _Checker:
                               node.context, node.annots),
                              self.oracle.program.signature)
 
-    def same_ctx(self, path, got: ConstraintSet, want: ConstraintSet,
-                 what: str) -> None:
-        if not (got.variables == want.variables
-                and alpha_eq_index(got.constraints, want.constraints)):
-            raise StructuralError(path, f"{what}: expected constraint context "
-                                        f"{_show_ctx(want)}, got {_show_ctx(got)}")
+    # -- premises ------------------------------------------------------------
 
-    def same_type(self, path, got, want, what: str) -> None:
+    @staticmethod
+    def same(path, got, want, what: str) -> None:
         if not alpha_eq_index(got, want):
             raise StructuralError(
-                path, f"{what}: expected {show_type(want)}, got {show_type(got)}")
+                path, f"{what}: expected {_show(want)}, got {_show(got)}")
 
-    def same_weight(self, path, got, want, what: str) -> None:
-        if not alpha_eq_index(got, want):
-            raise StructuralError(
-                path, f"{what}: expected {show_index(want)}, got {show_index(got)}")
-
-    def same_width(self, path, got, want, what: str) -> None:
-        if len(got) != len(want):
-            raise StructuralError(
-                path, f"{what}: expected {len(want)} context slots, "
-                      f"got {len(got)}")
+    def premise(self, node, path, i, what, ctx, context, weight=None,
+                type=None) -> Derivation:
+        """Premise `i` of `node`, once it has the judgement its rule
+        requires: constraint context `ctx`, typing context `context` (an
+        entry None is not compared), and `weight` and `type` where given."""
+        p, at = node.premises[i], path + (i,)
+        self.same(at, p.ctx, ctx, f"{what} constraint context")
+        if len(p.context) != len(context):
+            raise StructuralError(at, f"{what}: expected {len(context)} "
+                                      f"context slots, got {len(p.context)}")
+        for j, (got, want) in enumerate(zip(p.context, context)):
+            if want is not None:
+                self.same(at, got, want, f"{what} slot {j}")
+        if weight is not None:
+            self.same(at, p.weight, weight, f"{what} weight")
+        if type is not None:
+            self.same(at, p.type, type, f"{what} type")
+        return p
 
     # -- the rules -----------------------------------------------------------
 
@@ -321,55 +333,39 @@ class _Checker:
     def _rule_L(self, node, path) -> None:
         if not isinstance(node.type, LinArrow):
             raise StructuralError(path, "lambdas take arrow types")
-        p = node.premises[0]
-        self.same_ctx(path, p.ctx, node.ctx, "lambda premise")
-        self.same_width(path + (0,), p.context,
-                        (None,) + node.context, "lambda premise")
-        self.same_type(path + (0,), p.context[0], node.type.dom,
-                       "bound variable entry")
-        for i, (got, want) in enumerate(zip(p.context[1:], node.context)):
-            self.same_type(path + (0,), got, want, f"passed-through slot {i}")
-        self.same_weight(path + (0,), p.weight, node.weight, "lambda weight")
-        self.same_type(path + (0,), p.type, node.type.cod, "lambda body type")
+        self.premise(node, path, 0, "lambda premise", node.ctx,
+                     (node.type.dom,) + node.context, node.weight,
+                     node.type.cod)
 
     def _rule_S(self, node, path) -> None:
-        self._succ_pred(node, path, shift=ix.add)
-
-    def _rule_P(self, node, path) -> None:
-        self._succ_pred(node, path, shift=ix.monus)
-
-    def _succ_pred(self, node, path, shift) -> None:
         if not isinstance(node.type, NatI):
             raise StructuralError(path, "s/p take interval types")
-        p = node.premises[0]
-        self.same_ctx(path, p.ctx, node.ctx, "s/p premise")
-        self.same_width(path + (0,), p.context, node.context, "s/p premise")
-        for i, (got, want) in enumerate(zip(p.context, node.context)):
-            self.same_type(path + (0,), got, want, f"slot {i}")
-        self.same_weight(path + (0,), p.weight, node.weight, "s/p weight")
+        p = self.premise(node, path, 0, "s/p premise", node.ctx, node.context,
+                         node.weight)
         if not isinstance(p.type, NatI):
             raise StructuralError(path + (0,), "s/p premise takes an interval type")
+        shift = ix.add if node.rule == "S" else ix.monus
         shifted = NatI(shift(p.type.lo, ix.Lit(1)), shift(p.type.hi, ix.Lit(1)))
         self.subtype_ob(path, node.ctx,
                         "shifted interval fits the declared one",
                         shifted, node.type)
 
+    _rule_P = _rule_S
+
     def _rule_A(self, node, path) -> None:
-        pf, pa = node.premises
-        self.same_ctx(path, pf.ctx, node.ctx, "function premise")
+        pf = node.premises[0]
         if not isinstance(pf.type, LinArrow):
             raise StructuralError(path + (0,), "function premise must have an "
                                                "arrow type")
         modal = pf.type.dom
-        self.same_type(path + (0,), pf.type.cod, node.type,
-                       "application result type")
+        free = (None,) * len(node.context)
+        self.premise(node, path, 0, "function premise", node.ctx, free,
+                     type=LinArrow(modal, node.type))
         with self.structural(path, "modal binder clashes with the "
                                    "constraint context"):
-            want_ctx = node.ctx.under(modal.binder, modal.bound)
-        self.same_ctx(path, pa.ctx, want_ctx, "argument premise")
-        self.same_type(path + (1,), pa.type, modal.body, "argument type")
-        self.same_width(path + (0,), pf.context, node.context, "function premise")
-        self.same_width(path + (1,), pa.context, node.context, "argument premise")
+            arg_ctx = node.ctx.under(modal.binder, modal.bound)
+        pa = self.premise(node, path, 1, "argument premise", arg_ctx, free,
+                          type=modal.body)
         sums = self.witnesses(node, path, "ctxsum", len(node.context))
         joins = self.witnesses(node, path, "ctxjoin", len(node.context))
         for i, (gamma, delta, sigma) in enumerate(
@@ -386,8 +382,8 @@ class _Checker:
                     spent, self.rel, node.weight)
 
     def _rule_F(self, node, path) -> None:
-        pt, pz, pu = node.premises
-        self.same_ctx(path, pt.ctx, node.ctx, "scrutinee premise")
+        free = (None,) * len(node.context)
+        pt = self.premise(node, path, 0, "scrutinee premise", node.ctx, free)
         if not isinstance(pt.type, NatI):
             raise StructuralError(path + (0,),
                                   "scrutinee premise takes an interval type")
@@ -396,16 +392,10 @@ class _Checker:
                 None, Constraint(pt.type.lo, "<=", ix.Lit(0)))
             succ_ctx = node.ctx.extend(
                 None, Constraint(ix.Lit(1), "<=", pt.type.hi))
-        self.same_ctx(path, pz.ctx, zero_ctx, "zero-branch premise")
-        self.same_ctx(path, pu.ctx, succ_ctx, "successor-branch premise")
-        for branch in (pz, pu):
-            self.same_width(path, branch.context, node.context, "branch premise")
-        for i, (a, b) in enumerate(zip(pz.context, pu.context)):
-            self.same_type(path, a, b, f"branch contexts agree at slot {i}")
-        self.same_weight(path, pz.weight, pu.weight, "branch weights agree")
-        self.same_type(path + (1,), pz.type, node.type, "zero-branch type")
-        self.same_type(path + (2,), pu.type, node.type, "successor-branch type")
-        self.same_width(path, pt.context, node.context, "scrutinee premise")
+        pz = self.premise(node, path, 1, "zero-branch premise", zero_ctx, free,
+                          type=node.type)
+        self.premise(node, path, 2, "successor-branch premise", succ_ctx,
+                     pz.context, pz.weight, node.type)
         joins = self.witnesses(node, path, "ctxjoin", len(node.context))
         for i, (gamma, delta, sigma) in enumerate(
                 zip(pt.context, pz.context, node.context)):
@@ -418,7 +408,6 @@ class _Checker:
                     spent, self.rel, node.weight)
 
     def _rule_R(self, node, path) -> None:
-        p = node.premises[0]
         rec_var = self.annot(node, path, "recvar")
         self_modal = self.annot(node, path, "selftype")
         body_type = self.annot(node, path, "bodytype")
@@ -426,19 +415,14 @@ class _Checker:
         unfold_bound = self.annot(node, path, "unfoldbound")
         call_cap = self.annot(node, path, "callcap")
         body_weight = self.annot(node, path, "bodyweight")
-        self.same_type(path, result_type, node.type,
-                       "declared result type vs node type")
+        self.same(path, result_type, node.type,
+                  "declared result type vs node type")
         with self.structural(path, "unfolding variable clashes with the "
                                    "constraint context"):
-            want_ctx = node.ctx.under(rec_var, unfold_bound)
-        self.same_ctx(path, p.ctx, want_ctx, "fixpoint premise")
-        self.same_width(path + (0,), p.context, (None,) + node.context,
-                        "fixpoint premise")
-        self.same_type(path + (0,), p.context[0], self_modal,
-                       "recursive variable entry")
-        self.same_type(path + (0,), p.type, body_type, "fixpoint body type")
-        self.same_weight(path + (0,), p.weight, body_weight,
-                         "fixpoint body weight")
+            body_ctx = node.ctx.under(rec_var, unfold_bound)
+        p = self.premise(node, path, 0, "fixpoint premise", body_ctx,
+                         (self_modal,) + (None,) * len(node.context),
+                         body_weight, body_type)
         calls = self_modal.bound
         mv = self_modal.binder
         base = subst_index(body_type, rec_var, ix.Lit(0))
@@ -509,10 +493,15 @@ class _Checker:
         return joined
 
 
-def _show_ctx(ctx: ConstraintSet) -> str:
-    vs = ", ".join(ctx.variables) or "(none)"
-    cs = "; ".join(show_constraint(c) for c in ctx.constraints) or "(none)"
-    return f"[vars {vs} | {cs}]"
+def _show(x) -> str:
+    """A constraint context, a type or an index term, printed."""
+    if isinstance(x, ConstraintSet):
+        vs = ", ".join(x.variables) or "(none)"
+        cs = "; ".join(map(show_constraint, x.constraints)) or "(none)"
+        return f"[vars {vs} | {cs}]"
+    if isinstance(x, (NatI, LinArrow, ModalType)):
+        return show_type(x)
+    return show_index(x)
 
 
 def check(d: Derivation, program: EquationalProgram,
@@ -597,7 +586,7 @@ def _node_from(form) -> Derivation:
     if not isinstance(form, list) or not form or not isinstance(form[0], str):
         raise DerivationSyntaxError(f"expected a rule form, got {form!r}")
     rule = form[0]
-    if rule not in RULES:
+    if rule not in _SHAPE:
         raise DerivationSyntaxError(f"unknown rule {rule!r}")
     sections: dict[str, list] = {}
     for part in form[1:]:

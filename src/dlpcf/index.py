@@ -32,7 +32,8 @@ from itertools import repeat
 from operator import attrgetter, itemgetter
 from typing import Callable, NamedTuple, Optional, Union
 
-from .fuel import Fuel, FuelExhausted, DEFAULT_BOUND, DEFAULT_FUEL
+from .fuel import (Fuel, FuelExhausted, DEFAULT_BOUND, DEFAULT_FUEL,
+                   check_budget)
 
 __all__ = [
     "IndexTerm", "Var", "Lit", "App", "BoundedSum", "Forest",
@@ -723,8 +724,7 @@ class Oracle:
     def __post_init__(self):
         if self.bound < 0:
             raise ValueError(f"bound must be a natural, got {self.bound}")
-        if self.fuel <= 0:
-            raise ValueError("fuel budget must be positive")
+        check_budget(self.fuel)
 
 
 class _Side(NamedTuple):

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import gc
 import pathlib
@@ -311,6 +312,28 @@ def test_a_check_evaluates_each_term_once_per_assignment_of_its_variables(
     assert len(evaluated) == len(set(evaluated)) == 312
 
 
+def test_the_checker_calls_the_oracle_through_module_attributes(
+        arith, dbl_derivation, monkeypatch):
+    """perfbench/tracer.py counts these calls by replacing the module
+    attributes; a check that reached the functions another way would make
+    its per-layer counts wrong."""
+    calls = collections.Counter()
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for module, name in ((ck, "subtype"), (ck, "well_defined"),
+                         (ix, "entails")):
+        monkeypatch.setattr(module, name,
+                            counted(name, getattr(module, name)))
+    report = check(dbl_derivation, arith, bound=4)
+    assert calls == {"subtype": 12, "well_defined": 8, "entails": 14}
+    assert len(report.obligations) == 40
+
+
 # ---------------------------------------------------------------------------
 # A fixpoint under a nonempty context (vacuous self-use)
 
@@ -485,6 +508,114 @@ def test_the_symbol_check_reaches_every_index_term_of_a_node(
     assert err.value.path == path
     assert str(err.value) == (f"{ck.path_str(path)}: "
                               f"unknown function symbol 'zap'")
+
+
+# ---------------------------------------------------------------------------
+# Each premise is checked against the judgement its rule requires
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def fixture_derivation(name):
+    term = pcf.parse_term((FIXTURES / f"{name}.pcf").read_text())
+    return bind(load_derivation(FIXTURES / f"{name}.deriv"), term)
+
+
+def nodes(d, path=()):
+    yield path, d
+    for i, premise in enumerate(d.premises):
+        yield from nodes(premise, path + (i,))
+
+
+def width_mutants():
+    """(fixture, premise path, its context width, change of width): one
+    slot more and, where there is one, one slot less at every premise of
+    the fixtures' L, S, P, A, F and R nodes."""
+    for name in ("dbl", "delay5"):
+        for path, node in nodes(load_derivation(FIXTURES / f"{name}.deriv")):
+            for i, premise in enumerate(node.premises):
+                width = len(premise.context)
+                for by in (1, -1)[:1 + bool(width)]:
+                    yield pytest.param(
+                        name, path + (i,), width, by,
+                        id=f"{name}-{ck.path_str(path + (i,))}{by:+d}")
+
+
+@pytest.mark.parametrize("name, path, width, by", width_mutants())
+def test_a_premise_of_another_context_width_is_structural(
+        arith, name, path, width, by):
+    def change(d):
+        context = (d.context + (M("[z < 1] Nat[0]"),) if by > 0
+                   else d.context[:-1])
+        return dataclasses.replace(d, context=context)
+
+    wording = f": expected {width} context slots, got {width + by}$"
+    with pytest.raises(StructuralError, match=wording) as err:
+        check(at_path(fixture_derivation(name), path, change), arith, bound=1)
+    assert err.value.path == path
+
+
+F_NODE = (0, 0)     # the ifz under the lambda of dbl.deriv
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda d: dataclasses.replace(d, ctx=cs("a b", "b < a")),
+     "lambda premise constraint context: expected [vars a, b | b < a + 1], "
+     "got [vars a, b | b < a]"),
+    (lambda d: dataclasses.replace(
+        d, context=d.context + (M("[z < 1] Nat[0]"),)),
+     "lambda premise: expected 2 context slots, got 3"),
+    (lambda d: dataclasses.replace(
+        d, context=(M("[c < a-b] Nat[a-b]"),) + d.context[1:]),
+     "lambda premise slot 0: expected [c < a - b + 1] Nat[a - b], "
+     "got [c < a - b] Nat[a - b]"),
+    (lambda d: dataclasses.replace(d, weight=parse_index("a")),
+     "lambda premise weight: expected a - b, got a"),
+    (lambda d: dataclasses.replace(d, type=B("Nat[a]")),
+     "lambda premise type: expected Nat[mult(2, a - b)], got Nat[a]"),
+], ids=["constraint-context", "width", "slot", "weight", "type"])
+def test_a_premise_mismatch_names_the_premise_and_both_sides(
+        arith, dbl_derivation, change, message):
+    with pytest.raises(StructuralError) as err:
+        check(at_path(dbl_derivation, F_NODE, change), arith, bound=3)
+    assert err.value.path == F_NODE
+    assert str(err.value) == f"root.0.0: {message}"
+
+
+# rule -> the annotations it reads; the other rules read none
+TAKES = {"A": {"ctxsum", "ctxjoin"}, "F": {"ctxjoin"},
+         "R": {"recvar", "selftype", "bodytype", "resulttype", "unfoldbound",
+               "callcap", "bodyweight", "ctxsum"}}
+
+
+def test_a_rule_rejects_an_annotation_it_does_not_read(arith):
+    d = bind(parse_derivation('(N (weight "0") (type "Nat[7]") '
+                              '(annots (ctxsum)))'), pcf.Const(7))
+    with pytest.raises(StructuralError) as err:
+        check(d, arith)
+    assert str(err.value) == ("root: rule N does not take the 'ctxsum' "
+                              "annotation")
+
+
+@pytest.mark.parametrize("name", ["dbl", "delay5"])
+def test_every_annotation_outside_a_rule_is_rejected(arith, name):
+    deriv = fixture_derivation(name)
+    # one value of each annotation, from the R and F nodes of dbl.deriv
+    dbl = fixture_derivation("dbl")
+    values = {**vars(dbl.annots),
+              "ctxjoin": dbl.premises[0].premises[0].annots.ctxjoin}
+    assert None not in values.values()
+    for path, node in nodes(deriv):
+        present = {k for k, v in vars(node.annots).items() if v is not None}
+        assert present == TAKES.get(node.rule, set())
+        for key in sorted(set(values) - TAKES.get(node.rule, set())):
+            mutant = at_path(deriv, path, lambda d: dataclasses.replace(
+                d, annots=dataclasses.replace(d.annots, **{key: values[key]})))
+            with pytest.raises(StructuralError) as err:
+                check(mutant, arith, bound=1)
+            assert err.value.path == path
+            assert str(err.value) == (f"{ck.path_str(path)}: rule {node.rule} "
+                                      f"does not take the {key!r} annotation")
 
 
 def test_scope_violation_is_structural(arith):

@@ -33,6 +33,11 @@ def dbl_mutant(old, new, text=DBL_DERIV):
     return text.replace(old, new)
 
 
+# the type line of dbl.deriv's successor branch, and its premises' opening
+SUCC_BRANCH_TYPE = ('              (type "Nat[mult(2, a-b)]")\n'
+                    '              (premises')
+
+
 def check_tmp(deriv_text, program_source=None):
     """`check` of a derivation written to a temporary file, against dbl or
     against a program whose source is written there too."""
@@ -101,6 +106,10 @@ CASES = {
                    '"[v < a-b+1] Nat[0] -o Nat[mult(2, a-b)]"',
                    dbl_mutant('"[c < a-b+1] Nat[a-b]"',
                               '"[v < a-b+1] Nat[0]"'))),
+    # The successor branch of the ifz weighs other than the zero branch.
+    "premise_mismatch": check_tmp(
+        dbl_mutant('(weight "a - b")\n' + SUCC_BRANCH_TYPE,
+                   '(weight "a")\n' + SUCC_BRANCH_TYPE)),
     # A binder that is not a name: no index term could mention it.
     "binder_not_a_name": check_tmp(
         dbl_mutant('(weight "a + sum(b < a+1, a - b)")',
