@@ -588,17 +588,8 @@ def _node_from(form) -> Derivation:
     rule = form[0]
     if rule not in _SHAPE:
         raise DerivationSyntaxError(f"unknown rule {rule!r}")
-    sections: dict[str, list] = {}
-    for part in form[1:]:
-        if (not isinstance(part, list) or not part
-                or not isinstance(part[0], str)):
-            raise DerivationSyntaxError(f"bad section {part!r} in rule {rule}")
-        key = part[0]
-        if key not in _SECTIONS:
-            raise DerivationSyntaxError(f"unknown section {key!r}")
-        if key in sections:
-            raise DerivationSyntaxError(f"duplicate section {key!r}")
-        sections[key] = part[1:]
+    sections = dict(_keyed(form[1:], _SECTIONS, "section", "section",
+                           f" in rule {rule}"))
     for required in ("weight", "type"):
         if required not in sections:
             raise DerivationSyntaxError(f"rule {rule} lacks ({required} ...)")
@@ -622,18 +613,29 @@ def _node_from(form) -> Derivation:
         raise DerivationSyntaxError(str(e)) from e
 
 
-def _annots_from(forms) -> Annotations:
-    out: dict = {}
+def _keyed(forms, keys, what: str, unknown: str, where: str = ""):
+    """(KEY, values) for each of `forms` in order, once it is checked to be
+    a list headed by a KEY in `keys` that no earlier form has.  The errors
+    call a form `what`, followed by `where` for a bad one, and a KEY not in
+    `keys` `unknown`."""
+    seen = set()
     for part in forms:
         if (not isinstance(part, list) or not part
                 or not isinstance(part[0], str)):
-            raise DerivationSyntaxError(f"bad annotation {part!r}")
+            raise DerivationSyntaxError(f"bad {what} {part!r}{where}")
         key = part[0]
-        if key not in _ANNOT_KEYS:
-            raise DerivationSyntaxError(f"unknown annotation key {key!r}")
-        if key in out:
-            raise DerivationSyntaxError(f"duplicate annotation {key!r}")
-        body = part[1:]
+        if key not in keys:
+            raise DerivationSyntaxError(f"unknown {unknown} {key!r}")
+        if key in seen:
+            raise DerivationSyntaxError(f"duplicate {what} {key!r}")
+        seen.add(key)
+        yield key, part[1:]
+
+
+def _annots_from(forms) -> Annotations:
+    out: dict = {}
+    for key, body in _keyed(forms, _ANNOT_KEYS, "annotation",
+                            "annotation key"):
         if key == "recvar":
             out[key] = _name(_single(body, key), key)
         elif key == "selftype":

@@ -107,7 +107,10 @@ def soundness_rows(deriv: ck.Derivation, term: pcf.Term,
             hi_v = eval_index(hi, {}, program, fuel)
         except (IndexUndefined, FuelExhausted) as e:
             raise SoundnessError(f"{label}: cannot evaluate the root bounds: {e}")
-        result = machine.run(term_n, fuel)
+        try:
+            result = machine.run(term_n, fuel)
+        except FuelExhausted as e:
+            raise SoundnessError(f"{label}: cannot run the machine: {e}")
         step_bound = size_n * (w_v + 1)
         return SoundnessRow(
             program=label, value=result.value, steps=result.steps,

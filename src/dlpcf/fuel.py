@@ -1,4 +1,10 @@
-"""Fuel accounting shared by the index evaluator, the reducer, and the machine."""
+"""The budget shared by the index evaluator, the reducer, and the machine.
+
+A budget of F allows F ticks, and the next tick raises `FuelExhausted(F)`.
+Each evaluator counts its ticks on an integer of its own and tests it in
+one place: `index._eval` on the fuel it has left, `pcf.wh_eval` and
+`machine.run` on their step counters.
+"""
 
 from __future__ import annotations
 
@@ -15,22 +21,6 @@ def check_budget(budget: int) -> None:
     """Raise ValueError unless `budget` allows at least one tick."""
     if budget <= 0:
         raise ValueError("fuel budget must be positive")
-
-
-class Fuel:
-    """A mutable countdown.  `tick` raises FuelExhausted at zero."""
-
-    __slots__ = ("remaining", "budget")
-
-    def __init__(self, budget: int):
-        check_budget(budget)
-        self.budget = budget
-        self.remaining = budget
-
-    def tick(self, cost: int = 1) -> None:
-        self.remaining -= cost
-        if self.remaining < 0:
-            raise FuelExhausted(self.budget)
 
 
 DEFAULT_FUEL = 10**6

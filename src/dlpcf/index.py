@@ -32,8 +32,7 @@ from itertools import repeat
 from operator import attrgetter, itemgetter
 from typing import Callable, NamedTuple, Optional, Union
 
-from .fuel import (Fuel, FuelExhausted, DEFAULT_BOUND, DEFAULT_FUEL,
-                   check_budget)
+from .fuel import FuelExhausted, DEFAULT_BOUND, DEFAULT_FUEL, check_budget
 
 __all__ = [
     "IndexTerm", "Var", "Lit", "App", "BoundedSum", "Forest",
@@ -346,7 +345,10 @@ class NonLinearPattern(EquationError):
         self.name = name
 
 
-BUILTIN_ARITIES = {"0": 0, "1": 0, "+": 2, "-": 2}
+_BUILTINS = {("+", 2): lambda a, b: a + b,
+             ("-", 2): lambda a, b: max(0, a - b),
+             ("0", 0): lambda: 0, ("1", 0): lambda: 1}
+BUILTIN_ARITIES = dict(_BUILTINS.keys())
 
 
 @dataclass(frozen=True)
@@ -481,30 +483,35 @@ def eval_index(term: IndexTerm, rho: Assignment, program: EquationalProgram,
     outside rho's domain.  The fuel is the only budget: a deep term, or deep
     non-tail rewriting, takes memory, not interpreter stack.
     """
-    return _eval(term, rho, program, Fuel(fuel))
+    check_budget(fuel)
+    return _eval(term, rho, program, fuel)
 
 
-# The kinds of `_eval`'s frames other than (ticks >= 0, term, rho).
+# The kinds of `_eval`'s frames other than (ticks > 0, term, rho).
 _APPLY, _LOOP = -1, -2
-_BUILTINS = {("+", 2): lambda a, b: a + b,
-             ("-", 2): lambda a, b: max(0, a - b),
-             ("0", 0): lambda: 0, ("1", 0): lambda: 1}
 
 
 def _eval(term: IndexTerm, rho: Assignment, program: EquationalProgram,
-          gas: Fuel) -> int:
+          fuel: int) -> int:
     """`term` at rho, as one loop over a stack of frames (kind, node, data)
     whose results go on a stack of values.  A frame (k, term, rho) with
-    k >= 0 pushes the term's value at rho and ticks k: 1, or a rewrite to a
-    defined symbol's number of arguments.  (_APPLY, symbol, n) applies the
-    symbol to the top n values, and (_LOOP, sum or forest, [rho, label,
-    counts, total]) runs its loop once its parts before `body` are in."""
+    k > 0 pushes the term's value at rho and takes k from `left`, the fuel
+    left, in the one test of the budget: 1 for the term, plus 1 for the
+    rewrite, or the turn of a sum or forest, that pushed it just before it
+    is popped (a rewrite to a defined symbol charges its number of
+    arguments in place of the term's 1).
+    (_APPLY, symbol, n) applies the symbol to the top n values, and (_LOOP,
+    sum or forest, [rho, label, counts, total]) runs its loop once its
+    parts before `body` are in."""
+    left = fuel
     values: list[int] = []
     frames: list[tuple] = [(1, term, rho)]
     while frames:
         kind, node, data = frame = frames.pop()
-        if kind >= 0:
-            gas.tick(kind)
+        if kind > 0:
+            left -= kind
+            if left < 0:
+                raise FuelExhausted(fuel)
             cls = type(node)
             if cls is Var:
                 if node.name not in data:
@@ -531,11 +538,10 @@ def _eval(term: IndexTerm, rho: Assignment, program: EquationalProgram,
                 values.append(builtin(*args))
                 continue
             rhs, binding = _rewrite(node, args, program)
-            gas.tick()
             # The rewrite's frame takes this one's place, so self-recursive
             # tail equations burn fuel in constant space.
             tail = isinstance(rhs, App) and rhs.symbol not in BUILTIN_ARITIES
-            frames.append((len(rhs.args) if tail else 1, rhs, binding))
+            frames.append((1 + (len(rhs.args) if tail else 1), rhs, binding))
         else:
             # A forest is counted in a single left-to-right pass over its
             # nodes in pre-order, from label `start`: each node is visited
@@ -558,11 +564,10 @@ def _eval(term: IndexTerm, rho: Assignment, program: EquationalProgram,
             while counts and not counts[-1]:
                 counts.pop()
             if counts:
-                gas.tick()
                 counts[-1] -= 1
                 inner[node.binder] = label
                 data[:] = inner, label, counts, total + 1 if forest else total
-                frames += (frame, (1, node.body, inner))
+                frames += (frame, (2, node.body, inner))
             else:
                 values.append(total)
     return values[0]
@@ -654,13 +659,10 @@ class Refuted:
     def at(rho: Assignment) -> "Refuted":
         return Refuted(tuple(sorted(rho.items())))
 
-    def assignment(self) -> Assignment:
-        return dict(self.witness)
-
 
 @dataclass(frozen=True)
 class Unknown:
-    reason: str  # "fuel-exhausted" | "undefined-at"
+    reason: str  # "fuel-exhausted": the only reason `_fate` gives
     witness: tuple[tuple[str, int], ...] = ()
 
 

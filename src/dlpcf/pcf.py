@@ -416,9 +416,11 @@ def wh_eval(t: Term, fuel: int = DEFAULT_FUEL) -> tuple[int, int]:
     It dispatches on the focus's type, then on the frame's, as
     `machine.run` does, and takes the numerals it makes from a table of
     its own, so each numeral is built once per call.  Fuel is counted on
-    `steps`: every tick is followed by a step or a raise, so the ticks
-    before each one number `steps`, and `steps >= fuel` is the tick that
-    would exhaust it."""
+    `steps`, as in `machine.run`: a numeral with no frame is final, and
+    every other focus that the loop does not descend through ticks once,
+    in one place, before it steps or raises.  The ticks before it number
+    `steps`, so `steps >= fuel` is the tick that would exhaust the
+    budget."""
     check_budget(fuel)
     numerals = Numerals()
     steps = 0
@@ -438,11 +440,11 @@ def wh_eval(t: Term, fuel: int = DEFAULT_FUEL) -> tuple[int, int]:
             frames.append(focus)
             focus = focus.scrut
             continue
+        if kind is Const and not frames:
+            return focus.value, steps
+        if steps >= fuel:
+            raise FuelExhausted(fuel)
         if kind is Const:
-            if not frames:
-                return focus.value, steps
-            if steps >= fuel:
-                raise FuelExhausted(fuel)
             # a numeral fills the hole of the innermost frame
             frame = frames.pop()
             frame_kind = type(frame)
@@ -456,8 +458,6 @@ def wh_eval(t: Term, fuel: int = DEFAULT_FUEL) -> tuple[int, int]:
             else:
                 raise StuckTerm(_STUCK[frame_kind])
         elif kind is Lam:
-            if steps >= fuel:
-                raise FuelExhausted(fuel)
             if not frames:
                 raise StuckTerm("normal form is not a numeral")
             # a lambda fills the hole of the innermost frame
@@ -466,12 +466,8 @@ def wh_eval(t: Term, fuel: int = DEFAULT_FUEL) -> tuple[int, int]:
                 raise StuckTerm(_STUCK[type(frame)])
             focus = subst(focus.body, frame.arg)
         elif kind is Fix:
-            if steps >= fuel:
-                raise FuelExhausted(fuel)
             focus = subst(focus.body, focus)
         elif kind is TVar:
-            if steps >= fuel:
-                raise FuelExhausted(fuel)
             raise StuckTerm("free variable in a closed reduction")
         else:
             raise TypeError(f"not a term: {focus!r}")

@@ -1,6 +1,7 @@
 """Generators shared by the fuzz and corpus tests: random child-count tables
 for forest bodies, random well-typed PCF terms, untyped open PCF terms, and
-random ordered types."""
+random ordered types; and `Fuel`, the countdown the reference evaluators
+tick."""
 
 import random
 
@@ -9,6 +10,23 @@ from hypothesis import strategies as st
 from dlpcf import index as ix
 from dlpcf import pcf
 from dlpcf import types as ty
+from dlpcf.fuel import FuelExhausted, check_budget
+
+
+class Fuel:
+    """A mutable countdown.  `tick` raises FuelExhausted at zero."""
+
+    __slots__ = ("remaining", "budget")
+
+    def __init__(self, budget: int):
+        check_budget(budget)
+        self.budget = budget
+        self.remaining = budget
+
+    def tick(self, cost: int = 1) -> None:
+        self.remaining -= cost
+        if self.remaining < 0:
+            raise FuelExhausted(self.budget)
 
 
 def table_program(rng: random.Random, name: str = "tab", width: int = 12,

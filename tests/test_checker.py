@@ -433,6 +433,27 @@ def test_parse_rejects_duplicates_and_missing_sections():
         parse_derivation('(N (weight "0" "1") (type "Nat[0]"))')
 
 
+LEAF = '(weight "0") (type "Nat[0]")'
+
+
+@pytest.mark.parametrize("text, message", [
+    (f"(N x {LEAF})", "bad section 'x' in rule N"),
+    (f'(N (wrong "x") {LEAF})', "unknown section 'wrong'"),
+    (f'(N {LEAF} (weight "1"))', "duplicate section 'weight'"),
+    (f"(N (annots x) {LEAF})", "bad annotation 'x'"),
+    (f'(N (annots (mystery "x")) {LEAF})', "unknown annotation key 'mystery'"),
+    (f'(N (annots (callcap "1") (callcap "2")) {LEAF})',
+     "duplicate annotation 'callcap'"),
+    # each annotation is read before the next one's key is checked
+    (f'(N (annots (recvar "x") (mystery)) {LEAF})',
+     "recvar must be a bare index variable name, got 'x'"),
+])
+def test_parse_names_each_bad_keyed_form(text, message):
+    with pytest.raises(ck.DerivationSyntaxError) as err:
+        parse_derivation(text)
+    assert str(err.value) == message
+
+
 def test_unknown_symbol_is_structural(arith):
     d = leaf_n(3, type_text="Nat[zap(3), 3]")
     with pytest.raises(StructuralError):

@@ -218,6 +218,19 @@ def test_soundness_evaluates_deeply_rewriting_root_bounds(runner):
     assert row.split("\t")[1:3] == ["800", "245006"]
 
 
+def test_soundness_names_the_row_whose_machine_run_ran_out(runner,
+                                                           monkeypatch):
+    # dbl at a=30 takes 1,731 machine steps
+    monkeypatch.chdir(ROOT)
+    result = runner.invoke(main, ["soundness", "fixtures/dbl.deriv",
+                                  "fixtures/dbl.pcf", "--eqprog",
+                                  "fixtures/arith.eqs", "--bound", "3",
+                                  "-n", "30", "--fuel", "1000"])
+    assert result.exit_code == 3
+    assert result.stderr == ("error: fixtures/dbl.pcf a:=30: cannot run the "
+                             "machine: fuel exhausted (budget 1000)\n")
+
+
 def test_soundness_constant_derivation(runner, tmp_path):
     prog = tmp_path / "five.pcf"
     prog.write_text("5\n")

@@ -63,6 +63,9 @@ CASES = {
     "check_dbl_default_bound": (CHECK_DBL[:-2], {}),
     "check_negative_bound": (CHECK_DBL[:-1] + ["-1"], {}),
     "check_zero_fuel": (CHECK_DBL + ["--fuel", "0"], {}),
+    # too little fuel for the root's goals: an Unknown report with its
+    # witness, exit 2
+    "check_dbl_fuel_starved": (CHECK_DBL + ["--fuel", "30"], {}),
     "check_delay5": (["check", "fixtures/delay5.deriv", "fixtures/delay5.pcf",
                       "--eqprog", "fixtures/arith.eqs", "--bound", "6"], {}),
     "soundness_dbl": (SOUND_DBL + ALL_N, {}),

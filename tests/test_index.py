@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dlpcf import index as ix
-from dlpcf.fuel import Fuel, FuelExhausted
+from dlpcf.fuel import FuelExhausted
 from dlpcf.index import (App, BoundedSum, Constraint, ConstraintSet, Defined,
                          EMPTY_CTX, Forest, IndexUndefined, Lit, NatPattern,
                          NonLinearPattern, Oracle, OverlapError, Refuted, Rule,
@@ -16,7 +16,7 @@ from dlpcf.index import (App, BoundedSum, Constraint, ConstraintSet, Defined,
                          eval_index, parse_equations, parse_index,
                          register_program, show_index, subst_index)
 
-from genterms import gen_basic_type, table_program
+from genterms import Fuel, gen_basic_type, table_program
 
 
 def ev(text, rho, program, fuel=10**6):
@@ -855,11 +855,6 @@ def raised(f, *args):
         return type(e), str(e)
 
 
-def eval_outcome(evaluate, term, rho, program, budget):
-    gas = Fuel(budget)
-    return raised(evaluate, term, rho, program, gas), gas.remaining
-
-
 # Sums, forests and applications of DIFF_PROGRAM's symbols, over the free
 # variables a and x, whose binders clash with them and with one another.
 syntax_terms = query_terms(("a", "x"), NAMES)
@@ -941,13 +936,21 @@ eval_terms = (st.builds(lambda f, x, y: App(f, (x, y)),
 @settings(max_examples=150, deadline=None)
 def test_the_evaluator_loop_matches_the_recursive_evaluator(term, rho):
     # at every budget from 1 to one more than the evaluation costs, or to
-    # EVAL_CAP: the same value or exception, and the same fuel left
+    # EVAL_CAP: the same value or exception
     gas = Fuel(EVAL_CAP)
-    raised(reference_eval, term, rho, DIFF_PROGRAM, gas)
-    for budget in range(1, EVAL_CAP - max(gas.remaining, 0) + 2):
-        assert (eval_outcome(ix._eval, term, rho, DIFF_PROGRAM, budget)
-                == eval_outcome(reference_eval, term, rho, DIFF_PROGRAM,
-                                budget))
+    want = raised(reference_eval, term, rho, DIFF_PROGRAM, gas)
+    cost = EVAL_CAP - max(gas.remaining, 0)
+    for budget in range(1, cost + 2):
+        assert (raised(ix._eval, term, rho, DIFF_PROGRAM, budget)
+                == raised(reference_eval, term, rho, DIFF_PROGRAM,
+                          Fuel(budget)))
+    # where the reference returns, the loop returns at exactly its ticks
+    # and runs out at one fewer
+    if isinstance(want, int):
+        assert ix._eval(term, rho, DIFF_PROGRAM, cost) == want
+        with pytest.raises(FuelExhausted) as err:
+            ix._eval(term, rho, DIFF_PROGRAM, cost - 1)
+        assert err.value.budget == cost - 1
 
 
 DEPTH = 5000

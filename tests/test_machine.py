@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dlpcf import pcf
-from dlpcf.fuel import DEFAULT_FUEL, Fuel, FuelExhausted
+from dlpcf.fuel import DEFAULT_FUEL, FuelExhausted
 from dlpcf.machine import (Arg, Branches, ClosedTermRequired, Closure,
                            Environment, PMark, RunResult, SMark, StackItem,
                            StuckConfiguration, config_size, run)
 from dlpcf.pcf import (App, Const, Fix, IfZ, Lam, Pred, Succ, Term, TVar,
                        max_free_index, parse_term, term_head, wh_eval)
 
-from genterms import gen_nat_term, open_terms
+from genterms import Fuel, gen_nat_term, open_terms
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dlpcf import pcf
-from dlpcf.fuel import DEFAULT_FUEL, Fuel, FuelExhausted
+from dlpcf.fuel import DEFAULT_FUEL, FuelExhausted
 from dlpcf.pcf import (NAT, App, Arrow, Const, Fix, IfZ, Lam, PcfSyntaxError,
                        PcfTypeError, Pred, StuckTerm, Succ, TVar,
                        max_free_index, parse_term, pcf_typecheck, shift, size,
                        subst, subterm_sizes, wh_eval)
 
-from genterms import gen_nat_term, open_terms
+from genterms import Fuel, gen_nat_term, open_terms
 from test_machine import CORPUS
 
 
