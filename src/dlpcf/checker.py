@@ -583,7 +583,7 @@ def load_derivation(path) -> Derivation:
 
 
 def _node_from(form) -> Derivation:
-    if not isinstance(form, list) or not form or not isinstance(form[0], str):
+    if not isinstance(form, list) or not form or not _bare(form[0]):
         raise DerivationSyntaxError(f"expected a rule form, got {form!r}")
     rule = form[0]
     if rule not in _SHAPE:
@@ -601,7 +601,8 @@ def _node_from(form) -> Derivation:
         ctx = ConstraintSet(phi, constraints)
     except ValueError as e:
         raise DerivationSyntaxError(str(e)) from e
-    context = tuple(None if x == "_" else parse_modal_type(_string(x, "context entry"))
+    context = tuple(None if _bare(x) and x == "_"
+                    else parse_modal_type(_string(x, "context entry"))
                     for x in sections.get("context", []))
     weight = parse_index(_string(_single(sections["weight"], "weight"), "weight"))
     ty = parse_basic_type(_string(_single(sections["type"], "type"), "type"))
@@ -620,8 +621,7 @@ def _keyed(forms, keys, what: str, unknown: str, where: str = ""):
     `keys` `unknown`."""
     seen = set()
     for part in forms:
-        if (not isinstance(part, list) or not part
-                or not isinstance(part[0], str)):
+        if not isinstance(part, list) or not part or not _bare(part[0]):
             raise DerivationSyntaxError(f"bad {what} {part!r}{where}")
         key = part[0]
         if key not in keys:
@@ -652,7 +652,8 @@ def _annots_from(forms) -> Annotations:
 
 
 def _bounded_sum_witness(form) -> BoundedSumWitness:
-    if (not isinstance(form, list) or len(form) != 4 or form[0] != "slot"):
+    if (not isinstance(form, list) or len(form) != 4 or not _bare(form[0])
+            or form[0] != "slot"):
         raise DerivationSyntaxError(
             f"ctxsum entries look like (slot param \"sigma\" \"per\"): {form!r}")
     return BoundedSumWitness(_name(form[1], "witness parameter"),
@@ -661,7 +662,8 @@ def _bounded_sum_witness(form) -> BoundedSumWitness:
 
 
 def _sum_witness(form) -> SumWitness:
-    if (not isinstance(form, list) or len(form) != 3 or form[0] != "slot"):
+    if (not isinstance(form, list) or len(form) != 3 or not _bare(form[0])
+            or form[0] != "slot"):
         raise DerivationSyntaxError(
             f"ctxjoin entries look like (slot param \"mu\"): {form!r}")
     return SumWitness(_name(form[1], "witness parameter"),
@@ -674,8 +676,13 @@ def _single(items, what):
     return items[0]
 
 
+def _bare(x) -> bool:
+    """Is `x` a bare word, not a list and not a quoted string?"""
+    return isinstance(x, str) and not isinstance(x, SString)
+
+
 def _name(x, what) -> str:
-    if isinstance(x, SString) or not isinstance(x, str) or not ix.is_name(x):
+    if not _bare(x) or not ix.is_name(x):
         raise DerivationSyntaxError(
             f"{what} must be a bare index variable name, got {x!r}")
     return x

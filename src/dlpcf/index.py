@@ -7,10 +7,13 @@ program: an orthogonal set of constructor-pattern rewrite rules.  Entailment
 between index expressions is semidecided by checking the goal at every
 assignment of the constrained variables up to a bound at which the
 constraints hold; each constraint is tested as soon as its variables are
-bound, so a false one prunes every assignment that extends it.  An `Oracle`
-fixes the program, the bound and the fuel, and remembers what it was asked:
-the satisfying assignments of each context, and each term's outcome at each
-assignment of its own free variables.
+bound, so a false one prunes every assignment that extends it, and a
+variable bounded by a constraint x < I takes no value from I on.  An
+`Oracle` fixes the program, the bound and the fuel, and remembers what it
+was asked: the satisfying assignments of each context, each term's outcome
+at each assignment of its own free variables, and what each call of a
+defined symbol came to.  A goal is decided once per assignment of its own
+free variables.
 
 Types (`types.NatI`, `LinArrow`, `ModalType`) are this syntax plus three
 constructors.  `walk` takes index terms and types alike, and so do
@@ -470,8 +473,12 @@ class IndexUndefined(Exception):
     matching rule."""
 
 
+# How an evaluation ended: with a value, IndexUndefined or FuelExhausted.
+_OK, _UNDEF, _FUEL = 0, 1, 2
+
+
 def eval_index(term: IndexTerm, rho: Assignment, program: EquationalProgram,
-               fuel: int = DEFAULT_FUEL) -> int:
+               fuel: int = DEFAULT_FUEL, table: Optional[dict] = None) -> int:
     """Value of `term` under assignment `rho` and program `program`.
 
     Applications rewrite innermost: arguments evaluate to naturals before a
@@ -481,18 +488,20 @@ def eval_index(term: IndexTerm, rho: Assignment, program: EquationalProgram,
     Raises IndexUndefined when no rule matches a ground redex, FuelExhausted
     when the budget runs out (possible divergence), ValueError on variables
     outside rho's domain.  The fuel is the only budget: a deep term, or deep
-    non-tail rewriting, takes memory, not interpreter stack.
+    non-tail rewriting, takes memory, not interpreter stack.  `table` is a
+    rewrite table, as `_eval` keeps it, to share between evaluations under
+    `program`; the result and the fuel spent are the same with it or without.
     """
     check_budget(fuel)
-    return _eval(term, rho, program, fuel)
+    return _eval(term, rho, program, fuel, table)
 
 
 # The kinds of `_eval`'s frames other than (ticks > 0, term, rho).
-_APPLY, _LOOP = -1, -2
+_APPLY, _LOOP, _DONE = -1, -2, -3
 
 
 def _eval(term: IndexTerm, rho: Assignment, program: EquationalProgram,
-          fuel: int) -> int:
+          fuel: int, table: Optional[dict] = None) -> int:
     """`term` at rho, as one loop over a stack of frames (kind, node, data)
     whose results go on a stack of values.  A frame (k, term, rho) with
     k > 0 pushes the term's value at rho and takes k from `left`, the fuel
@@ -502,74 +511,119 @@ def _eval(term: IndexTerm, rho: Assignment, program: EquationalProgram,
     arguments in place of the term's 1).
     (_APPLY, symbol, n) applies the symbol to the top n values, and (_LOOP,
     sum or forest, [rho, label, counts, total]) runs its loop once its
-    parts before `body` are in."""
+    parts before `body` are in.
+
+    `table` maps (symbol, *argument values) of a defined symbol to what
+    the rewrite of that call came to: (_OK, value, ticks) or (_UNDEF,
+    message, ticks), where ticks is the fuel it spent, or (_FUEL, None, r)
+    when it ran out with r left.  A call found there is charged its ticks
+    and answered, or runs out where its ticks exceed `left`, or where
+    `left` is at most its r; so the table changes no result and no fuel
+    spent.  Any other call pushes (_DONE, key, left) under its right side,
+    which records it when its value is in, unless the frame below is a
+    _DONE already: such a call is in tail position and its value is the
+    recorded call's, so self-recursive tail equations burn fuel in constant
+    space.  When the evaluation raises IndexUndefined or FuelExhausted,
+    every call still open is recorded with it."""
+    if table is None:
+        table = {}
     left = fuel
     values: list[int] = []
     frames: list[tuple] = [(1, term, rho)]
-    while frames:
-        kind, node, data = frame = frames.pop()
-        if kind > 0:
-            left -= kind
-            if left < 0:
-                raise FuelExhausted(fuel)
-            cls = type(node)
-            if cls is Var:
-                if node.name not in data:
-                    raise ValueError(f"unbound index variable {node.name!r}")
-                values.append(data[node.name])
-            elif cls is Lit:
-                values.append(node.value)
-            elif cls is App:
-                frames.append((_APPLY, node.symbol, len(node.args)))
-                for arg in reversed(node.args):
-                    frames.append((1, arg, data))
-            elif cls is BoundedSum or cls is Forest:
-                frames.append((_LOOP, node, [dict(data), 0, None, 0]))
-                for part in reversed(_parts(node)[:-1]):
-                    frames.append((1, part, data))
-            else:
-                raise TypeError(f"not an index term: {node!r}")
-        elif kind == _APPLY:
-            split = len(values) - data
-            args = values[split:]
-            del values[split:]
-            builtin = _BUILTINS.get((node, data))
-            if builtin is not None:
-                values.append(builtin(*args))
-                continue
-            rhs, binding = _rewrite(node, args, program)
-            # The rewrite's frame takes this one's place, so self-recursive
-            # tail equations burn fuel in constant space.
-            tail = isinstance(rhs, App) and rhs.symbol not in BUILTIN_ARITIES
-            frames.append((1 + (len(rhs.args) if tail else 1), rhs, binding))
-        else:
-            # A forest is counted in a single left-to-right pass over its
-            # nodes in pre-order, from label `start`: each node is visited
-            # exactly once, so the repeated subterm in the defining
-            # recursion is never re-evaluated.  `counts` holds, for each
-            # tree being visited, how many of its children are still to go.
-            # A sum runs as `bound` trees of no children, labelled from 0,
-            # that add their bodies' values to the total.
-            inner, label, counts, total = data
-            forest = type(node) is Forest
-            if counts is None:
-                counts = [values.pop()]
-                label = values.pop() if forest else 0
-            else:
-                if forest:
-                    counts.append(values.pop())
+    try:
+        while frames:
+            kind, node, data = frame = frames.pop()
+            if kind > 0:
+                left -= kind
+                if left < 0:
+                    raise FuelExhausted(fuel)
+                cls = type(node)
+                if cls is Var:
+                    if node.name not in data:
+                        raise ValueError(f"unbound index variable {node.name!r}")
+                    values.append(data[node.name])
+                elif cls is Lit:
+                    values.append(node.value)
+                elif cls is App:
+                    frames.append((_APPLY, node.symbol, len(node.args)))
+                    for arg in reversed(node.args):
+                        frames.append((1, arg, data))
+                elif cls is BoundedSum or cls is Forest:
+                    frames.append((_LOOP, node, [dict(data), 0, None, 0]))
+                    for part in reversed(_parts(node)[:-1]):
+                        frames.append((1, part, data))
                 else:
-                    total += values.pop()
-                label += 1
-            while counts and not counts[-1]:
-                counts.pop()
-            if counts:
-                counts[-1] -= 1
-                inner[node.binder] = label
-                data[:] = inner, label, counts, total + 1 if forest else total
-                frames += (frame, (2, node.body, inner))
+                    raise TypeError(f"not an index term: {node!r}")
+            elif kind == _APPLY:
+                split = len(values) - data
+                args = values[split:]
+                del values[split:]
+                builtin = _BUILTINS.get((node, data))
+                if builtin is not None:
+                    values.append(builtin(*args))
+                    continue
+                key = (node, *args)
+                known = table.get(key)
+                if known is not None:
+                    tag, value, ticks = known
+                    if tag == _FUEL:
+                        if left <= ticks:
+                            raise FuelExhausted(fuel)
+                    elif ticks > left:
+                        raise FuelExhausted(fuel)
+                    else:
+                        left -= ticks
+                        if tag == _UNDEF:
+                            raise IndexUndefined(value)
+                        values.append(value)
+                        continue
+                rhs, binding = _rewrite(node, args, program)
+                if not frames or frames[-1][0] != _DONE:
+                    frames.append((_DONE, key, left))
+                tail = isinstance(rhs, App) and rhs.symbol not in BUILTIN_ARITIES
+                frames.append((1 + (len(rhs.args) if tail else 1), rhs, binding))
+            elif kind == _DONE:
+                table[node] = (_OK, values[-1], data - left)
             else:
-                values.append(total)
+                # A forest is counted in a single left-to-right pass over
+                # its nodes in pre-order, from label `start`: each node is
+                # visited exactly once, so the repeated subterm in the
+                # defining recursion is never re-evaluated.  `counts` holds,
+                # for each tree being visited, how many of its children are
+                # still to go.  A sum runs as `bound` trees of no children,
+                # labelled from 0, that add their bodies' values to the
+                # total.
+                inner, label, counts, total = data
+                forest = type(node) is Forest
+                if counts is None:
+                    counts = [values.pop()]
+                    label = values.pop() if forest else 0
+                else:
+                    if forest:
+                        counts.append(values.pop())
+                    else:
+                        total += values.pop()
+                    label += 1
+                while counts and not counts[-1]:
+                    counts.pop()
+                if counts:
+                    counts[-1] -= 1
+                    inner[node.binder] = label
+                    data[:] = inner, label, counts, total + 1 if forest else total
+                    frames += (frame, (2, node.body, inner))
+                else:
+                    values.append(total)
+    except IndexUndefined as e:
+        for kind, key, start in frames:
+            if kind == _DONE:
+                table[key] = (_UNDEF, str(e), start - left)
+        raise
+    except FuelExhausted:
+        # outermost last, so a call open twice keeps the larger r
+        for kind, key, start in reversed(frames):
+            if kind == _DONE:
+                table[key] = (_FUEL, None, start)
+        raise
     return values[0]
 
 
@@ -685,16 +739,15 @@ def merge_verdicts(*verdicts: Verdict) -> Verdict:
     return out
 
 
-_OK, _UNDEF, _FUEL = 0, 1, 2
-
-
 def _outcome(term: IndexTerm, rho: Assignment,
              oracle: Oracle) -> tuple[int, int]:
     """`term` at rho as (tag, value).  Each evaluation gets fresh fuel, so
     the outcome depends only on the term, the values of its free variables
-    and the oracle's program and fuel."""
+    and the oracle's program and fuel; the oracle's rewrite table changes
+    none of them."""
     try:
-        return (_OK, eval_index(term, rho, oracle.program, oracle.fuel))
+        return (_OK, eval_index(term, rho, oracle.program, oracle.fuel,
+                                oracle.rewrites))
     except IndexUndefined:
         return (_UNDEF, 0)
     except FuelExhausted:
@@ -710,18 +763,21 @@ class Oracle:
     """The bounded entailment oracle of one program at one (bound, fuel).
 
     For as long as it lives it remembers the satisfying assignments of each
-    ctx that `entails` asked it about, and in `outcomes` the outcome of each
+    ctx that `entails` asked it about; in `outcomes` the outcome of each
     index term it evaluated: term -> (its free variables, sorted; a table
-    from the tuple of their values to `_outcome`'s (tag, value)).  Since an
-    outcome depends on nothing else the oracle does not fix, each distinct
-    evaluation runs once.  It compares by identity: two oracles with equal
-    fields are two memos.
+    from the tuple of their values to `_outcome`'s (tag, value)); and in
+    `rewrites` what each call of a defined symbol came to, as `_eval` keeps
+    it.  Since an outcome depends on nothing else the oracle does not fix,
+    each distinct evaluation runs once, and each distinct call once for as
+    long as the fuel allows.  It compares by identity: two oracles with
+    equal fields are two memos.
     """
     program: EquationalProgram
     bound: int = DEFAULT_BOUND
     fuel: int = DEFAULT_FUEL
     satisfying: dict = field(default_factory=dict, init=False, repr=False)
     outcomes: dict = field(default_factory=dict, init=False, repr=False)
+    rewrites: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.bound < 0:
@@ -739,17 +795,27 @@ class _Side(NamedTuple):
 
 
 def _side(term: IndexTerm, variables: tuple[str, ...], oracle: Oracle) -> _Side:
+    names, table = _entry(term, oracle)
+    return _Side(term, names, _projection(variables, names), table)
+
+
+def _entry(term: IndexTerm, oracle: Oracle) -> tuple[tuple[str, ...], dict]:
+    """The term's free variables, sorted, and its table in `outcomes`."""
     entry = oracle.outcomes.get(term)
     if entry is None:
         entry = oracle.outcomes[term] = (tuple(sorted(free_vars(term))), {})
-    names, table = entry
+    return entry
+
+
+def _projection(variables: tuple[str, ...],
+                names: tuple[str, ...]) -> Callable:
+    """A sequence of values of `variables`, in order -> the tuple of the
+    values of `names`."""
     where = [variables.index(name) for name in names]
     if len(where) == 1:
         i, = where
-        key_of = lambda values: (values[i],)
-    else:
-        key_of = itemgetter(*where) if where else lambda values: ()
-    return _Side(term, names, key_of, table)
+        return lambda values: (values[i],)
+    return itemgetter(*where) if where else lambda values: ()
 
 
 def _look(side: _Side, values, oracle: Oracle) -> tuple[int, int]:
@@ -800,7 +866,8 @@ def entails(ctx: ConstraintSet, goal: Constraint | Defined,
     outcome of an equal term at equal values of the term's free variables,
     are reused.
     """
-    stray = free_vars(goal) - set(ctx.variables)
+    stray = set().union(*(_entry(term, oracle)[0]
+                          for term in _goal_sides(goal))) - set(ctx.variables)
     if stray:
         raise ValueError(f"goal mentions undeclared variables {sorted(stray)}")
 
@@ -818,23 +885,30 @@ def _satisfying(ctx: ConstraintSet,
 
     The variables are bound depth-first in order, and each constraint is
     tested once, as soon as its last free variable is bound: where it is
-    false, no extension of the partial assignment is visited.
+    false, no extension of the partial assignment is visited.  A variable x
+    with a constraint x < I or x <= I, I over earlier variables only, takes
+    no value the first such constraint makes false: see `_stop`.
     """
     variables = ctx.variables
     depth = {v: i + 1 for i, v in enumerate(variables)}
     tests: list[list[tuple[str, _Side, _Side]]] = [
         [] for _ in range(len(variables) + 1)]
+    caps: list[Optional[tuple[str, _Side]]] = [None] * len(variables)
     for c in ctx.constraints:
-        tests[max((depth[v] for v in free_vars(c)), default=0)].append(
-            (c.rel, _side(c.lhs, variables, oracle),
-             _side(c.rhs, variables, oracle)))
+        lhs = _side(c.lhs, variables, oracle)
+        rhs = _side(c.rhs, variables, oracle)
+        level = max((depth[v] for v in lhs.names + rhs.names), default=0)
+        tests[level].append((c.rel, lhs, rhs))
+        if (type(c.lhs) is Var and c.rel != "=" and c.lhs.name not in rhs.names
+                and level == depth[c.lhs.name] and caps[level - 1] is None):
+            caps[level - 1] = c.rel, rhs
     points: list[tuple[tuple[int, ...], bool]] = []
-    _extend(0, True, tests, [0] * len(variables), points, oracle)
+    _extend(0, True, tests, caps, [0] * len(variables), points, oracle)
     return points
 
 
-def _extend(level: int, settled: bool, tests, values: list[int], points,
-            oracle: Oracle) -> None:
+def _extend(level: int, settled: bool, tests, caps, values: list[int],
+            points, oracle: Oracle) -> None:
     """Append to `points` every extension of `values[:level]` that
     `_satisfying` lists.  A module-level function, not a closure, so that
     no reference cycle keeps the oracle alive after the check."""
@@ -845,9 +919,26 @@ def _extend(level: int, settled: bool, tests, values: list[int], points,
     if level == len(values):
         points.append((tuple(values), settled))
         return
-    for value in range(oracle.bound + 1):
+    for value in range(_stop(caps[level], values, oracle)):
         values[level] = value
-        _extend(level + 1, settled, tests, values, points, oracle)
+        _extend(level + 1, settled, tests, caps, values, points, oracle)
+
+
+def _stop(cap: Optional[tuple[str, _Side]], values, oracle: Oracle) -> int:
+    """How many values, from 0, the variable x of the cap x < I or x <= I
+    takes, with I at `values`: those up to I - 1 or I in {0..bound}; none
+    where I is undefined, since the cap is false there; all of {0..bound}
+    where fuel ran out on I, so that the cap's own test finds them
+    unsettled."""
+    if cap is None:
+        return oracle.bound + 1
+    rel, side = cap
+    tag, value = _look(side, values, oracle)
+    if tag == _UNDEF:
+        return 0
+    if tag == _FUEL:
+        return oracle.bound + 1
+    return min(oracle.bound + 1, value if rel == "<" else value + 1)
 
 
 def _goal_sides(goal: Constraint | Defined) -> tuple[IndexTerm, ...]:
@@ -857,12 +948,25 @@ def _goal_sides(goal: Constraint | Defined) -> tuple[IndexTerm, ...]:
 def _goal_over(variables: tuple[str, ...], points, goal: Constraint | Defined,
                oracle: Oracle) -> Verdict:
     """The verdict of the goal over `points`, as `_satisfying` lists them:
-    its fate at each, with the goal's sides looked up in their tables."""
+    Refuted at the first settled point where the goal is false, else
+    Unknown at the first point that is unsettled or where fuel ran out on
+    a side, else Verified.  The goal's fate depends on the values of its
+    own free variables only, so it is decided, with the sides looked up in
+    their tables, at the first settled point of each of their values."""
     sides = [_side(term, variables, oracle) for term in _goal_sides(goal)]
+    project = _projection(variables, tuple(sorted(
+        set().union(*(side.names for side in sides)))))
+    decided: set[tuple[int, ...]] = set()
     unknown: Unknown | None = None
     for values, settled in points:
-        fate = (_fate(goal, [_look(side, values, oracle) for side in sides])
-                if settled else "fuel-exhausted")
+        if settled:
+            key = project(values)
+            if key in decided:
+                continue
+            decided.add(key)
+            fate = _fate(goal, [_look(side, values, oracle) for side in sides])
+        else:
+            fate = "fuel-exhausted"
         if fate is None:
             continue
         verdict = _verdict_at(fate, dict(zip(variables, values)))

@@ -5,6 +5,7 @@ import pathlib
 import weakref
 
 import pytest
+from click.testing import CliRunner
 
 from dlpcf import checker as ck
 from dlpcf import index as ix
@@ -13,6 +14,7 @@ from dlpcf import pcf
 from dlpcf.checker import (Annotations, Derivation, StructuralError, bind,
                            check, erase_derivation, load_derivation,
                            parse_derivation)
+from dlpcf.cli import main
 from dlpcf.index import (App, Constraint, ConstraintSet, EMPTY_CTX, Lit,
                          Oracle, Refuted, Var, Verified, alpha_eq_index,
                          entails, parse_constraint, parse_equations,
@@ -308,8 +310,23 @@ def test_a_check_evaluates_each_term_once_per_assignment_of_its_variables(
 
     monkeypatch.setattr(ix, "eval_index", record)
     assert check(dbl_derivation, arith, bound=4).overall == Verified(4)
-    # 8,465 evaluations of these 312 pairs before the outcome tables
-    assert len(evaluated) == len(set(evaluated)) == 312
+    # 8,465 evaluations before the outcome tables, and 312 pairs before a
+    # binder's values stopped at its bound: x < I no longer evaluates x
+    # where it is certainly false
+    assert len(evaluated) == len(set(evaluated)) == 301
+
+
+def test_a_binder_takes_only_the_values_its_bound_leaves(
+        arith, dbl_derivation, monkeypatch):
+    """`_extend` visits each partial assignment once; 18,150 of them at
+    bound 8 when every variable ran over {0..8}, and 4,710 now that a
+    variable x with a constraint x < I stops below I."""
+    visits = []
+    real = ix._extend
+    monkeypatch.setattr(ix, "_extend",
+                        lambda *args: visits.append(args[0]) or real(*args))
+    assert check(dbl_derivation, arith, bound=8).overall == Verified(8)
+    assert len(visits) == 4710
 
 
 def test_the_checker_calls_the_oracle_through_module_attributes(
@@ -452,6 +469,36 @@ def test_parse_names_each_bad_keyed_form(text, message):
     with pytest.raises(ck.DerivationSyntaxError) as err:
         parse_derivation(text)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    ('(N ("weight" "0") (type "Nat[0]"))',
+     "bad section ['weight', '0'] in rule N"),
+    ('("N" (weight "0") (type "Nat[0]"))',
+     "expected a rule form, got ['N', ['weight', '0'], ['type', 'Nat[0]']]"),
+    # not "duplicate section 'weight'": the quoted one is no section
+    ('(N ("weight" "0") (weight "0") (type "Nat[0]"))',
+     "bad section ['weight', '0'] in rule N"),
+    # read as a type, which it is not
+    (f'(N (context "_") {LEAF})', "unexpected token '_' in type"),
+    (f'(A (annots (ctxjoin ("slot" a "Nat[0]"))) {LEAF})',
+     "ctxjoin entries look like (slot param \"mu\"): "
+     "['slot', 'a', 'Nat[0]']"),
+], ids=["section", "rule", "section-twice", "hole", "slot"])
+def test_a_quoted_string_is_no_bare_head(text, message, tmp_path):
+    """A rule, a section or annotation key, `slot` and the hole `_` are
+    bare words; the same word quoted is rejected, by the reader and by
+    `dlpcf check` with exit code 3."""
+    with pytest.raises(ValueError) as err:
+        parse_derivation(text)
+    assert str(err.value) == message
+    path = tmp_path / "quoted.deriv"
+    path.write_text(text)
+    result = CliRunner().invoke(main, [
+        "check", str(path), str(FIXTURES / "dbl.pcf"),
+        "--eqprog", str(FIXTURES / "arith.eqs")])
+    assert result.exit_code == 3
+    assert result.output == f"error: {message}\n"
 
 
 def test_unknown_symbol_is_structural(arith):

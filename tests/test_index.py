@@ -953,6 +953,86 @@ def test_the_evaluator_loop_matches_the_recursive_evaluator(term, rho):
         assert err.value.budget == cost - 1
 
 
+@given(st.lists(st.tuples(eval_terms,
+                          st.fixed_dictionaries({"a": st.integers(0, 3),
+                                                 "x": st.integers(0, 3)})
+                          | st.just({})),
+                min_size=1, max_size=3))
+# half(5) is recorded undefined, and half(7) then finds it undefined in the
+# table, so half(7)'s ticks include half(5)'s
+@example([(half(Lit(5)), {}), (half(Lit(7)), {})])
+# mult(2, 3) is recorded defined and then found under a sum that runs out
+# before or after it; loop(1) runs out at every budget
+@example([(parse_index("mult(2, 3)"), {}),
+          (parse_index("sum(a < 2, mult(2, 3) + loop(a))"), {})])
+@example([(parse_index("add(x, mult(x, 2)) + half(a + 1)"), {"a": 2, "x": 3})])
+@settings(max_examples=100, deadline=None)
+def test_a_shared_rewrite_table_changes_no_result_and_no_fuel(pairs):
+    # every pair at every budget from 1 to one more than it costs, twice,
+    # so the second time below the ticks the first recorded: the same value
+    # or exception as the recursive evaluator, which has no table
+    table = {}
+    for term, rho in pairs + pairs:
+        gas = Fuel(EVAL_CAP)
+        want = raised(reference_eval, term, rho, DIFF_PROGRAM, gas)
+        cost = EVAL_CAP - max(gas.remaining, 0)
+        for budget in range(1, cost + 2):
+            assert (raised(ix._eval, term, rho, DIFF_PROGRAM, budget, table)
+                    == raised(reference_eval, term, rho, DIFF_PROGRAM,
+                              Fuel(budget)))
+        if isinstance(want, int):
+            assert ix._eval(term, rho, DIFF_PROGRAM, cost, table) == want
+            with pytest.raises(FuelExhausted):
+                ix._eval(term, rho, DIFF_PROGRAM, cost - 1, table)
+
+
+def test_a_recorded_call_is_answered_without_rewriting(monkeypatch):
+    rewritten = []
+    real = ix._rewrite
+    monkeypatch.setattr(ix, "_rewrite",
+                        lambda *args: rewritten.append(args[0]) or real(*args))
+    table = {}
+
+    def run(text, fuel):
+        rewritten.clear()
+        return (raised(ix._eval, parse_index(text), {}, DIFF_PROGRAM, fuel,
+                       table), len(rewritten))
+
+    def cost(text):
+        gas = Fuel(EVAL_CAP)
+        raised(reference_eval, parse_index(text), {}, DIFF_PROGRAM, gas)
+        return EVAL_CAP - gas.remaining
+
+    def exhausted(fuel):
+        return FuelExhausted, f"fuel exhausted (budget {fuel})"
+
+    # defined: answered at its ticks, and out of fuel one below them
+    k = cost("mult(2, 3)")
+    assert run("mult(2, 3)", k)[0] == 6
+    assert run("mult(2, 3)", k) == (6, 0)
+    assert run("mult(2, 3)", k - 1) == (exhausted(k - 1), 0)
+    # undefined: the same message, at its ticks
+    undefined = IndexUndefined, "no rule matches half(1)"
+    k = cost("half(5)")
+    assert run("half(5)", k) == (undefined, 3)
+    assert run("half(5)", k) == (undefined, 0)
+    assert run("half(5)", k - 1) == (exhausted(k - 1), 0)
+    # and inside a call that records it: half(7) rewrites once, and is
+    # charged half(5)'s ticks besides its own
+    k = cost("half(7)")
+    assert run("half(7)", k) == (undefined, 1)
+    assert run("half(7)", k - 1) == (exhausted(k - 1), 0)
+    # exhausted: again at no more fuel than it had left, rewritten at more
+    out, n = run("loop(1)", 50)
+    assert out == exhausted(50) and n > 0
+    assert run("loop(1)", 40) == (exhausted(40), 0)
+    assert run("loop(1)", 60)[1] > 0
+    # loop(1)'s self-calls are in tail position: only the outer one is kept
+    assert [key for key in table if key[0] == "loop"] == [("loop", 1)]
+    assert {tag for tag, _, _ in table.values()} == {ix._OK, ix._UNDEF,
+                                                      ix._FUEL}
+
+
 DEPTH = 5000
 
 
