@@ -11,9 +11,9 @@ bound, so a false one prunes every assignment that extends it, and a
 variable bounded by a constraint x < I takes no value from I on.  An
 `Oracle` fixes the program, the bound and the fuel, and remembers what it
 was asked: the satisfying assignments of each context, each term's outcome
-at each assignment of its own free variables, and what each call of a
-defined symbol came to.  A goal is decided once per assignment of its own
-free variables.
+at each assignment of its own free variables, and the value of each call
+of a defined symbol that has one.  A goal is decided once per assignment
+of its own free variables.
 
 Types (`types.NatI`, `LinArrow`, `ModalType`) are this syntax plus three
 constructors.  `walk` takes index terms and types alike, and so do
@@ -473,10 +473,6 @@ class IndexUndefined(Exception):
     matching rule."""
 
 
-# How an evaluation ended: with a value, IndexUndefined or FuelExhausted.
-_OK, _UNDEF, _FUEL = 0, 1, 2
-
-
 def eval_index(term: IndexTerm, rho: Assignment, program: EquationalProgram,
                fuel: int = DEFAULT_FUEL, table: Optional[dict] = None) -> int:
     """Value of `term` under assignment `rho` and program `program`.
@@ -513,117 +509,96 @@ def _eval(term: IndexTerm, rho: Assignment, program: EquationalProgram,
     sum or forest, [rho, label, counts, total]) runs its loop once its
     parts before `body` are in.
 
-    `table` maps (symbol, *argument values) of a defined symbol to what
-    the rewrite of that call came to: (_OK, value, ticks) or (_UNDEF,
-    message, ticks), where ticks is the fuel it spent, or (_FUEL, None, r)
-    when it ran out with r left.  A call found there is charged its ticks
-    and answered, or runs out where its ticks exceed `left`, or where
-    `left` is at most its r; so the table changes no result and no fuel
-    spent.  Any other call pushes (_DONE, key, left) under its right side,
-    which records it when its value is in, unless the frame below is a
-    _DONE already: such a call is in tail position and its value is the
-    recorded call's, so self-recursive tail equations burn fuel in constant
-    space.  When the evaluation raises IndexUndefined or FuelExhausted,
-    every call still open is recorded with it."""
+    `table` maps (symbol, *argument values) of a defined symbol whose
+    rewrite came to a value to (that value, the fuel it spent).  A call
+    found there is charged that fuel and answered, or runs out where the
+    fuel exceeds `left`, as its rewrite would; so the table changes no
+    result and no fuel spent.  Any other call pushes (_DONE, key, left)
+    under its right side, which records it when its value is in, unless
+    the frame below is a _DONE already: such a call is in tail position and
+    its value is the recorded call's, so self-recursive tail equations burn
+    fuel in constant space.  A call that ends in IndexUndefined or
+    FuelExhausted is not recorded."""
     if table is None:
         table = {}
     left = fuel
     values: list[int] = []
     frames: list[tuple] = [(1, term, rho)]
-    try:
-        while frames:
-            kind, node, data = frame = frames.pop()
-            if kind > 0:
-                left -= kind
-                if left < 0:
-                    raise FuelExhausted(fuel)
-                cls = type(node)
-                if cls is Var:
-                    if node.name not in data:
-                        raise ValueError(f"unbound index variable {node.name!r}")
-                    values.append(data[node.name])
-                elif cls is Lit:
-                    values.append(node.value)
-                elif cls is App:
-                    frames.append((_APPLY, node.symbol, len(node.args)))
-                    for arg in reversed(node.args):
-                        frames.append((1, arg, data))
-                elif cls is BoundedSum or cls is Forest:
-                    frames.append((_LOOP, node, [dict(data), 0, None, 0]))
-                    for part in reversed(_parts(node)[:-1]):
-                        frames.append((1, part, data))
-                else:
-                    raise TypeError(f"not an index term: {node!r}")
-            elif kind == _APPLY:
-                split = len(values) - data
-                args = values[split:]
-                del values[split:]
-                builtin = _BUILTINS.get((node, data))
-                if builtin is not None:
-                    values.append(builtin(*args))
-                    continue
-                key = (node, *args)
-                known = table.get(key)
-                if known is not None:
-                    tag, value, ticks = known
-                    if tag == _FUEL:
-                        if left <= ticks:
-                            raise FuelExhausted(fuel)
-                    elif ticks > left:
-                        raise FuelExhausted(fuel)
-                    else:
-                        left -= ticks
-                        if tag == _UNDEF:
-                            raise IndexUndefined(value)
-                        values.append(value)
-                        continue
-                rhs, binding = _rewrite(node, args, program)
-                if not frames or frames[-1][0] != _DONE:
-                    frames.append((_DONE, key, left))
-                tail = isinstance(rhs, App) and rhs.symbol not in BUILTIN_ARITIES
-                frames.append((1 + (len(rhs.args) if tail else 1), rhs, binding))
-            elif kind == _DONE:
-                table[node] = (_OK, values[-1], data - left)
+    while frames:
+        kind, node, data = frame = frames.pop()
+        if kind > 0:
+            left -= kind
+            if left < 0:
+                raise FuelExhausted(fuel)
+            cls = type(node)
+            if cls is Var:
+                if node.name not in data:
+                    raise ValueError(f"unbound index variable {node.name!r}")
+                values.append(data[node.name])
+            elif cls is Lit:
+                values.append(node.value)
+            elif cls is App:
+                frames.append((_APPLY, node.symbol, len(node.args)))
+                for arg in reversed(node.args):
+                    frames.append((1, arg, data))
+            elif cls is BoundedSum or cls is Forest:
+                frames.append((_LOOP, node, [dict(data), 0, None, 0]))
+                for part in reversed(_parts(node)[:-1]):
+                    frames.append((1, part, data))
             else:
-                # A forest is counted in a single left-to-right pass over
-                # its nodes in pre-order, from label `start`: each node is
-                # visited exactly once, so the repeated subterm in the
-                # defining recursion is never re-evaluated.  `counts` holds,
-                # for each tree being visited, how many of its children are
-                # still to go.  A sum runs as `bound` trees of no children,
-                # labelled from 0, that add their bodies' values to the
-                # total.
-                inner, label, counts, total = data
-                forest = type(node) is Forest
-                if counts is None:
-                    counts = [values.pop()]
-                    label = values.pop() if forest else 0
+                raise TypeError(f"not an index term: {node!r}")
+        elif kind == _APPLY:
+            split = len(values) - data
+            args = values[split:]
+            del values[split:]
+            builtin = _BUILTINS.get((node, data))
+            if builtin is not None:
+                values.append(builtin(*args))
+                continue
+            key = (node, *args)
+            known = table.get(key)
+            if known is not None:
+                value, ticks = known
+                if ticks > left:
+                    raise FuelExhausted(fuel)
+                left -= ticks
+                values.append(value)
+                continue
+            rhs, binding = _rewrite(node, args, program)
+            if not frames or frames[-1][0] != _DONE:
+                frames.append((_DONE, key, left))
+            tail = isinstance(rhs, App) and rhs.symbol not in BUILTIN_ARITIES
+            frames.append((1 + (len(rhs.args) if tail else 1), rhs, binding))
+        elif kind == _DONE:
+            table[node] = values[-1], data - left
+        else:
+            # A forest is counted in a single left-to-right pass over its
+            # nodes in pre-order, from label `start`: each node is visited
+            # exactly once, so the repeated subterm in the defining
+            # recursion is never re-evaluated.  `counts` holds, for each
+            # tree being visited, how many of its children are still to go.
+            # A sum runs as `bound` trees of no children, labelled from 0,
+            # that add their bodies' values to the total.
+            inner, label, counts, total = data
+            forest = type(node) is Forest
+            if counts is None:
+                counts = [values.pop()]
+                label = values.pop() if forest else 0
+            else:
+                if forest:
+                    counts.append(values.pop())
                 else:
-                    if forest:
-                        counts.append(values.pop())
-                    else:
-                        total += values.pop()
-                    label += 1
-                while counts and not counts[-1]:
-                    counts.pop()
-                if counts:
-                    counts[-1] -= 1
-                    inner[node.binder] = label
-                    data[:] = inner, label, counts, total + 1 if forest else total
-                    frames += (frame, (2, node.body, inner))
-                else:
-                    values.append(total)
-    except IndexUndefined as e:
-        for kind, key, start in frames:
-            if kind == _DONE:
-                table[key] = (_UNDEF, str(e), start - left)
-        raise
-    except FuelExhausted:
-        # outermost last, so a call open twice keeps the larger r
-        for kind, key, start in reversed(frames):
-            if kind == _DONE:
-                table[key] = (_FUEL, None, start)
-        raise
+                    total += values.pop()
+                label += 1
+            while counts and not counts[-1]:
+                counts.pop()
+            if counts:
+                counts[-1] -= 1
+                inner[node.binder] = label
+                data[:] = inner, label, counts, total + 1 if forest else total
+                frames += (frame, (2, node.body, inner))
+            else:
+                values.append(total)
     return values[0]
 
 
@@ -739,6 +714,9 @@ def merge_verdicts(*verdicts: Verdict) -> Verdict:
     return out
 
 
+_OK, _UNDEF, _FUEL = 0, 1, 2
+
+
 def _outcome(term: IndexTerm, rho: Assignment,
              oracle: Oracle) -> tuple[int, int]:
     """`term` at rho as (tag, value).  Each evaluation gets fresh fuel, so
@@ -766,11 +744,11 @@ class Oracle:
     ctx that `entails` asked it about; in `outcomes` the outcome of each
     index term it evaluated: term -> (its free variables, sorted; a table
     from the tuple of their values to `_outcome`'s (tag, value)); and in
-    `rewrites` what each call of a defined symbol came to, as `_eval` keeps
-    it.  Since an outcome depends on nothing else the oracle does not fix,
-    each distinct evaluation runs once, and each distinct call once for as
-    long as the fuel allows.  It compares by identity: two oracles with
-    equal fields are two memos.
+    `rewrites` the value and fuel of each call of a defined symbol that
+    came to a value, as `_eval` keeps them.  Since an outcome depends on
+    nothing else the oracle does not fix, each distinct evaluation runs
+    once, and so does each distinct call that comes to a value.  It
+    compares by identity: two oracles with equal fields are two memos.
     """
     program: EquationalProgram
     bound: int = DEFAULT_BOUND

@@ -310,17 +310,14 @@ def test_a_check_evaluates_each_term_once_per_assignment_of_its_variables(
 
     monkeypatch.setattr(ix, "eval_index", record)
     assert check(dbl_derivation, arith, bound=4).overall == Verified(4)
-    # 8,465 evaluations before the outcome tables, and 312 pairs before a
-    # binder's values stopped at its bound: x < I no longer evaluates x
-    # where it is certainly false
+    # a binder x < I takes no value from I on, where x < I is false
     assert len(evaluated) == len(set(evaluated)) == 301
 
 
 def test_a_binder_takes_only_the_values_its_bound_leaves(
         arith, dbl_derivation, monkeypatch):
-    """`_extend` visits each partial assignment once; 18,150 of them at
-    bound 8 when every variable ran over {0..8}, and 4,710 now that a
-    variable x with a constraint x < I stops below I."""
+    """`_extend` visits each partial assignment once, and a variable x
+    with a constraint x < I takes no value from I on."""
     visits = []
     real = ix._extend
     monkeypatch.setattr(ix, "_extend",
