@@ -11,9 +11,11 @@ bound, so a false one prunes every assignment that extends it, and a
 variable bounded by a constraint x < I takes no value from I on.  An
 `Oracle` fixes the program, the bound and the fuel, and remembers what it
 was asked: the satisfying assignments of each context, each term's outcome
-at each assignment of its own free variables, and the value of each call
-of a defined symbol that has one.  A goal is decided once per assignment
-of its own free variables.
+at each assignment of its own free variables, the value of each call of
+a defined symbol that has one, and the verdict of each query it answered.
+A goal is decided once per assignment of its own free variables, and a
+repeated query is not decided again.  Every node of index syntax keeps
+its free variables once `free_vars` has computed them.
 
 Types (`types.NatI`, `LinArrow`, `ModalType`) are this syntax plus three
 constructors.  `walk` takes index terms and types alike, and so do
@@ -55,13 +57,21 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Syntax
 
+class _Syntax:
+    """What index terms, constraints and types share: `_free`, where
+    `free_vars` keeps a node's free variables once asked of it, as
+    `pcf.bound` keeps a term's bound.  It is not a dataclass field, so
+    equality, hashing and printing do not read it."""
+    _free: Optional[frozenset[str]] = None
+
+
 @dataclass(frozen=True)
-class Var:
+class Var(_Syntax):
     name: str
 
 
 @dataclass(frozen=True)
-class Lit:
+class Lit(_Syntax):
     value: int
 
     def __post_init__(self):
@@ -70,13 +80,13 @@ class Lit:
 
 
 @dataclass(frozen=True)
-class App:
+class App(_Syntax):
     symbol: str
     args: tuple["IndexTerm", ...]
 
 
 @dataclass(frozen=True)
-class BoundedSum:
+class BoundedSum(_Syntax):
     """sum(binder < bound, body): binder is bound in `body` only."""
     binder: str
     bound: "IndexTerm"
@@ -84,7 +94,7 @@ class BoundedSum:
 
 
 @dataclass(frozen=True)
-class Forest:
+class Forest(_Syntax):
     """forest(binder, start, count, body): number of nodes in a forest of
     `count` trees labelled in pre-order from `start`, where the node labelled
     n has body[binder := n] children.  The binder is bound in `body` only.
@@ -183,10 +193,18 @@ def _rebuild(nodes, combine):
 
 
 def free_vars(t) -> frozenset[str]:
-    """The free variables of an index term or a type."""
-    return frozenset(node.name for node, scope in walk(t)
-                     if type(node) is Var
-                     and (scope is None or _bound_at(scope, node.name) is None))
+    """The free variables of an index term, a constraint or a type, kept on
+    the node they were asked of: a node never changes, so neither do they.
+    Those of a tuple are computed on each call."""
+    out = getattr(t, "_free", None)
+    if out is None:
+        out = frozenset(node.name for node, scope in walk(t)
+                        if type(node) is Var
+                        and (scope is None
+                             or _bound_at(scope, node.name) is None))
+        if isinstance(t, _Syntax):
+            object.__setattr__(t, "_free", out)
+    return out
 
 
 def fresh_name(base: str, avoid: frozenset[str]) -> str:
@@ -624,7 +642,7 @@ REL_SYMBOLS = ("<=", "<", "=")
 
 
 @dataclass(frozen=True)
-class Constraint:
+class Constraint(_Syntax):
     lhs: IndexTerm
     rel: str
     rhs: IndexTerm
@@ -740,19 +758,22 @@ def _related(rel: str, a: int, b: int) -> bool:
 class Oracle:
     """The bounded entailment oracle of one program at one (bound, fuel).
 
-    For as long as it lives it remembers the satisfying assignments of each
-    ctx that `entails` asked it about; in `outcomes` the outcome of each
-    index term it evaluated: term -> (its free variables, sorted; a table
-    from the tuple of their values to `_outcome`'s (tag, value)); and in
+    For as long as it lives it remembers, in `verdicts`, the verdict of
+    each (ctx, goal) that `entails` answered; the satisfying assignments of
+    each ctx it was asked about; in `outcomes` the outcome of each index
+    term it evaluated: term -> (its free variables, sorted; a table from
+    the tuple of their values to `_outcome`'s (tag, value)); and in
     `rewrites` the value and fuel of each call of a defined symbol that
-    came to a value, as `_eval` keeps them.  Since an outcome depends on
-    nothing else the oracle does not fix, each distinct evaluation runs
-    once, and so does each distinct call that comes to a value.  It
-    compares by identity: two oracles with equal fields are two memos.
+    came to a value, as `_eval` keeps them.  Since a verdict and an outcome
+    depend on nothing else the oracle does not fix, each distinct query is
+    decided once, each distinct evaluation runs once, and so does each
+    distinct call that comes to a value.  It compares by identity: two
+    oracles with equal fields are two memos.
     """
     program: EquationalProgram
     bound: int = DEFAULT_BOUND
     fuel: int = DEFAULT_FUEL
+    verdicts: dict = field(default_factory=dict, init=False, repr=False)
     satisfying: dict = field(default_factory=dict, init=False, repr=False)
     outcomes: dict = field(default_factory=dict, init=False, repr=False)
     rewrites: dict = field(default_factory=dict, init=False, repr=False)
@@ -840,10 +861,14 @@ def entails(ctx: ConstraintSet, goal: Constraint | Defined,
     constraint rules out (and no definite counterexample was found).
     "First" is in lexicographic order of the values of ctx.variables.
 
-    The oracle's satisfying assignments of an equal context, and its
-    outcome of an equal term at equal values of the term's free variables,
-    are reused.
+    The oracle's verdict of an equal query, its satisfying assignments of
+    an equal context, and its outcome of an equal term at equal values of
+    the term's free variables, are reused.  A query that raises is not
+    remembered, so it raises each time it is asked.
     """
+    verdict = oracle.verdicts.get((ctx, goal))
+    if verdict is not None:
+        return verdict
     stray = set().union(*(_entry(term, oracle)[0]
                           for term in _goal_sides(goal))) - set(ctx.variables)
     if stray:
@@ -852,7 +877,9 @@ def entails(ctx: ConstraintSet, goal: Constraint | Defined,
     satisfying = oracle.satisfying
     if ctx not in satisfying:
         satisfying[ctx] = _satisfying(ctx, oracle)
-    return _goal_over(ctx.variables, satisfying[ctx], goal, oracle)
+    verdict = oracle.verdicts[ctx, goal] = _goal_over(
+        ctx.variables, satisfying[ctx], goal, oracle)
+    return verdict
 
 
 def _satisfying(ctx: ConstraintSet,

@@ -5,7 +5,8 @@ equivalence, and the sum operations on modal types.
 Types are index syntax: `index.free_vars`, `subst_index`, `alpha_eq_index`
 and `check_symbols` take them as they take index terms.  `ModalType` is a
 binding form by the convention `index` states: `binder` first, bound in the
-last field, `body`, only.
+last field, `body`, only.  Like index terms, a type keeps its free
+variables once `free_vars` has computed them.
 
 All semantic questions reduce to `index.entails` under a constraint context,
 asked of one `index.Oracle`, so every judgement here is three-valued and
@@ -33,19 +34,19 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class NatI:
+class NatI(ix._Syntax):
     lo: IndexTerm
     hi: IndexTerm
 
 
 @dataclass(frozen=True)
-class LinArrow:
+class LinArrow(ix._Syntax):
     dom: "ModalType"
     cod: "BasicType"
 
 
 @dataclass(frozen=True)
-class ModalType:
+class ModalType(ix._Syntax):
     """[binder < bound] body: the bound may not mention the binder."""
     binder: str
     bound: IndexTerm

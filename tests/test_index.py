@@ -8,6 +8,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dlpcf import index as ix
+from dlpcf import types
+from dlpcf.checker import check
 from dlpcf.fuel import FuelExhausted
 from dlpcf.index import (App, BoundedSum, Constraint, ConstraintSet, Defined,
                          EMPTY_CTX, Forest, IndexUndefined, Lit, NatPattern,
@@ -512,6 +514,11 @@ def half(term):
           Constraint(half(Var("a")), "<", ix.add(Var("b"), Lit(1))), 4),
          (ConstraintSet(("b", "a"), (Constraint(Var("b"), "<", Var("a")),)),
           Constraint(half(Var("a")), "<=", Var("b")), 4))
+# one goal under two contexts: Refuted at a=3 without the constraint,
+# Verified with it, so a verdict must not be found by its goal alone
+@example((ConstraintSet(("a",), ()), Constraint(Var("a"), "<", Lit(3)), 4),
+         (ConstraintSet(("a",), (Constraint(Var("a"), "<", Lit(3)),)),
+          Constraint(Var("a"), "<", Lit(3)), 4))
 @settings(max_examples=200, deadline=None)
 def test_a_shared_oracle_answers_as_a_fresh_one(first, then):
     (ctx1, goal1, _), (ctx2, goal2, bound) = first, then
@@ -519,6 +526,53 @@ def test_a_shared_oracle_answers_as_a_fresh_one(first, then):
     entails(ctx1, goal1, shared)
     fresh = Oracle(DIFF_PROGRAM, bound, DIFF_FUEL)
     assert entails(ctx2, goal2, shared) == entails(ctx2, goal2, fresh)
+
+
+def record_calls(mp, *names):
+    """Patch each of `ix`'s functions `names` to record its name on each
+    call; the list of names called."""
+    calls = []
+    for name in names:
+        real = getattr(ix, name)
+        mp.setattr(ix, name, lambda *args, real=real, name=name:
+                   calls.append(name) or real(*args))
+    return calls
+
+
+def test_a_repeated_query_is_answered_from_the_verdict_table(monkeypatch):
+    def query():
+        """(ctx, goal), built anew: equal to, and not the same as, the last."""
+        return (ConstraintSet(("a", "b"), (Constraint(Var("b"), "<",
+                                                      Var("a")),)),
+                Constraint(half(Var("a")), "<=", Var("b")))
+
+    oracle = Oracle(DIFF_PROGRAM, 4, DIFF_FUEL)
+    first = entails(*query(), oracle)
+    # half(1) is undefined
+    assert first == Refuted((("a", 1), ("b", 0)))
+    calls = record_calls(monkeypatch, "_goal_over", "_satisfying",
+                         "eval_index")
+    assert entails(*query(), oracle) == first
+    assert calls == []
+
+
+def test_a_query_that_raises_raises_each_time_it_is_asked():
+    oracle = Oracle(DIFF_PROGRAM, 4, DIFF_FUEL)
+    ctx, goal = ConstraintSet(("a",), ()), Constraint(Var("a"), "<", Var("c"))
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"goal mentions undeclared "
+                                             r"variables \['c'\]"):
+            entails(ctx, goal, oracle)
+
+
+def test_a_check_decides_each_distinct_query_once(arith, dbl_derivation,
+                                                  monkeypatch):
+    calls = record_calls(monkeypatch, "entails", "_goal_over")
+    # `types` calls `entails` through its own module attribute
+    monkeypatch.setattr(types, "entails", ix.entails)
+    assert check(dbl_derivation, arith, bound=4).overall == Verified(4)
+    assert [calls.count(name) for name in ("entails", "_goal_over")] \
+        == [183, 95]
 
 
 @pytest.mark.parametrize("where", ["goal", "constraint"])
@@ -912,6 +966,58 @@ def test_syntax_walkers_match_the_recursive_references(t, other, name, repl):
     for signature in (DIFF_PROGRAM.signature, declare({"gt": 1, "half": 1})):
         assert (raised(ix.check_symbols, record, signature)
                 == raised(reference_check_symbols, record, signature))
+
+
+def rebuilt(t):
+    """An equal copy of the syntax `t` made of new nodes, none of which has
+    been asked its free variables."""
+    if isinstance(t, tuple):
+        return tuple(map(rebuilt, t))
+    if not dataclasses.is_dataclass(t):
+        return t
+    return type(t)(*(rebuilt(getattr(t, f.name))
+                     for f in dataclasses.fields(t)))
+
+
+def with_z(t):
+    """`t` with its first field replaced, by `dataclasses.replace`, with a
+    value that names the variable z wherever it names one."""
+    name = dataclasses.fields(t)[0].name
+    old = getattr(t, name)
+    new = ("z" if isinstance(old, str)
+           else tuple(Var("z") for _ in old) if isinstance(old, tuple)
+           else 7 if isinstance(old, int) else Var("z"))
+    return dataclasses.replace(t, **{name: new})
+
+
+@given(syntax)
+@settings(max_examples=300, deadline=None)
+def test_free_variables_kept_on_a_node_change_nothing_else(t):
+    unasked = rebuilt(t)
+    want = reference_free_vars(t)
+    assert ix.free_vars(t) == want
+    assert ix.free_vars(t) == want
+    # the node it was asked of keeps them, where equality, hashing and
+    # printing do not look
+    assert "_free" not in vars(unasked)
+    assert t == unasked and unasked == t
+    assert hash(t) == hash(unasked) and repr(t) == repr(unasked)
+    # a node made from it by `replace` computes its own
+    other = with_z(t)
+    assert "_free" not in vars(other)
+    assert ix.free_vars(other) == reference_free_vars(other)
+
+
+def test_a_constraint_asked_its_free_variables_is_still_checked_in_its_set():
+    c = Constraint(Var("a"), "<", Var("b"))
+    assert ix.free_vars(c) == {"a", "b"}
+    ctx = ConstraintSet(("a",))
+    for make in (lambda: ctx.extend(None, c),
+                 lambda: ConstraintSet(("a",), (c,))):
+        with pytest.raises(ValueError,
+                           match=r"undeclared variables \['b'\]"):
+            make()
+    assert ctx.extend("b", c).constraints == (c,)
 
 
 EVAL_CAP = 200
