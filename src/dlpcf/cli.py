@@ -264,6 +264,16 @@ class _Main(click.Group):
             sys.exit(1)
 
 
+_input_file = click.Path(exists=True, dir_okay=False)
+_fuel_option = click.option("--fuel", default=DEFAULT_FUEL, show_default=True)
+_format_option = click.option("--format", "fmt",
+                              type=click.Choice(["human", "tsv"]),
+                              default="human", show_default=True)
+_eqprog_option = click.option(
+    "--eqprog", envvar="DLPCF_EQPROG", required=True, type=_input_file,
+    help="Equational program (.eqs); DLPCF_EQPROG is the default.")
+
+
 @click.group(cls=_Main)
 def main() -> None:
     """Toolchain for cost-annotated PCF: run programs on the counting
@@ -271,16 +281,15 @@ def main() -> None:
 
 
 @main.command("eval")
-@click.argument("program", type=click.Path(exists=True, dir_okay=False))
-@click.option("--fuel", default=DEFAULT_FUEL, show_default=True)
+@click.argument("program", type=_input_file)
+@_fuel_option
 @click.option("--arg", "args", multiple=True, type=int,
               help="Apply the program to this numeral (repeatable).")
 @click.option("--trace", type=click.Path(dir_okay=False), default=None,
               help="Write one line per machine step to this path.")
 @click.option("--debug", is_flag=True,
               help="Assert the environment-size invariant at every step.")
-@click.option("--format", "fmt", type=click.Choice(["human", "tsv"]),
-              default="human", show_default=True)
+@_format_option
 def eval_cmd(program, fuel, args, trace, debug, fmt) -> None:
     """Run a program on both the machine and the reducer."""
     with _exit_on_input_error():
@@ -302,22 +311,15 @@ def eval_cmd(program, fuel, args, trace, debug, fmt) -> None:
                    f"{report.max_config_size})")
 
 
-_eqprog_option = click.option(
-    "--eqprog", envvar="DLPCF_EQPROG", required=True,
-    type=click.Path(exists=True, dir_okay=False),
-    help="Equational program (.eqs); DLPCF_EQPROG is the default.")
-
-
 @main.command("check")
-@click.argument("derivation", type=click.Path(exists=True, dir_okay=False))
-@click.argument("program", type=click.Path(exists=True, dir_okay=False))
+@click.argument("derivation", type=_input_file)
+@click.argument("program", type=_input_file)
 @_eqprog_option
 @click.option("--bound", default=DEFAULT_BOUND, show_default=True)
-@click.option("--fuel", default=DEFAULT_FUEL, show_default=True)
+@_fuel_option
 @click.option("--precise", is_flag=True,
               help="Require every inequality premise to hold as an equality.")
-@click.option("--format", "fmt", type=click.Choice(["human", "tsv"]),
-              default="human", show_default=True)
+@_format_option
 def check_cmd(derivation, program, eqprog, bound, fuel, precise, fmt) -> None:
     """Check a derivation file against a program."""
     with _exit_on_input_error():
@@ -328,16 +330,15 @@ def check_cmd(derivation, program, eqprog, bound, fuel, precise, fmt) -> None:
 
 
 @main.command("soundness")
-@click.argument("derivation", type=click.Path(exists=True, dir_okay=False))
-@click.argument("program", type=click.Path(exists=True, dir_okay=False))
+@click.argument("derivation", type=_input_file)
+@click.argument("program", type=_input_file)
 @_eqprog_option
 @click.option("--bound", default=DEFAULT_BOUND, show_default=True,
               help="Bound for the derivation check that gates the harness.")
-@click.option("--fuel", default=DEFAULT_FUEL, show_default=True)
+@_fuel_option
 @click.option("-n", "instantiations", multiple=True, type=int,
               help="Instantiate the root index variable here (repeatable).")
-@click.option("--format", "fmt", type=click.Choice(["human", "tsv"]),
-              default="human", show_default=True)
+@_format_option
 def soundness_cmd(derivation, program, eqprog, bound, fuel, instantiations,
                   fmt) -> None:
     """Check the derivation, then confirm its bounds on machine runs."""

@@ -14,19 +14,19 @@ was asked: the satisfying assignments of each context, each term's outcome
 at each assignment of its own free variables, the value of each call of
 a defined symbol that has one, and the verdict of each query it answered.
 A goal is decided once per assignment of its own free variables, and a
-repeated query is not decided again.  Every node of index syntax keeps
-its free variables once `free_vars` has computed them.
+repeated query is not decided again.  Every node of index syntax holds
+its free variables from when it is built.
 
 Types (`types.NatI`, `LinArrow`, `ModalType`) are this syntax plus three
 constructors.  `walk` takes index terms and types alike, and so do
-`free_vars`, `subst_index`, `alpha_eq_index` and `check_symbols`, which are
-folds over it.  `Var`, `Lit` and `App` are their own cases; every other
-node is a frozen dataclass read field by field.  The binding forms
+`subst_index`, `alpha_eq_index` and `check_symbols`, which are folds over
+it, and `free_vars`.  `Var`, `Lit` and `App` are their own cases; every
+other node is a frozen dataclass read field by field.  The binding forms
 `BoundedSum`, `Forest` and `types.ModalType` have `binder` as their first
 field, bound in the last, `body`, only; the fields between (`bound`, or
 `start` and `count`) are index terms outside its scope.  A node whose first
-field is not `binder` binds nothing.  `walk` is the one place that reads
-this rule.
+field is not `binder` binds nothing.  `_SHAPES` is the one place that reads
+this rule, for `walk` and for the free variables a node gets when built.
 """
 
 from __future__ import annotations
@@ -58,16 +58,34 @@ __all__ = [
 # Syntax
 
 class _Syntax:
-    """What index terms, constraints and types share: `_free`, where
-    `free_vars` keeps a node's free variables once asked of it, as
-    `pcf.bound` keeps a term's bound.  It is not a dataclass field, so
-    equality, hashing and printing do not read it."""
-    _free: Optional[frozenset[str]] = None
+    """What index terms, goals and types share: `_free`, the node's free
+    variables, set when it is built.  A `Var` has its name and a `Lit` none;
+    any other node has the union of its parts' sets, a binding form's binder
+    dropped from its body's only.  Every part is built before its node, so
+    no walk is needed.  A node shares a part's set that holds all the
+    others', but in general holds its own, so a term of n nodes with k
+    distinct free variables stores up to n * k names.  It is not a
+    dataclass field, so equality, hashing and printing do not read it."""
+    _free: frozenset[str] = frozenset()
+
+    def __post_init__(self):
+        binds, get = _SHAPES[type(self)]
+        sets = [getattr(part, "_free", frozenset()) for part in get(self)]
+        if binds and self.binder in sets[-1]:
+            sets[-1] = sets[-1] - {self.binder}
+        out = frozenset()
+        for free in sets:
+            if not free <= out:
+                out = free if out <= free else out | free
+        object.__setattr__(self, "_free", out)
 
 
 @dataclass(frozen=True)
 class Var(_Syntax):
     name: str
+
+    def __post_init__(self):
+        object.__setattr__(self, "_free", frozenset((self.name,)))
 
 
 @dataclass(frozen=True)
@@ -193,18 +211,8 @@ def _rebuild(nodes, combine):
 
 
 def free_vars(t) -> frozenset[str]:
-    """The free variables of an index term, a constraint or a type, kept on
-    the node they were asked of: a node never changes, so neither do they.
-    Those of a tuple are computed on each call."""
-    out = getattr(t, "_free", None)
-    if out is None:
-        out = frozenset(node.name for node, scope in walk(t)
-                        if type(node) is Var
-                        and (scope is None
-                             or _bound_at(scope, node.name) is None))
-        if isinstance(t, _Syntax):
-            object.__setattr__(t, "_free", out)
-    return out
+    """The free variables of an index term, a goal or a type."""
+    return t._free
 
 
 def fresh_name(base: str, avoid: frozenset[str]) -> str:
@@ -228,30 +236,25 @@ def subst_index(t, name: str, repl: IndexTerm):
     A renamed binder's new name is substituted in its body before the
     substitutions around it are, so each scope makes a list of them in
     order, found in pre-order from the list around its form.  The term is
-    then rebuilt in reverse pre-order.  The free variables of the forms
-    are tabled in one bottom-up pass, made the first time a binder may be
-    renamed, so renaming at every level of a deep term stays linear."""
+    then rebuilt in reverse pre-order.  Each form holds its free
+    variables, so renaming at every level of a deep term stays linear."""
     nodes = walk(t)
-    # id of a scope -> its form's new binder and its substitutions, each
-    # with the free variables of its replacement
-    made = {id(None): (None, [(name, repl, free_vars(repl))])}
-    free: Optional[dict[int, frozenset[str]]] = None
+    # id of a scope -> its form's new binder and its substitutions
+    made = {id(None): (None, [(name, repl)])}
     for node, scope in nodes:
         if scope is None or scope[0] is not node:
             continue
         around, binder, inside = made[id(scope[1])][1], node.binder, []
-        for i, (old, new, new_vars) in enumerate(around):
+        for i, (old, new) in enumerate(around):
             if binder == old:
                 continue
-            if binder in new_vars:
-                if free is None:
-                    free = _free_table(nodes)
-                seen = _free_after(free[id(node)], around[:i])
+            if binder in new._free:
+                seen = _free_after(node._free, around[:i])
                 if old in seen:
-                    fresh = fresh_name(binder, new_vars | seen)
-                    inside.append((binder, Var(fresh), frozenset((fresh,))))
+                    fresh = fresh_name(binder, new._free | seen)
+                    inside.append((binder, Var(fresh)))
                     binder = fresh
-            inside.append((old, new, new_vars))
+            inside.append((old, new))
         made[id(scope)] = binder, inside
 
     def combine(node, scope, parts):
@@ -259,7 +262,7 @@ def subst_index(t, name: str, repl: IndexTerm):
         if type(node) is Var:
             # Only the last substitution of a list may be of `repl`; the
             # others rename a variable to a variable.
-            for old, new, _ in subs:
+            for old, new in subs:
                 if type(node) is Var and node.name == old:
                     node = new
             return node
@@ -272,32 +275,12 @@ def subst_index(t, name: str, repl: IndexTerm):
     return _rebuild(nodes, combine)
 
 
-def _free_table(nodes) -> dict[int, frozenset[str]]:
-    """The free variables of every node of the walk `nodes`, keyed by the
-    node's `id`: one fold in reverse pre-order.  A form's binder is
-    removed from its body's only."""
-    free: dict[int, frozenset[str]] = {}
-
-    def combine(node, scope, parts):
-        if type(node) is Var:
-            out = frozenset((node.name,))
-        elif scope is not None and scope[0] is node:
-            out = frozenset().union(*parts[:-1], parts[-1] - {node.binder})
-        else:
-            out = frozenset().union(*parts)
-        free[id(node)] = out
-        return out
-
-    _rebuild(nodes, combine)
-    return free
-
-
 def _free_after(out: frozenset[str], subs) -> frozenset[str]:
     """The free variables `out` of a term once the substitutions `subs`,
     as `subst_index` lists them, are made in order."""
-    for old, _, new_vars in subs:
+    for old, new in subs:
         if old in out:
-            out = (out - {old}) | new_vars
+            out = (out - {old}) | new._free
     return out
 
 
@@ -648,12 +631,13 @@ class Constraint(_Syntax):
     rhs: IndexTerm
 
     def __post_init__(self):
+        super().__post_init__()
         if self.rel not in REL_SYMBOLS + ("~",):
             raise ValueError(f"unknown relation {self.rel!r}")
 
 
 @dataclass(frozen=True)
-class Defined:
+class Defined(_Syntax):
     """Goal asserting the term is defined for all satisfying assignments."""
     term: IndexTerm
 
@@ -869,8 +853,7 @@ def entails(ctx: ConstraintSet, goal: Constraint | Defined,
     verdict = oracle.verdicts.get((ctx, goal))
     if verdict is not None:
         return verdict
-    stray = set().union(*(_entry(term, oracle)[0]
-                          for term in _goal_sides(goal))) - set(ctx.variables)
+    stray = free_vars(goal) - set(ctx.variables)
     if stray:
         raise ValueError(f"goal mentions undeclared variables {sorted(stray)}")
 
@@ -959,8 +942,7 @@ def _goal_over(variables: tuple[str, ...], points, goal: Constraint | Defined,
     own free variables only, so it is decided, with the sides looked up in
     their tables, at the first settled point of each of their values."""
     sides = [_side(term, variables, oracle) for term in _goal_sides(goal)]
-    project = _projection(variables, tuple(sorted(
-        set().union(*(side.names for side in sides)))))
+    project = _projection(variables, tuple(sorted(free_vars(goal))))
     decided: set[tuple[int, ...]] = set()
     unknown: Unknown | None = None
     for values, settled in points:

@@ -5,8 +5,8 @@ equivalence, and the sum operations on modal types.
 Types are index syntax: `index.free_vars`, `subst_index`, `alpha_eq_index`
 and `check_symbols` take them as they take index terms.  `ModalType` is a
 binding form by the convention `index` states: `binder` first, bound in the
-last field, `body`, only.  Like index terms, a type keeps its free
-variables once `free_vars` has computed them.
+last field, `body`, only.  Like index terms, a type holds its free
+variables from when it is built.
 
 All semantic questions reduce to `index.entails` under a constraint context,
 asked of one `index.Oracle`, so every judgement here is three-valued and
@@ -53,6 +53,7 @@ class ModalType(ix._Syntax):
     body: "BasicType"
 
     def __post_init__(self):
+        super().__post_init__()
         if self.binder in free_vars(self.bound):
             raise ValueError(
                 f"modal bound {show_index(self.bound)} mentions its own "

@@ -969,8 +969,7 @@ def test_syntax_walkers_match_the_recursive_references(t, other, name, repl):
 
 
 def rebuilt(t):
-    """An equal copy of the syntax `t` made of new nodes, none of which has
-    been asked its free variables."""
+    """An equal copy of the syntax `t` made of new nodes."""
     if isinstance(t, tuple):
         return tuple(map(rebuilt, t))
     if not dataclasses.is_dataclass(t):
@@ -997,15 +996,29 @@ def test_free_variables_kept_on_a_node_change_nothing_else(t):
     want = reference_free_vars(t)
     assert ix.free_vars(t) == want
     assert ix.free_vars(t) == want
-    # the node it was asked of keeps them, where equality, hashing and
-    # printing do not look
-    assert "_free" not in vars(unasked)
+    # each node holds them, where equality, hashing and printing do not look
+    assert unasked._free == want
     assert t == unasked and unasked == t
     assert hash(t) == hash(unasked) and repr(t) == repr(unasked)
-    # a node made from it by `replace` computes its own
+    # a node made from it by `replace` gets its own
     other = with_z(t)
-    assert "_free" not in vars(other)
+    assert other._free == reference_free_vars(other)
     assert ix.free_vars(other) == reference_free_vars(other)
+
+
+@given(syntax, names, names.map(Var) | syntax_terms)
+# the outer binder is renamed to b_0, the inner one then to b_0_0
+@example(parse_index("sum(b < 1, sum(b_0 < 1, b + b_0 + x))"), "x", Var("b"))
+# the renamed binder reaches the inner sum's bound, an outer part
+@example(parse_index("forest(b, x, 1, sum(b_0 < b, x - b_0))"), "x",
+         Var("b"))
+@settings(max_examples=300, deadline=None)
+def test_every_node_is_built_holding_its_free_variables(t, name, repl):
+    # also the nodes `subst_index` builds, where it renames binders
+    for term in (t, subst_index(t, name, repl)):
+        for node, _ in ix.walk(term):
+            if isinstance(node, ix._Syntax):
+                assert node._free == reference_free_vars(node)
 
 
 def test_a_constraint_asked_its_free_variables_is_still_checked_in_its_set():
@@ -1170,8 +1183,8 @@ def test_the_walkers_and_the_evaluator_handle_terms_5000_deep():
 
 def test_subst_index_renames_at_every_level_of_a_deep_term():
     # x := a under 2,000 sums that each bind a: every binder is renamed to
-    # a_0.  Reading the forms' free variables from one table takes a
-    # fraction of a second; recomputing them at each binder took seconds.
+    # a_0.  Reading the free variables each form holds takes a fraction of
+    # a second; recomputing them at each binder took seconds.
     depth = 2000
     sums = Var("x")
     for _ in range(depth):
