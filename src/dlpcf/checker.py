@@ -26,21 +26,19 @@ from .index import (Constraint, ConstraintSet, EquationError,
                     alpha_eq_index, free_vars, merge_verdicts,
                     parse_constraint, parse_index, show_constraint, show_index,
                     subst_index)
-from .pcf import (BINDERS, App, Const, Fix, IfZ, Lam, PcfType, PcfTypeError,
-                  Pred, Succ, Term, TVar, max_free_index, pcf_typecheck,
-                  subterms, with_subterms)
+from .pcf import (BINDERS, App, Const, Fix, IfZ, Lam, Pred, Succ, Term, TVar,
+                  max_free_index, subterms)
+from .pcf import pcf_typecheck  # unused: perfbench's tracer patches it here
 from .sexpr import SExprError, SString, parse_sexpr
 from .types import (BasicType, BoundedSumWitness, LinArrow, ModalType, NatI,
-                    ShapeMismatch, SumWitness, bounded_sum_modal, erase,
-                    inequality, parse_basic_type,
-                    parse_modal_type, show_type, subtype, sum_modal,
-                    well_defined)
+                    ShapeMismatch, SumWitness, bounded_sum_modal, inequality,
+                    parse_basic_type, parse_modal_type, show_type, subtype,
+                    sum_modal, well_defined)
 
 __all__ = [
-    "Derivation", "Annotations", "Obligation", "CheckReport", "PcfDerivation",
+    "Derivation", "Annotations", "Obligation", "CheckReport",
     "StructuralError", "DerivationSyntaxError",
     "parse_derivation", "load_derivation", "bind", "check",
-    "erase_derivation",
 ]
 
 # rule -> the term constructor it applies to; it has one premise per subterm
@@ -109,17 +107,6 @@ class CheckReport:
     obligations: tuple[Obligation, ...]
     bound: int
     fuel: int
-
-
-@dataclass(frozen=True)
-class PcfDerivation:
-    context: tuple[PcfType, ...]
-    term: Term
-    type: PcfType
-    premises: tuple["PcfDerivation", ...]
-
-    def node_count(self) -> int:
-        return 1 + sum(p.node_count() for p in self.premises)
 
 
 # ---------------------------------------------------------------------------
@@ -517,40 +504,6 @@ def check(d: Derivation, program: EquationalProgram,
     else:
         overall = Verified(bound)
     return CheckReport(overall, obligations, bound, fuel)
-
-
-# ---------------------------------------------------------------------------
-# Erasure
-
-def erase_derivation(d: Derivation) -> PcfDerivation:
-    """Structure-preserving erasure into a plain PCF derivation.  A node is
-    accepted only where `pcf_typecheck` types its subject in its erased
-    context at its erased type, and each premise's erased context is the
-    node's (behind the bound variable under a binder)."""
-    return _erase_node(d, ())
-
-
-def _erase_node(d: Derivation, path) -> PcfDerivation:
-    if d.subject is None or any(e is None for e in d.context):
-        raise StructuralError(path, "derivation is not bound to a program")
-    _check_shape(d, d.subject, path)
-    premises = tuple(_erase_node(p, path + (i,))
-                     for i, p in enumerate(d.premises))
-    context = tuple(map(erase, d.context))
-    ty = erase(d.type)
-    term = with_subterms(d.subject, [p.term for p in premises])
-    binder = isinstance(term, BINDERS)
-    if binder:
-        # The bound variable's erased entry annotates the binder; an empty
-        # premise context leaves none, which the typechecker rejects.
-        term = replace(term, ann=next(iter(premises[0].context), None))
-    try:
-        ok = pcf_typecheck(context, term) == ty
-    except PcfTypeError:
-        ok = False
-    if not ok or any(p.context[binder:] != context for p in premises):
-        raise StructuralError(path, "erasure does not follow the simple rules")
-    return PcfDerivation(context, term, ty, premises)
 
 
 # ---------------------------------------------------------------------------

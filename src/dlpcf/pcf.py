@@ -16,7 +16,7 @@ from .fuel import DEFAULT_FUEL, FuelExhausted, check_budget
 __all__ = [
     "Term", "TVar", "Const", "Succ", "Pred", "Lam", "App", "IfZ", "Fix",
     "PcfType", "NatT", "Arrow", "NAT",
-    "parse_term", "show_term", "show_pcf_type",
+    "parse_term", "show_pcf_type",
     "size", "subterm_sizes", "pcf_typecheck", "PcfTypeError",
     "PcfSyntaxError",
     "shift", "subst", "wh_eval", "StuckTerm", "bound", "max_free_index",
@@ -670,41 +670,6 @@ def _parse_type_atom(p: _PcfParser) -> PcfType:
         return t
     raise PcfSyntaxError(f"expected a type, got {tok.text!r}",
                          tok.line, tok.col)
-
-
-def show_term(t: Term, scope: tuple[str, ...] = ()) -> str:
-    """Print with invented binder names; inverse of parse_term up to alpha.
-    A binder under d others is named `x<d>`.  One fold of `walk`, read in
-    reverse so a node's subterms are printed before it."""
-    done: list[str] = []
-    for node, depth in reversed(walk(t)):
-        match node:
-            case TVar(k) if k < depth:
-                text = f"x{depth - 1 - k}"
-            case TVar(k) if k - depth < len(scope):
-                text = scope[k - depth]
-            case TVar(k):
-                text = f"?{k - depth - len(scope)}"
-            case Const(n):
-                text = str(n)
-            case Succ() | Pred():
-                text = f"{'s' if isinstance(node, Succ) else 'p'}({done.pop()})"
-            case Lam():
-                text = f"\\x{depth}. {done.pop()}"
-            case Fix():
-                text = f"fix x{depth}. {done.pop()}"
-            case App(f, a):
-                fs, As = done.pop(), done.pop()
-                if isinstance(f, (Lam, Fix, IfZ)):
-                    fs = f"({fs})"
-                if isinstance(a, (App, Lam, Fix, IfZ)):
-                    As = f"({As})"
-                text = f"{fs} {As}"
-            case IfZ():
-                text = (f"ifz {done.pop()} then {done.pop()} "
-                        f"else {done.pop()}")
-        done.append(text)
-    return done[0]
 
 
 def term_head(t: Term) -> str:

@@ -1,7 +1,7 @@
 """Generators shared by the fuzz and corpus tests: random child-count tables
 for forest bodies, random well-typed PCF terms, untyped open PCF terms, and
-random ordered types; and `Fuel`, the countdown the reference evaluators
-tick."""
+random ordered types; `show_term`, the tests' PCF printer; and `Fuel`, the
+countdown the reference evaluators tick."""
 
 import random
 
@@ -81,6 +81,37 @@ def gen_term(rng: random.Random, want: pcf.PcfType,
     fn = gen_term(rng, pcf.Arrow(dom, pcf.NAT), env, depth - 1)
     arg = gen_term(rng, dom, env, depth - 1)
     return pcf.App(fn, arg)
+
+
+def show_term(t: pcf.Term, depth: int = 0, scope: tuple[str, ...] = ()) -> str:
+    """Print with invented binder names; inverse of `pcf.parse_term` up to
+    alpha.  A binder under d others is named `x<d>`, and a free variable
+    past `scope` prints as `?k`.  Recurses once per nesting level."""
+    go = show_term
+    match t:
+        case pcf.TVar(k):
+            return scope[k] if k < len(scope) else f"?{k - len(scope)}"
+        case pcf.Const(n):
+            return str(n)
+        case pcf.Succ(b):
+            return f"s({go(b, depth, scope)})"
+        case pcf.Pred(b):
+            return f"p({go(b, depth, scope)})"
+        case pcf.Lam(b):
+            return f"\\x{depth}. {go(b, depth + 1, (f'x{depth}',) + scope)}"
+        case pcf.Fix(b):
+            return f"fix x{depth}. {go(b, depth + 1, (f'x{depth}',) + scope)}"
+        case pcf.App(f, a):
+            fs = go(f, depth, scope)
+            if isinstance(f, (pcf.Lam, pcf.Fix, pcf.IfZ)):
+                fs = f"({fs})"
+            args = go(a, depth, scope)
+            if isinstance(a, (pcf.App, pcf.Lam, pcf.Fix, pcf.IfZ)):
+                args = f"({args})"
+            return f"{fs} {args}"
+        case pcf.IfZ(s, z, u):
+            return (f"ifz {go(s, depth, scope)} then {go(z, depth, scope)} "
+                    f"else {go(u, depth, scope)}")
 
 
 # Untyped open terms: free variables at several binder depths, annotated

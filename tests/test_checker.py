@@ -1,6 +1,8 @@
+import ast
 import collections
 import dataclasses
 import gc
+import importlib
 import pathlib
 import weakref
 
@@ -12,14 +14,13 @@ from dlpcf import index as ix
 from dlpcf import machine
 from dlpcf import pcf
 from dlpcf.checker import (Annotations, Derivation, StructuralError, bind,
-                           check, erase_derivation, load_derivation,
-                           parse_derivation)
+                           check, load_derivation, parse_derivation)
 from dlpcf.cli import main
 from dlpcf.index import (App, Constraint, ConstraintSet, EMPTY_CTX, Lit,
                          Oracle, Refuted, Var, Verified, alpha_eq_index,
                          entails, parse_constraint, parse_equations,
                          parse_index)
-from dlpcf.types import (ModalType, parse_basic_type, parse_modal_type,
+from dlpcf.types import (ModalType, erase, parse_basic_type, parse_modal_type,
                          show_type)
 
 
@@ -142,26 +143,24 @@ def test_golden_dbl_root_bounds(dbl_derivation):
 
 
 def test_golden_dbl_erasure(dbl_derivation, dbl_term):
-    erased = erase_derivation(dbl_derivation)
-    assert erased.type == pcf.Arrow(pcf.NAT, pcf.NAT)
-    assert erased.term == dbl_term
-    assert erased.node_count() == 11
-    assert pcf.pcf_typecheck((), erased.term) == pcf.Arrow(pcf.NAT, pcf.NAT)
+    assert erase(dbl_derivation.type) == pcf.Arrow(pcf.NAT, pcf.NAT)
+    assert dbl_derivation.subject is dbl_term
+    assert pcf.pcf_typecheck((), dbl_term) == pcf.Arrow(pcf.NAT, pcf.NAT)
 
 
 def test_erased_premises_carry_binder_annotations(dbl_derivation):
-    erased = erase_derivation(dbl_derivation)
-    lam = erased.premises[0]
-    assert lam.term.ann == pcf.NAT
-    assert erased.term.body is lam.term
+    lam = dbl_derivation.premises[0]
+    assert lam.subject.ann == erase(lam.premises[0].context[0]) == pcf.NAT
+    assert dbl_derivation.subject.body is lam.subject
 
 
-def test_lambda_of_interval_type_does_not_erase():
+def test_lambda_of_interval_type_does_not_erase(arith):
     body = leaf_n(0, context=(M("[c < 1] Nat[0]"),))
     lam = Derivation("L", EMPTY_CTX, (), Lit(0), B("Nat[0]"), Annotations(),
                      (body,), subject=pcf.Lam(pcf.Const(0)))
-    with pytest.raises(StructuralError):
-        erase_derivation(lam)
+    with pytest.raises(StructuralError) as err:
+        check(lam, arith)
+    assert str(err.value) == "root: lambdas take arrow types"
 
 
 @pytest.mark.parametrize("rule, subject, type_text", [
@@ -171,11 +170,11 @@ def test_lambda_of_interval_type_does_not_erase():
     ("L", pcf.Lam(pcf.Const(0)), "[c < 1] Nat[0] -o Nat[0]"),
     ("S", pcf.Succ(pcf.Const(0)), "Nat[1]"),
 ])
-def test_malformed_leaf_does_not_erase(rule, subject, type_text):
+def test_malformed_leaf_does_not_erase(arith, rule, subject, type_text):
     node = Derivation(rule, EMPTY_CTX, (), Lit(0), B(type_text), Annotations(),
                       (), subject=subject)
     with pytest.raises(StructuralError):
-        erase_derivation(node)
+        check(node, arith)
 
 
 def test_variable_outside_the_context_is_structural(arith):
@@ -185,11 +184,6 @@ def test_variable_outside_the_context_is_structural(arith):
         check(node, arith)
     assert str(err.value) == ("root: subject has free variables outside the "
                               "typing context")
-
-
-def test_single_node_erasure(arith):
-    erased = erase_derivation(leaf_n(3, type_text="Nat[3, 3]"))
-    assert erased.type == pcf.NAT and erased.node_count() == 1
 
 
 def test_paper_claimed_linear_weight_is_refuted(arith, dbl_derivation):
@@ -346,6 +340,25 @@ def test_the_checker_calls_the_oracle_through_module_attributes(
     report = check(dbl_derivation, arith, bound=4)
     assert calls == {"subtype": 12, "well_defined": 8, "entails": 14}
     assert len(report.obligations) == 40
+
+
+def test_every_name_the_tracer_patches_exists():
+    """perfbench/tracer.py replaces these module attributes by name, so a
+    rename in dlpcf would stop every traced benchmark run.  The tracer is
+    read as text, not imported."""
+    source = (pathlib.Path(__file__).resolve().parent.parent
+              / "perfbench" / "tracer.py").read_text()
+    tables = {stmt.targets[0].id: ast.literal_eval(stmt.value)
+              for stmt in ast.parse(source).body
+              if isinstance(stmt, ast.Assign)
+              and isinstance(stmt.targets[0], ast.Name)
+              and stmt.targets[0].id in ("SPANNED", "COUNTED")}
+    assert set(tables) == {"SPANNED", "COUNTED"}
+    names = [entry[:2] for entry in tables["SPANNED"] + tables["COUNTED"]]
+    missing = [(module, attr) for module, attr in names
+               if not hasattr(importlib.import_module(f"dlpcf.{module}"),
+                              attr)]
+    assert names and not missing
 
 
 # ---------------------------------------------------------------------------

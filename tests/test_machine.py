@@ -15,7 +15,7 @@ from dlpcf.machine import (Arg, Branches, ClosedTermRequired, Closure,
 from dlpcf.pcf import (App, Const, Fix, IfZ, Lam, Pred, Succ, Term, TVar,
                        max_free_index, parse_term, term_head, wh_eval)
 
-from genterms import Fuel, gen_nat_term, open_terms
+from genterms import Fuel, gen_nat_term, open_terms, show_term
 
 
 # ---------------------------------------------------------------------------
@@ -135,12 +135,12 @@ def assert_run_matches_spec(t, cap=200, budget=10**5):
     """Equal outcomes at `budget` (under `debug`) and at every budget from 1
     to one past the step count, capped at `cap`."""
     full = outcome(reference_run, t, budget)
-    assert outcome(run, t, budget, debug=True) == full, pcf.show_term(t)
+    assert outcome(run, t, budget, debug=True) == full, show_term(t)
     result = full[0]
     steps = result.steps if isinstance(result, RunResult) else cap
     for fuel in range(1, min(steps + 1, cap) + 1):
         assert outcome(run, t, fuel) == outcome(reference_run, t, fuel), (
-            pcf.show_term(t), fuel)
+            show_term(t), fuel)
 
 
 def P(text):
@@ -290,8 +290,8 @@ def test_corpus_values_and_agreement():
     for term, expected in CORPUS:
         r = run(term, debug=True)
         value, _ = wh_eval(term)
-        assert r.value == expected, pcf.show_term(term)
-        assert value == expected, pcf.show_term(term)
+        assert r.value == expected, show_term(term)
+        assert value == expected, show_term(term)
 
 
 def configurations(term):
@@ -349,7 +349,7 @@ def assert_trace_sizes_exact(term):
     assert len(lines) == len(sizes) - 1 == r.steps
     for line in lines:
         step, _, traced, _ = line.split("\t")
-        assert int(traced) == sizes[int(step)], (pcf.show_term(term), line)
+        assert int(traced) == sizes[int(step)], (show_term(term), line)
     assert r.max_config_size == max(sizes)
 
 

@@ -11,13 +11,14 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dlpcf import checker as ck
 from dlpcf import index as ix
 from dlpcf import pcf
 from dlpcf.cli import soundness_rows
 from dlpcf.index import Verified
-from dlpcf.types import LinArrow, parse_basic_type
+from dlpcf.types import LinArrow, erase, parse_basic_type
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -92,7 +93,8 @@ def test_verified_mutants_of_the_vacuous_fix(arith):
 
 
 # ---------------------------------------------------------------------------
-# Erasure: literals never change it, a type of another shape always breaks it
+# Erasure: every derivation `check` accepts erases, node by node, to a simply
+# typed PCF derivation; a type of another shape is always a structural error
 
 def fixture_text_and_term(name):
     term = pcf.parse_term((FIXTURES / f"{name}.pcf").read_text())
@@ -113,23 +115,88 @@ def replace_at(d, path, **changes):
     return dataclasses.replace(d, premises=tuple(premises))
 
 
-@pytest.mark.parametrize("name", ["dbl", "delay5"])
-def test_literal_mutants_erase_as_the_fixture(name):
+@st.composite
+def fixture_and_mutants(draw):
+    """A fixture's name and one or two of its literal mutants."""
+    name = draw(st.sampled_from(["dbl", "delay5"]))
+    mutants = list(all_literal_mutants(fixture_text_and_term(name)[0]))
+    return name, draw(st.lists(st.sampled_from(mutants), min_size=1,
+                               max_size=2))
+
+
+@given(fixture_and_mutants())
+@settings(max_examples=25, deadline=None)
+def test_accepted_derivations_erase_node_by_node(arith, drawn):
+    """The erasure lemma: at every node of an accepted derivation, the
+    subject has, in the erased typing context, the erased type; a binder's
+    annotation is the erasure of its bound variable's entry."""
+    name, mutants = drawn
     text, term = fixture_text_and_term(name)
-    # repr, not ==: binder annotations take no part in term equality
-    want = repr(ck.erase_derivation(ck.bind(ck.parse_derivation(text), term)))
-    for mutant_text in all_literal_mutants(text):
-        deriv = ck.bind(ck.parse_derivation(mutant_text), term)
-        assert repr(ck.erase_derivation(deriv)) == want, mutant_text
+    for deriv_text in [text] + mutants:
+        deriv = ck.bind(ck.parse_derivation(deriv_text), term)
+        try:
+            ck.check(deriv, arith, bound=3)
+        except ck.StructuralError:
+            continue
+        for path, node in nodes(deriv):
+            context = tuple(map(erase, node.context))
+            assert (pcf.pcf_typecheck(context, node.subject)
+                    == erase(node.type)), (path, deriv_text)
+            if isinstance(node.subject, pcf.BINDERS):
+                assert (node.subject.ann
+                        == erase(node.premises[0].context[0])), path
+
+
+def other_shape(t):
+    return parse_basic_type("Nat[0]" if isinstance(t, LinArrow)
+                            else "[c < 1] Nat[0] -o Nat[0]")
+
+
+def shape_mutants(d):
+    """(node path, what changed, derivation) for each node's type, each of
+    its context slots' bodies and R's `bodytype`, swapped for a type of
+    another shape."""
+    for path, node in nodes(d):
+        yield path, "type", replace_at(d, path, type=other_shape(node.type))
+        for j, entry in enumerate(node.context):
+            context = list(node.context)
+            context[j] = dataclasses.replace(entry,
+                                             body=other_shape(entry.body))
+            yield path, f"slot {j}", replace_at(d, path,
+                                                context=tuple(context))
+        if node.annots.bodytype is not None:
+            annots = dataclasses.replace(
+                node.annots, bodytype=other_shape(node.annots.bodytype))
+            yield path, "bodytype", replace_at(d, path, annots=annots)
+
+
+# The node `check` names for a shape mutant, where it is not the mutated
+# node: a premise compared against the rule's wanted judgement, or the parent
+# whose context sum or join meets the swapped slot.
+NAMED_ELSEWHERE = {
+    "dbl": {((), "bodytype"): (0,),
+            ((0, 0, 0), "slot 0"): (0, 0),
+            ((0, 0, 0), "slot 1"): (0, 0),
+            ((0, 0, 1), "slot 0"): (0, 0, 2),
+            ((0, 0, 1), "slot 1"): (0, 0, 2),
+            ((0, 0, 2, 0, 0, 0), "slot 0"): (0, 0, 2, 0, 0),
+            ((0, 0, 2, 0, 0, 0), "slot 1"): (0, 0, 2, 0, 0),
+            ((0, 0, 2, 0, 0, 1), "slot 0"): (0, 0, 2, 0, 0),
+            ((0, 0, 2, 0, 0, 1), "slot 1"): (0, 0, 2, 0, 0)},
+    "delay5": {((), "type"): (0,),
+               ((0, 0), "bodytype"): (0, 0, 0),
+               ((0, 0, 0), "slot 1"): (0, 0)},
+}
 
 
 @pytest.mark.parametrize("name", ["dbl", "delay5"])
-def test_a_type_of_another_erasure_is_a_structural_error(name):
+def test_a_type_of_another_erasure_is_a_structural_error(arith, name):
     text, term = fixture_text_and_term(name)
     deriv = ck.bind(ck.parse_derivation(text), term)
-    for path, node in nodes(deriv):
-        other = parse_basic_type("Nat[0]" if isinstance(node.type, LinArrow)
-                                 else "[c < 1] Nat[0] -o Nat[0]")
+    mutants = list(shape_mutants(deriv))
+    assert len(mutants) == {"dbl": 31, "delay5": 9}[name]
+    for path, what, mutant in mutants:
         with pytest.raises(ck.StructuralError) as caught:
-            ck.erase_derivation(replace_at(deriv, path, type=other))
-        assert caught.value.path == path
+            ck.check(mutant, arith, bound=3)
+        assert caught.value.path == NAMED_ELSEWHERE[name].get(
+            (path, what), path), (path, what)

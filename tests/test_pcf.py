@@ -10,7 +10,7 @@ from dlpcf.pcf import (NAT, App, Arrow, Const, Fix, IfZ, Lam, PcfSyntaxError,
                        max_free_index, parse_term, pcf_typecheck, shift, size,
                        subst, subterm_sizes, wh_eval)
 
-from genterms import Fuel, gen_nat_term, open_terms
+from genterms import Fuel, gen_nat_term, open_terms, show_term
 from test_machine import CORPUS
 
 
@@ -297,7 +297,7 @@ def outcome(evaluate, t, fuel):
 
 def assert_refocusing_matches(t, fuel=DEFAULT_FUEL):
     got = outcome(wh_eval, t, fuel)
-    assert got == outcome(reference_wh_eval, t, fuel), pcf.show_term(t)
+    assert got == outcome(reference_wh_eval, t, fuel), show_term(t)
     if isinstance(got[0], int) and got[1] > 0:
         steps = got[1]
         assert wh_eval(t, fuel=steps) == got
@@ -388,7 +388,7 @@ def test_wh_step_deterministic(seed):
 @settings(max_examples=60, deadline=None)
 def test_show_parse_roundtrip(seed):
     t = gen_nat_term(random.Random(seed), (), 4)
-    assert parse_term(pcf.show_term(t)) == t
+    assert parse_term(show_term(t)) == t
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +529,7 @@ def assert_kept_where_nothing_changes(t, got, start):
     while pairs:
         u, v, limit = pairs.pop()
         if reference_max_free_index(u, limit) < 0:
-            assert v is u, pcf.show_term(u)
+            assert v is u, show_term(u)
         elif not isinstance(u, TVar):
             limit += isinstance(u, (Lam, Fix))
             pairs.extend((a, b, limit) for a, b in zip(pcf.subterms(u),
@@ -595,12 +595,11 @@ def test_walkers_handle_a_term_5000_deep():
 
 
 # ---------------------------------------------------------------------------
-# The iterative parser, typechecker and printer against recursive references
+# The iterative parser and typechecker against recursive references
 #
-# `parse_term`, `pcf_typecheck` and `show_term` as they were when each
-# recursed once per nesting level: the explicit-stack passes must give the
-# same tree, type, string or error (message, path and line:col) wherever
-# these do not run out of stack.
+# `parse_term` and `pcf_typecheck` as they were when each recursed once per
+# nesting level: the explicit-stack passes must give the same tree, type or
+# error (message, path and line:col) wherever these do not run out of stack.
 
 def reference_parse_term(text):
     p = pcf._PcfParser(pcf._lex(text))
@@ -713,34 +712,6 @@ def reference_typecheck(gamma, t, path=()):
             return ann
 
 
-def reference_show_term(t, depth=0, scope=()):
-    go = reference_show_term
-    match t:
-        case TVar(k):
-            return scope[k] if k < len(scope) else f"?{k - len(scope)}"
-        case Const(n):
-            return str(n)
-        case Succ(b):
-            return f"s({go(b, depth, scope)})"
-        case Pred(b):
-            return f"p({go(b, depth, scope)})"
-        case Lam(b):
-            return f"\\x{depth}. {go(b, depth + 1, (f'x{depth}',) + scope)}"
-        case Fix(b):
-            return f"fix x{depth}. {go(b, depth + 1, (f'x{depth}',) + scope)}"
-        case App(f, a):
-            fs = go(f, depth, scope)
-            if isinstance(f, (Lam, Fix, IfZ)):
-                fs = f"({fs})"
-            args = go(a, depth, scope)
-            if isinstance(a, (App, Lam, Fix, IfZ)):
-                args = f"({args})"
-            return f"{fs} {args}"
-        case IfZ(s, z, u):
-            return (f"ifz {go(s, depth, scope)} then {go(z, depth, scope)} "
-                    f"else {go(u, depth, scope)}")
-
-
 def parsed(parse, text):
     """The tree and its binder annotations, or the error's type, message
     and line:col."""
@@ -768,7 +739,7 @@ tokens = st.lists(st.sampled_from(VOCABULARY), max_size=24)
 def edited_programs(draw):
     """A shown random term with a few tokens deleted, replaced or inserted:
     well-formed text and text that fails deep inside."""
-    words = reference_show_term(draw(open_terms), 0, ("x", "y")).split(" ")
+    words = show_term(draw(open_terms), 0, ("x", "y")).split(" ")
     for _ in range(draw(st.integers(0, 2))):
         at = draw(st.integers(0, len(words)))
         edit = draw(st.sampled_from(["delete", "replace", "insert"]))
@@ -780,7 +751,7 @@ def edited_programs(draw):
 
 
 @given(st.one_of(tokens.map(" ".join), tokens.map("".join), edited_programs(),
-                 open_terms.map(lambda t: reference_show_term(t, 0, ("x",)))
+                 open_terms.map(lambda t: show_term(t, 0, ("x",)))
                  .map(lambda text: f"\\x: Nat -> Nat. {text}")))
 @example(r"\x. \y. x y (s y) p x")
 @example("ifz ifz 0 then 1 else 2 then (fix f: Nat. f) else x")
@@ -816,19 +787,12 @@ def test_typechecker_matches_the_recursive_reference(gamma, t):
                                                     tuple(gamma), t)
 
 
-@given(open_terms, st.lists(st.sampled_from(["a", "b", "x0"]), max_size=2))
-@settings(max_examples=200, deadline=None)
-def test_printer_matches_the_recursive_reference(t, scope):
-    scope = tuple(scope)
-    assert pcf.show_term(t, scope) == reference_show_term(t, 0, scope)
-
-
 DEEP = 5000
 
 
 def deep_chains():
     """Terms nested DEEP levels: s(...), annotated lambdas, an application
-    spine and ifz scrutinees, each with its printed text."""
+    spine and ifz scrutinees, each with its source text."""
     lams, spine, ifzs = Const(0), TVar(0), Const(0)
     for _ in range(DEEP):
         lams = Lam(lams, NAT)
@@ -844,9 +808,7 @@ def deep_chains():
 
 def test_show_and_parse_handle_terms_5000_deep():
     for name, (t, text) in deep_chains().items():
-        shown = pcf.show_term(t)
-        assert shown == text, name
-        assert same_term(parse_term(shown), t), name
+        assert same_term(parse_term(text), t), name
     annotated = parse_term("".join(f"\\x{d}: Nat. " for d in range(DEEP))
                            + "x0")
     binders = [node for node, _ in pcf.walk(annotated)[:-1]]
