@@ -93,8 +93,9 @@ def test_verified_mutants_of_the_vacuous_fix(arith):
 
 
 # ---------------------------------------------------------------------------
-# Erasure: every derivation `check` accepts erases, node by node, to a simply
-# typed PCF derivation; a type of another shape is always a structural error
+# Erasure: literals never change it, every derivation `check` accepts erases,
+# node by node, to a simply typed PCF derivation, and a type of another shape
+# is always a structural error
 
 def fixture_text_and_term(name):
     term = pcf.parse_term((FIXTURES / f"{name}.pcf").read_text())
@@ -114,6 +115,21 @@ def replace_at(d, path, **changes):
     premises[path[0]] = replace_at(premises[path[0]], path[1:], **changes)
     return dataclasses.replace(d, premises=tuple(premises))
 
+
+
+def erased_nodes(d):
+    """Each node's path with its erased context and erased type."""
+    return [(path, tuple(map(erase, node.context)), erase(node.type))
+            for path, node in nodes(d)]
+
+
+@pytest.mark.parametrize("name", ["dbl", "delay5"])
+def test_literal_mutants_erase_as_the_fixture(name):
+    text, term = fixture_text_and_term(name)
+    want = erased_nodes(ck.bind(ck.parse_derivation(text), term))
+    for mutant_text in all_literal_mutants(text):
+        deriv = ck.bind(ck.parse_derivation(mutant_text), term)
+        assert erased_nodes(deriv) == want, mutant_text
 
 @st.composite
 def fixture_and_mutants(draw):
