@@ -27,13 +27,13 @@ from .index import (Constraint, ConstraintSet, EquationError,
                     parse_constraint, parse_index, show_constraint, show_index,
                     subst_index)
 from .pcf import (BINDERS, App, Const, Fix, IfZ, Lam, Pred, Succ, Term, TVar,
-                  max_free_index, subterms)
+                  max_free_index, show_pcf_type, subterms)
 from .pcf import pcf_typecheck  # unused: perfbench's tracer patches it here
 from .sexpr import SExprError, SString, parse_sexpr
 from .types import (BasicType, BoundedSumWitness, LinArrow, ModalType, NatI,
-                    ShapeMismatch, SumWitness, bounded_sum_modal, inequality,
-                    parse_basic_type, parse_modal_type, show_type, subtype,
-                    sum_modal, well_defined)
+                    ShapeMismatch, SumWitness, bounded_sum_modal, erase,
+                    inequality, parse_basic_type, parse_modal_type, show_type,
+                    subtype, sum_modal, well_defined)
 
 __all__ = [
     "Derivation", "Annotations", "Obligation", "CheckReport",
@@ -280,6 +280,16 @@ class _Checker:
             self.same(at, p.type, type, f"{what} type")
         return p
 
+    @staticmethod
+    def binder_ann(path, node, ty, what: str) -> None:
+        """A binder's annotation, where the program gives one, is the
+        erasure of `ty`, the type the derivation gives the bound variable."""
+        ann, want = node.subject.ann, erase(ty)
+        if ann is not None and ann != want:
+            raise StructuralError(
+                path, f"{what} annotation {show_pcf_type(ann)} does not match "
+                      f"the erased type {show_pcf_type(want)}")
+
     # -- the rules -----------------------------------------------------------
 
     def check_node(self, node: Derivation, path: tuple[int, ...]) -> None:
@@ -320,6 +330,7 @@ class _Checker:
     def _rule_L(self, node, path) -> None:
         if not isinstance(node.type, LinArrow):
             raise StructuralError(path, "lambdas take arrow types")
+        self.binder_ann(path, node, node.type.dom, "lambda")
         self.premise(node, path, 0, "lambda premise", node.ctx,
                      (node.type.dom,) + node.context, node.weight,
                      node.type.cod)
@@ -395,6 +406,7 @@ class _Checker:
                     spent, self.rel, node.weight)
 
     def _rule_R(self, node, path) -> None:
+        self.binder_ann(path, node, node.type, "fix")
         rec_var = self.annot(node, path, "recvar")
         self_modal = self.annot(node, path, "selftype")
         body_type = self.annot(node, path, "bodytype")

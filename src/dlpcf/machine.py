@@ -13,7 +13,7 @@ from typing import Optional, Sequence, TextIO, Union
 
 from .fuel import DEFAULT_FUEL, FuelExhausted, check_budget
 from .pcf import (App, Const, Fix, IfZ, Lam, Numerals, Pred, Succ, Term,
-                  TVar, max_free_index, size, subterm_sizes, term_head)
+                  TVar, max_free_index, size, term_head)
 
 __all__ = [
     "Closure", "Environment", "Arg", "SMark", "PMark", "Branches",
@@ -117,14 +117,10 @@ def run(t: Term, fuel: int = DEFAULT_FUEL, *, debug: bool = False,
     final one included, ticks once, and the ticks before it number
     `steps`.
 
-    The configuration size is kept as it goes.  Every term the machine
-    focuses or stacks is a subterm of `t`, sized once up front, or a
-    numeral it made, of size 1.  The numerals come from a table made for
-    this run, so each is built once.  A numeral in the table is a live
-    object that is never a subterm of `t`, so its `id` is not a key of
-    `sizes`, and `sizes.get(id(term), 1)` stays exact.  A step pushes or
-    pops at most the top stack item, so the stack's share changes by that
-    item's size.
+    The configuration size is kept as it goes: every term holds its size,
+    and a step pushes or pops at most the top stack item, so the stack's
+    share changes by that item's size.  The numerals the s and p steps
+    make come from a table made for this run, so each is built once.
     `debug` asserts that the running size equals `config_size`, its
     specification, at every configuration, and that each term saved in a
     closure or a stack item is no larger than `t` when it is saved:
@@ -134,17 +130,15 @@ def run(t: Term, fuel: int = DEFAULT_FUEL, *, debug: bool = False,
     check_budget(fuel)
     if max_free_index(t) >= 0:
         raise ClosedTermRequired("machine programs must be closed")
-    sizes = subterm_sizes(t)
     numerals = Numerals()
-    limit = max_size = sizes[id(t)]
+    limit = max_size = t._size
     term: Term = t
     env: Environment = ()
     stack: list[StackItem] = []
     stack_size = steps = 0
     while True:
         if debug:
-            assert (sizes.get(id(term), 1) + stack_size
-                    == config_size(term, stack))
+            assert term._size + stack_size == config_size(term, stack)
         if steps >= fuel:            # the tick of every configuration
             raise FuelExhausted(fuel)
         kind = type(term)
@@ -153,7 +147,7 @@ def run(t: Term, fuel: int = DEFAULT_FUEL, *, debug: bool = False,
             if debug:
                 _saved_within(arg, limit)
             stack.append(Arg(Closure(arg, env)))
-            stack_size += sizes[id(arg)]
+            stack_size += arg._size
             term, tag = term.fn, "app"
         elif kind is TVar:
             if term.index >= len(env):
@@ -165,7 +159,7 @@ def run(t: Term, fuel: int = DEFAULT_FUEL, *, debug: bool = False,
             if not stack or type(stack[-1]) is not Arg:
                 raise StuckConfiguration("lambda against a non-argument stack")
             closure = stack.pop().closure
-            stack_size -= sizes[id(closure.term)]
+            stack_size -= closure.term._size
             term, env, tag = term.body, (closure,) + env, "lam"
         elif kind is Const:
             if not stack:
@@ -179,7 +173,7 @@ def run(t: Term, fuel: int = DEFAULT_FUEL, *, debug: bool = False,
                 n = term.value
                 term, tag = numerals[n - 1 if n else 0], "p-apply"
             elif type(top) is Branches:
-                stack_size -= sizes[id(top.zero)] + sizes[id(top.succ)]
+                stack_size -= top.zero._size + top.succ._size
                 env = top.env
                 if term.value == 0:
                     term, tag = top.zero, "ifz-zero"
@@ -193,7 +187,7 @@ def run(t: Term, fuel: int = DEFAULT_FUEL, *, debug: bool = False,
                 _saved_within(zero, limit)
                 _saved_within(succ, limit)
             stack.append(Branches(zero, succ, env))
-            stack_size += sizes[id(zero)] + sizes[id(succ)]
+            stack_size += zero._size + succ._size
             term, tag = term.scrut, "ifz"
         elif kind is Succ:
             stack.append(_S)
@@ -210,7 +204,7 @@ def run(t: Term, fuel: int = DEFAULT_FUEL, *, debug: bool = False,
         else:
             raise StuckConfiguration(f"no transition for {term_head(term)}")
         steps += 1
-        now = sizes.get(id(term), 1) + stack_size
+        now = term._size + stack_size
         if trace is not None:
             trace.write(f"{steps}\t{tag}\t{now}\t{term_head(term)}\n")
         if now > max_size:

@@ -1,5 +1,6 @@
-"""PCF terms with de Bruijn variables: parsing, size, simple typing,
-and weak-head reduction.
+"""PCF terms with de Bruijn variables: parsing, simple typing and
+weak-head reduction.  Every term holds its size and its free-variable
+bound, computed from its parts' when it is built.
 
 The reducer here is the differential oracle for the abstract machine: both
 must agree on the value of every program (closed term of type Nat).
@@ -17,11 +18,11 @@ __all__ = [
     "Term", "TVar", "Const", "Succ", "Pred", "Lam", "App", "IfZ", "Fix",
     "PcfType", "NatT", "Arrow", "NAT",
     "parse_term", "show_pcf_type",
-    "size", "subterm_sizes", "pcf_typecheck", "PcfTypeError",
+    "size", "pcf_typecheck", "PcfTypeError",
     "PcfSyntaxError",
     "shift", "subst", "wh_eval", "StuckTerm", "bound", "max_free_index",
     "Numerals",
-    "BINDERS", "subterms", "with_subterms", "walk", "map_vars",
+    "BINDERS", "subterms", "with_subterms", "map_vars",
 ]
 
 
@@ -59,21 +60,40 @@ def show_pcf_type(t: PcfType) -> str:
 # Terms
 
 class _Node:
-    """What every term constructor shares: `_bound`, where `bound` keeps a
-    node's free-variable bound once it has computed it.  It is not a
-    dataclass field, so equality, hashing and printing do not read it."""
-    _bound: Optional[int] = None
+    """What every term constructor shares: `_size` and `_bound`, which
+    `size` and `bound` return.  A node sets them when it is built, from its
+    parts' own, so they cost O(1) per node and never change.  They are not
+    dataclass fields, so equality, hashing and printing do not read them.
+    A numeral keeps the class defaults; a variable sets only its bound."""
+    _bound = 0
+    _size = 1
+
+    def __post_init__(self):
+        # a frozen node refuses setattr; its `__dict__` takes the two ints
+        kind, fields = type(self), self.__dict__
+        b, n = 0, 2 if kind is Succ or kind is Pred else 1
+        for f in _SUBTERMS[kind]:
+            sub = fields[f]
+            n += sub._size
+            if sub._bound > b:
+                b = sub._bound
+        if b and (kind is Lam or kind is Fix):
+            b -= 1
+        fields["_bound"] = b
+        fields["_size"] = n
 
 
 @dataclass(frozen=True)
 class TVar(_Node):
     index: int
 
+    def __post_init__(self):
+        self.__dict__["_bound"] = self.index + 1
+
 
 @dataclass(frozen=True)
 class Const(_Node):
     value: int
-    _bound = 0                       # a numeral is closed
 
     def __post_init__(self):
         if self.value < 0:
@@ -131,7 +151,7 @@ class Numerals(dict):
 
 
 # Each constructor's subterm fields, in order; `Lam` and `Fix` bind de
-# Bruijn index 0 in theirs.  Every structural walk below reads this table.
+# Bruijn index 0 in theirs.  Every structural pass reads this table.
 _SUBTERMS = {TVar: (), Const: (), Succ: ("body",), Pred: ("body",),
              Lam: ("body",), Fix: ("body",), App: ("fn", "arg"),
              IfZ: ("scrut", "zero", "succ")}
@@ -151,22 +171,6 @@ def with_subterms(t: Term, parts: Sequence[Term]) -> Term:
     return type(t)(*parts) if parts else t
 
 
-def walk(t: Term) -> list[tuple[Term, int]]:
-    """Every node of `t` in pre-order, with the number of binders above it.
-    Iterative, so the depth of `t` is bounded by memory only."""
-    nodes = []
-    stack = [(t, 0)]
-    while stack:
-        node, depth = pair = stack.pop()
-        nodes.append(pair)
-        fields = _SUBTERMS[type(node)]
-        if fields:
-            depth += isinstance(node, BINDERS)
-            for f in reversed(fields):
-                stack.append((getattr(node, f), depth))
-    return nodes
-
-
 def map_vars(t: Term, on_var: Callable[[int, int], Term],
              cutoff: int = 0) -> Term:
     """`t` with each variable `TVar(k)` under `depth` binders, for `k` at
@@ -176,7 +180,7 @@ def map_vars(t: Term, on_var: Callable[[int, int], Term],
     variable, so it is kept as the same object and not walked: only the
     nodes on the paths to the replaced variables are visited and rebuilt.
     They are listed in pre-order, then rebuilt in reverse, where a node's
-    walked subterms come before it, so it is as iterative as `walk`."""
+    walked subterms come before it, so nothing recurses."""
     if bound(t) <= cutoff:
         return t
     nodes = []                       # (node, cutoff + depth), in pre-order
@@ -206,57 +210,14 @@ def map_vars(t: Term, on_var: Callable[[int, int], Term],
     return done[0]
 
 
-def _own_size(node: Term) -> int:
-    """A node's share of `size`: s/p count 2, every other node 1."""
-    return 2 if isinstance(node, (Succ, Pred)) else 1
-
-
 def size(t: Term) -> int:
     """Term size: variables and numerals count 1, s/p count 2, binders and
     applications count 1 plus their parts."""
-    return sum(_own_size(node) for node, _ in walk(t))
-
-
-def subterm_sizes(t: Term) -> dict[int, int]:
-    """The `size` of every subterm of `t`, keyed by the subterm's `id`: one
-    fold of `walk`, read in reverse so a node's subterms come before it.
-    The keys name live objects only while `t` is alive."""
-    sizes: dict[int, int] = {}
-    for node, _ in reversed(walk(t)):
-        sizes[id(node)] = _own_size(node) + sum(sizes[id(sub)]
-                                                for sub in subterms(node))
-    return sizes
+    return t._size
 
 
 def bound(t: Term) -> int:
-    """1 + the largest free de Bruijn index of `t`, or 0 when `t` is closed.
-
-    Kept on each node once computed: a node never changes, so neither does
-    its bound.  An iterative post-order fold that stops at the nodes that
-    already carry a bound, so every subterm of a node with a bound has one
-    too, and a term built from parts with bounds costs only its new nodes."""
-    if t._bound is not None:
-        return t._bound
-    stack = [t]
-    while stack:
-        node = stack[-1]
-        kind = type(node)
-        if kind is TVar:
-            b = node.index + 1
-        else:
-            b = 0
-            for f in _SUBTERMS[kind]:
-                sub = getattr(node, f)
-                if sub._bound is None:
-                    stack.append(sub)
-                elif sub._bound > b:
-                    b = sub._bound
-            if stack[-1] is not node:    # a subterm's bound comes first
-                continue
-            if b and (kind is Lam or kind is Fix):
-                b -= 1
-        stack.pop()
-        object.__setattr__(node, "_bound", b)
+    """1 + the largest free de Bruijn index of `t`, or 0 when `t` is closed."""
     return t._bound
 
 

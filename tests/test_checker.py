@@ -154,6 +154,32 @@ def test_erased_premises_carry_binder_annotations(dbl_derivation):
     assert dbl_derivation.subject.body is lam.subject
 
 
+@pytest.mark.parametrize("program, derivation, message", [
+    (r"\x: Nat -> Nat. 0",
+     '(L (weight "0") (type "[c < 1] Nat[0] -o Nat[0]") (premises'
+     ' (N (context "[c < 1] Nat[0]") (weight "0") (type "Nat[0]"))))',
+     "lambda annotation Nat -> Nat does not match the erased type Nat"),
+    ("fix f: Nat -> Nat. 0",
+     '(R (weight "0") (type "Nat[0]") (annots (recvar b) (unfoldbound "1")'
+     ' (callcap "1") (bodyweight "0") (selftype "[v < 0] Nat[0]")'
+     ' (bodytype "Nat[0]") (resulttype "Nat[0]") (ctxsum)) (premises'
+     ' (N (phi b) (constraints "b < 1") (context "[v < 0] Nat[0]")'
+     ' (weight "0") (type "Nat[0]"))))',
+     "fix annotation Nat -> Nat does not match the erased type Nat"),
+], ids=["lambda", "fix"])
+def test_a_binder_annotation_must_be_the_erasure_of_its_type(
+        program, derivation, message, tmp_path):
+    """A derivation whose binder types erase to other types than the
+    program's annotations is no derivation of that program."""
+    (tmp_path / "p.pcf").write_text(program)
+    (tmp_path / "p.deriv").write_text(derivation)
+    result = CliRunner().invoke(main, [
+        "check", str(tmp_path / "p.deriv"), str(tmp_path / "p.pcf"),
+        "--eqprog", str(FIXTURES / "arith.eqs"), "--bound", "3"])
+    assert result.exit_code == 3
+    assert result.output == f"structural error: root: {message}\n"
+
+
 def test_lambda_of_interval_type_does_not_erase(arith):
     body = leaf_n(0, context=(M("[c < 1] Nat[0]"),))
     lam = Derivation("L", EMPTY_CTX, (), Lit(0), B("Nat[0]"), Annotations(),

@@ -5,13 +5,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from dlpcf import pcf
 from dlpcf.fuel import DEFAULT_FUEL, FuelExhausted
+from dlpcf.machine import Arg, Branches
 from dlpcf.pcf import (NAT, App, Arrow, Const, Fix, IfZ, Lam, PcfSyntaxError,
                        PcfTypeError, Pred, StuckTerm, Succ, TVar,
                        max_free_index, parse_term, pcf_typecheck, shift, size,
-                       subst, subterm_sizes, wh_eval)
+                       subst, wh_eval)
 
 from genterms import Fuel, gen_nat_term, open_terms, show_term
-from test_machine import CORPUS
+from test_machine import CORPUS, configurations
 
 
 DBL_TEXT = r"fix f. \x. ifz x then 0 else s(s(f (p x)))"
@@ -395,8 +396,9 @@ def test_show_parse_roundtrip(seed):
 # Structural walkers
 #
 # Recursive copies of `size`, `max_free_index`, `shift` and `subst` as they
-# were before the subterm table and its iterative walkers replaced them:
-# the walkers must agree with them wherever these do not run out of stack.
+# were before the subterm table, its iterative walkers and the size and
+# bound each node holds replaced them: these must agree with them wherever
+# the copies do not run out of stack.
 
 
 def reference_max_free_index(t, depth=0):
@@ -499,27 +501,59 @@ def test_refocusing_matches_iterated_wh_step_on_open_terms(t, fuel):
          Lam(TVar(0), NAT), 2, 0, 0)
 @settings(max_examples=200, deadline=None)
 def test_walkers_match_the_recursive_references(t, repl, by, cutoff, j):
-    assert size(t) == reference_size(t)
-    sizes = subterm_sizes(t)
-    assert all(sizes[id(u)] == reference_size(u) for u in _subterms(t))
+    assert all(size(u) == reference_size(u) for u in _subterms(t))
     assert max_free_index(t) == reference_max_free_index(t)
     assert max_free_index(t, cutoff) == reference_max_free_index(t, cutoff)
-    assert_bounds_cached(t)
     for got, want, start in (
             (shift(t, by, cutoff), reference_shift(t, by, cutoff), cutoff),
             (subst(t, repl, j), reference_subst(t, repl, j), j)):
         assert got == want
         assert annotations(got) == annotations(want)
-        # the nodes rebuilt come without a bound; the fold computes theirs
-        assert_bounds_cached(got)
+        # the nodes rebuilt hold the bounds they were built with
+        assert_built_holding_size_and_bound(got)
         assert_kept_where_nothing_changes(t, got, start)
 
 
-def assert_bounds_cached(t):
-    """`bound(t)` is right, and leaves the right bound on every subterm."""
-    assert pcf.bound(t) == reference_max_free_index(t) + 1
-    assert all(u._bound == reference_max_free_index(u) + 1
-               for u in _subterms(t))
+def assert_built_holding_size_and_bound(t):
+    """Every node of `t` holds the size and the bound its constructor
+    computed, and they agree with the recursive references."""
+    for u in _subterms(t):
+        assert u._size == reference_size(u), show_term(u)
+        assert u._bound == reference_max_free_index(u) + 1, show_term(u)
+
+
+@given(open_terms, open_terms, st.integers(0, 10**6), st.integers(0, 3),
+       st.integers(0, 3))
+@settings(max_examples=200, deadline=None)
+def test_every_term_is_built_holding_its_size_and_bound(t, repl, seed, by, j):
+    closed = t                       # `t` under enough binders to parse
+    for _ in range(reference_max_free_index(t) + 1):
+        closed = Lam(closed)
+    generated = gen_nat_term(random.Random(seed), (), 4)
+    for u in (t, generated, parse_term(show_term(closed)),
+              parse_term(show_term(generated)), shift(t, by, j),
+              subst(t, repl, j)):
+        assert_built_holding_size_and_bound(u)
+
+
+def test_every_configuration_term_holds_its_size_and_bound():
+    # the machine's running size and `config_size`, which `--debug` and
+    # the trace tests compare, both read the sizes the terms hold
+    seen = {}                        # id -> term, kept alive so ids stay unique
+    for program, _ in CORPUS:
+        for c in configurations(program):
+            terms = [c.term] + [closure.term for closure in c.env]
+            for item in c.stack:
+                match item:
+                    case Arg(closure):
+                        terms.append(closure.term)
+                    case Branches(zero, succ, _):
+                        terms += [zero, succ]
+            for u in terms:
+                if id(u) not in seen:
+                    seen[id(u)] = u
+                    assert_built_holding_size_and_bound(u)
+    assert len(seen) > 100
 
 
 def assert_kept_where_nothing_changes(t, got, start):
@@ -584,7 +618,7 @@ def same_term(a, b):
 
 def test_walkers_handle_a_term_5000_deep():
     t = nested_succ(5000)
-    assert size(t) == subterm_sizes(t)[id(t)] == 10001
+    assert size(t) == 10001
     assert max_free_index(t) == -1
     assert same_term(shift(t, 1), t)
     assert same_term(subst(t, Const(7)), t)
@@ -811,10 +845,13 @@ def test_show_and_parse_handle_terms_5000_deep():
         assert same_term(parse_term(text), t), name
     annotated = parse_term("".join(f"\\x{d}: Nat. " for d in range(DEEP))
                            + "x0")
-    binders = [node for node, _ in pcf.walk(annotated)[:-1]]
-    assert all(isinstance(b, Lam) and b.ann == NAT for b in binders)
+    binders, node = [], annotated
+    while isinstance(node, Lam):
+        binders.append(node)
+        node = node.body
+    assert all(b.ann == NAT for b in binders)
     assert len(binders) == DEEP
-    assert pcf.walk(annotated)[-1] == (TVar(DEEP - 1), DEEP)
+    assert node == TVar(DEEP - 1)
     assert parse_term("(" * DEEP + "0" + ")" * DEEP) == Const(0)
     right = Const(0)
     for _ in range(DEEP):
