@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import index as ix
 from .fuel import DEFAULT_BOUND, DEFAULT_FUEL
@@ -93,16 +93,14 @@ class Derivation:
     subject: Optional[Term] = None
 
 
-@dataclass(frozen=True)
-class Obligation:
+class Obligation(NamedTuple):
     path: tuple[int, ...]
     kind: str  # entailment | subtyping | well-definedness | shape
     payload: str
     verdict: Verdict
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     overall: Verdict
     obligations: tuple[Obligation, ...]
     bound: int

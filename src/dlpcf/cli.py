@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import sys
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import click
 
@@ -27,8 +27,7 @@ __all__ = ["main", "RunReport", "SoundnessRow", "eval_report",
            "check_program", "soundness_rows", "SoundnessError"]
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(NamedTuple):
     program: str
     value: int
     steps: int
@@ -36,10 +35,14 @@ class RunReport:
     max_config_size: int
 
 
-@dataclass(frozen=True)
-class SoundnessRow(RunReport):
-    """A machine run of an instance of the root judgement, with the bounds
-    the derivation promises for it."""
+class SoundnessRow(NamedTuple):
+    """A machine run of an instance of the root judgement, as a `RunReport`
+    has it, with the bounds the derivation promises for it."""
+    program: str
+    value: int
+    steps: int
+    size: int
+    max_config_size: int
     derivation: str
     weight_value: int
     step_bound: int

@@ -21,7 +21,7 @@ Types (`types.NatI`, `LinArrow`, `ModalType`) are this syntax plus three
 constructors.  `walk` takes index terms and types alike, and so do
 `subst_index`, `alpha_eq_index` and `check_symbols`, which are folds over
 it, and `free_vars`.  `Var`, `Lit` and `App` are their own cases; every
-other node is a frozen dataclass read field by field.  The binding forms
+other node is a `record.Record` read field by field.  The binding forms
 `BoundedSum`, `Forest` and `types.ModalType` have `binder` as their first
 field, bound in the last, `body`, only; the fields between (`bound`, or
 `start` and `count`) are index terms outside its scope.  A node whose first
@@ -32,12 +32,12 @@ this rule, for `walk` and for the free variables a node gets when built.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields, is_dataclass
 from itertools import repeat
 from operator import attrgetter, itemgetter
 from typing import Callable, NamedTuple, Optional, Union
 
 from .fuel import FuelExhausted, DEFAULT_BOUND, DEFAULT_FUEL, check_budget
+from .record import Record, _put
 
 __all__ = [
     "IndexTerm", "Var", "Lit", "App", "BoundedSum", "Forest",
@@ -57,18 +57,19 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Syntax
 
-class _Syntax:
+class _Syntax(Record):
     """What index terms, goals and types share: `_free`, the node's free
     variables, set when it is built.  A `Var` has its name and a `Lit` none;
     any other node has the union of its parts' sets, a binding form's binder
     dropped from its body's only.  Every part is built before its node, so
     no walk is needed.  A node shares a part's set that holds all the
     others', but in general holds its own, so a term of n nodes with k
-    distinct free variables stores up to n * k names.  It is not a
-    dataclass field, so equality, hashing and printing do not read it."""
+    distinct free variables stores up to n * k names.  It is not a field,
+    so equality, hashing and printing do not read it."""
     _free: frozenset[str] = frozenset()
 
-    def __post_init__(self):
+    def __init__(self, *values):
+        Record.__init__(self, *values)
         binds, get = _SHAPES[type(self)]
         sets = [getattr(part, "_free", frozenset()) for part in get(self)]
         if binds and self.binder in sets[-1]:
@@ -77,50 +78,41 @@ class _Syntax:
         for free in sets:
             if not free <= out:
                 out = free if out <= free else out | free
-        object.__setattr__(self, "_free", out)
+        _put(self, "_free", out)
 
 
-@dataclass(frozen=True)
 class Var(_Syntax):
-    name: str
+    _fields = ("name",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_free", frozenset((self.name,)))
+    def __init__(self, name: str):
+        Record.__init__(self, name)
+        _put(self, "_free", frozenset((name,)))
 
 
-@dataclass(frozen=True)
 class Lit(_Syntax):
-    value: int
+    _fields = ("value",)
 
-    def __post_init__(self):
-        if self.value < 0:
+    def __init__(self, value: int):
+        if value < 0:
             raise ValueError("index literals are naturals")
+        Record.__init__(self, value)        # no part, so no free variable
 
 
-@dataclass(frozen=True)
 class App(_Syntax):
-    symbol: str
-    args: tuple["IndexTerm", ...]
+    _fields = ("symbol", "args")    # a string and a tuple of index terms
 
 
-@dataclass(frozen=True)
 class BoundedSum(_Syntax):
     """sum(binder < bound, body): binder is bound in `body` only."""
-    binder: str
-    bound: "IndexTerm"
-    body: "IndexTerm"
+    _fields = ("binder", "bound", "body")
 
 
-@dataclass(frozen=True)
 class Forest(_Syntax):
     """forest(binder, start, count, body): number of nodes in a forest of
     `count` trees labelled in pre-order from `start`, where the node labelled
     n has body[binder := n] children.  The binder is bound in `body` only.
     """
-    binder: str
-    start: "IndexTerm"
-    count: "IndexTerm"
-    body: "IndexTerm"
+    _fields = ("binder", "start", "count", "body")
 
 
 IndexTerm = Union[Var, Lit, App, BoundedSum, Forest]
@@ -138,7 +130,9 @@ class _Shapes(dict):
     """Node class -> whether its first field binds, and a getter of the
     tuple of its parts: an application's arguments, a tuple's items, no
     parts for a leaf (`Var`, `Lit`, a string or None), and otherwise the
-    values of the node's other fields, in order."""
+    values of the node's other fields, in order.  The fields are those its
+    class's `__match_args__` names, which a `Record`, a named tuple and a
+    dataclass all have."""
 
     def __missing__(self, cls) -> tuple[bool, Callable]:
         if cls in (Var, Lit, str, type(None)):
@@ -146,8 +140,8 @@ class _Shapes(dict):
         elif cls in (App, tuple):
             self[cls] = False, (attrgetter("args") if cls is App
                                 else lambda t: t)
-        elif is_dataclass(cls):
-            names = [f.name for f in fields(cls)]
+        elif hasattr(cls, "__match_args__"):
+            names = cls.__match_args__
             binds = names[0] == "binder"
             get = attrgetter(*names[binds:])
             self[cls] = binds, (get if len(names) - binds > 1
@@ -355,20 +349,19 @@ _BUILTINS = {("+", 2): lambda a, b: a + b,
 BUILTIN_ARITIES = dict(_BUILTINS.keys())
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(NamedTuple("Signature", [("arities", dict[str, int])])):
     """Function symbols with arities.  Builtins 0, 1, +, - are always present."""
-    arities: dict[str, int] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, arities: dict[str, int] | None = None):
         merged = dict(BUILTIN_ARITIES)
-        for sym, ar in self.arities.items():
+        for sym, ar in (arities or {}).items():
             if sym in BUILTIN_ARITIES and ar != BUILTIN_ARITIES[sym]:
                 raise EquationError(f"builtin symbol {sym!r} cannot be redeclared")
             if ar < 0:
                 raise EquationError(f"negative arity for {sym!r}")
             merged[sym] = ar
-        object.__setattr__(self, "arities", merged)
+        return super().__new__(cls, merged)
 
     def arity(self, symbol: str) -> int:
         if symbol not in self.arities:
@@ -383,8 +376,7 @@ def declare(symbols: dict[str, int]) -> Signature:
     return Signature(dict(symbols))
 
 
-@dataclass(frozen=True)
-class NatPattern:
+class NatPattern(NamedTuple):
     """Constructor pattern over naturals: var+k (var=None means 0+k).
 
     var+k matches any n >= k, binding var to n-k; 0+k matches exactly k.
@@ -409,15 +401,13 @@ class NatPattern:
         return True
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     symbol: str
     params: tuple[NatPattern, ...]
     rhs: IndexTerm
 
 
-@dataclass(frozen=True)
-class EquationalProgram:
+class EquationalProgram(NamedTuple):
     signature: Signature
     rules: tuple[Rule, ...]
 
@@ -624,40 +614,40 @@ def _rewrite(symbol: str, values: list[int],
 REL_SYMBOLS = ("<=", "<", "=")
 
 
-@dataclass(frozen=True)
 class Constraint(_Syntax):
-    lhs: IndexTerm
-    rel: str
-    rhs: IndexTerm
+    _fields = ("lhs", "rel", "rhs")
 
-    def __post_init__(self):
-        super().__post_init__()
-        if self.rel not in REL_SYMBOLS + ("~",):
-            raise ValueError(f"unknown relation {self.rel!r}")
+    def __init__(self, lhs: IndexTerm, rel: str, rhs: IndexTerm):
+        if rel not in REL_SYMBOLS + ("~",):
+            raise ValueError(f"unknown relation {rel!r}")
+        super().__init__(lhs, rel, rhs)
 
 
-@dataclass(frozen=True)
 class Defined(_Syntax):
     """Goal asserting the term is defined for all satisfying assignments."""
-    term: IndexTerm
+    _fields = ("term",)
 
 
-@dataclass(frozen=True)
-class ConstraintSet:
-    variables: tuple[str, ...] = ()
-    constraints: tuple[Constraint, ...] = ()
+class ConstraintSet(NamedTuple("ConstraintSet", [
+        ("variables", tuple[str, ...]),
+        ("constraints", tuple[Constraint, ...])])):
+    """The variables of a judgement's context and the constraints on them,
+    checked when the set is built."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(set(self.variables)) != len(self.variables):
+    def __new__(cls, variables: tuple[str, ...] = (),
+                constraints: tuple[Constraint, ...] = ()):
+        if len(set(variables)) != len(variables):
             raise ValueError("duplicate constraint variable")
-        scope = set(self.variables)
-        for c in self.constraints:
+        scope = set(variables)
+        for c in constraints:
             stray = free_vars(c) - scope
             if stray:
                 raise ValueError(
                     f"constraint mentions undeclared variables {sorted(stray)}")
-        if any(c.rel == "~" for c in self.constraints):
+        if any(c.rel == "~" for c in constraints):
             raise ValueError("Kleene equality is a goal form, not a constraint")
+        return super().__new__(cls, variables, constraints)
 
     def extend(self, var: str | None = None,
                *constraints: Constraint) -> "ConstraintSet":
@@ -677,13 +667,11 @@ class ConstraintSet:
 EMPTY_CTX = ConstraintSet()
 
 
-@dataclass(frozen=True)
-class Verified:
+class Verified(NamedTuple):
     bound: int
 
 
-@dataclass(frozen=True)
-class Refuted:
+class Refuted(NamedTuple):
     witness: tuple[tuple[str, int], ...]
 
     @staticmethod
@@ -691,8 +679,7 @@ class Refuted:
         return Refuted(tuple(sorted(rho.items())))
 
 
-@dataclass(frozen=True)
-class Unknown:
+class Unknown(NamedTuple):
     reason: str  # "fuel-exhausted": the only reason `_fate` gives
     witness: tuple[tuple[str, int], ...] = ()
 
@@ -738,7 +725,6 @@ def _related(rel: str, a: int, b: int) -> bool:
     return a <= b if rel == "<=" else a < b if rel == "<" else a == b
 
 
-@dataclass(frozen=True, eq=False)
 class Oracle:
     """The bounded entailment oracle of one program at one (bound, fuel).
 
@@ -754,18 +740,17 @@ class Oracle:
     distinct call that comes to a value.  It compares by identity: two
     oracles with equal fields are two memos.
     """
-    program: EquationalProgram
-    bound: int = DEFAULT_BOUND
-    fuel: int = DEFAULT_FUEL
-    verdicts: dict = field(default_factory=dict, init=False, repr=False)
-    satisfying: dict = field(default_factory=dict, init=False, repr=False)
-    outcomes: dict = field(default_factory=dict, init=False, repr=False)
-    rewrites: dict = field(default_factory=dict, init=False, repr=False)
 
-    def __post_init__(self):
-        if self.bound < 0:
-            raise ValueError(f"bound must be a natural, got {self.bound}")
-        check_budget(self.fuel)
+    def __init__(self, program: EquationalProgram, bound: int = DEFAULT_BOUND,
+                 fuel: int = DEFAULT_FUEL):
+        if bound < 0:
+            raise ValueError(f"bound must be a natural, got {bound}")
+        check_budget(fuel)
+        self.program, self.bound, self.fuel = program, bound, fuel
+        self.verdicts: dict = {}
+        self.satisfying: dict = {}
+        self.outcomes: dict = {}
+        self.rewrites: dict = {}
 
 
 class _Side(NamedTuple):

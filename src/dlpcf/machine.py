@@ -8,12 +8,12 @@ weighted typing discipline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence, TextIO, Union
+from typing import NamedTuple, Optional, Sequence, TextIO, Union
 
 from .fuel import DEFAULT_FUEL, FuelExhausted, check_budget
 from .pcf import (App, Const, Fix, IfZ, Lam, Numerals, Pred, Succ, Term,
                   TVar, max_free_index, size, term_head)
+from .record import Record
 
 __all__ = [
     "Closure", "Environment", "Arg", "SMark", "PMark", "Branches",
@@ -22,8 +22,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Closure:
+class Closure(NamedTuple):
     term: Term
     env: "Environment"
 
@@ -31,23 +30,19 @@ class Closure:
 Environment = tuple[Closure, ...]
 
 
-@dataclass(frozen=True)
-class Arg:
+class Arg(NamedTuple):
     closure: Closure
 
 
-@dataclass(frozen=True)
-class SMark:
+class SMark(Record):
     pass
 
 
-@dataclass(frozen=True)
-class PMark:
+class PMark(Record):
     pass
 
 
-@dataclass(frozen=True)
-class Branches:
+class Branches(NamedTuple):
     zero: Term
     succ: Term
     env: "Environment"
@@ -85,8 +80,7 @@ def config_size(term: Term, stack: Sequence[StackItem]) -> int:
     return size(term) + sum(_item_size(item) for item in stack)
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(NamedTuple):
     value: int
     steps: int
     max_config_size: int

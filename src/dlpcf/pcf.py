@@ -9,10 +9,10 @@ must agree on the value of every program (closed term of type Nat).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .fuel import DEFAULT_FUEL, FuelExhausted, check_budget
+from .record import Record, _put
 
 __all__ = [
     "Term", "TVar", "Const", "Succ", "Pred", "Lam", "App", "IfZ", "Fix",
@@ -29,15 +29,12 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Types
 
-@dataclass(frozen=True)
-class NatT:
+class NatT(Record):
     pass
 
 
-@dataclass(frozen=True)
-class Arrow:
-    dom: "PcfType"
-    cod: "PcfType"
+class Arrow(Record):
+    _fields = ("dom", "cod")
 
 
 PcfType = Union[NatT, Arrow]
@@ -59,82 +56,115 @@ def show_pcf_type(t: PcfType) -> str:
 # ---------------------------------------------------------------------------
 # Terms
 
-class _Node:
+class _Node(Record):
     """What every term constructor shares: `_size` and `_bound`, which
     `size` and `bound` return.  A node sets them when it is built, from its
     parts' own, so they cost O(1) per node and never change.  They are not
-    dataclass fields, so equality, hashing and printing do not read them.
-    A numeral keeps the class defaults; a variable sets only its bound."""
+    fields, so equality, hashing and printing do not read them.  A numeral
+    keeps the class defaults; a variable sets only its bound.
+
+    Unlike an index term, a term gets its hash when it is first hashed,
+    not when it is built: the reducer builds many terms, and hashes none.
+    `__hash__` then hashes every subterm not yet hashed, parts first, by a
+    loop, and keeps each hash, so hashing a deep term does not recurse."""
     _bound = 0
     _size = 1
+    _hash = None
 
-    def __post_init__(self):
-        # a frozen node refuses setattr; its `__dict__` takes the two ints
-        kind, fields = type(self), self.__dict__
+    def __init__(self, *parts):
+        # The subterms, `_size` and `_bound` of a node with subterms, set
+        # in one pass; the leaves have their own.
+        kind = type(self)
+        names = _SUBTERMS[kind]
+        if len(parts) != len(names):
+            raise TypeError(f"{kind._tag} takes {len(names)} subterms, "
+                            f"got {len(parts)}")
         b, n = 0, 2 if kind is Succ or kind is Pred else 1
-        for f in _SUBTERMS[kind]:
-            sub = fields[f]
+        for name, sub in zip(names, parts):
+            _put(self, name, sub)
             n += sub._size
             if sub._bound > b:
                 b = sub._bound
         if b and (kind is Lam or kind is Fix):
             b -= 1
-        fields["_bound"] = b
-        fields["_size"] = n
+        if b:                        # a closed node keeps the default 0
+            _put(self, "_bound", b)
+        _put(self, "_size", n)
+
+    def __hash__(self):
+        if self._hash is not None:
+            return self._hash
+        stack = [self]
+        while stack:
+            node = stack[-1]
+            parts = subterms(node)
+            todo = [sub for sub in parts if sub._hash is None]
+            if todo:
+                stack += todo
+                continue
+            stack.pop()
+            if node._hash is None:   # a shared subterm may be pushed twice
+                _put(node, "_hash", hash(
+                    (node._tag, *[sub._hash for sub in parts]) if parts
+                    else node._key(node)))
+        return self._hash
+
+    def __eq__(self, other):
+        # as `Record.__eq__`, through `hash`, since `_hash` may be unset
+        if type(other) is not type(self):
+            return NotImplemented
+        key = self._key
+        return hash(self) == hash(other) and key(self) == key(other)
 
 
-@dataclass(frozen=True)
 class TVar(_Node):
-    index: int
+    _fields = ("index",)
 
-    def __post_init__(self):
-        self.__dict__["_bound"] = self.index + 1
+    def __init__(self, index: int):
+        _put(self, "index", index)
+        _put(self, "_bound", index + 1)
 
 
-@dataclass(frozen=True)
 class Const(_Node):
-    value: int
+    _fields = ("value",)
 
-    def __post_init__(self):
-        if self.value < 0:
+    def __init__(self, value: int):
+        if value < 0:
             raise ValueError("numerals are naturals")
+        _put(self, "value", value)
 
 
-@dataclass(frozen=True)
 class Succ(_Node):
-    body: "Term"
+    _fields = ("body",)
 
 
-@dataclass(frozen=True)
 class Pred(_Node):
-    body: "Term"
+    _fields = ("body",)
 
 
-@dataclass(frozen=True)
 class Lam(_Node):
     # Binder annotations come from the surface syntax and only feed the
     # typechecker; they do not affect equality, size, or evaluation.
-    body: "Term"
-    ann: Optional[PcfType] = field(default=None, compare=False)
+    _fields = ("body", "ann")
+    _ignored = ("ann",)
+
+    def __init__(self, body: Term, ann: Optional[PcfType] = None):
+        _Node.__init__(self, body)
+        _put(self, "ann", ann)
 
 
-@dataclass(frozen=True)
 class App(_Node):
-    fn: "Term"
-    arg: "Term"
+    _fields = ("fn", "arg")
 
 
-@dataclass(frozen=True)
 class IfZ(_Node):
-    scrut: "Term"
-    zero: "Term"
-    succ: "Term"
+    _fields = ("scrut", "zero", "succ")
 
 
-@dataclass(frozen=True)
 class Fix(_Node):
-    body: "Term"
-    ann: Optional[PcfType] = field(default=None, compare=False)
+    _fields = ("body", "ann")
+    _ignored = ("ann",)
+    __init__ = Lam.__init__     # the same optional annotation
 
 
 Term = Union[TVar, Const, Succ, Pred, Lam, App, IfZ, Fix]
@@ -453,8 +483,7 @@ class PcfSyntaxError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     text: str
     kind: str
     line: int

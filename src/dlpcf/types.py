@@ -16,8 +16,7 @@ qualified by the oracle's bound and fuel.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from . import index as ix
 from .index import (Constraint, ConstraintSet, Defined, IndexTerm, Oracle,
@@ -33,31 +32,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class NatI(ix._Syntax):
-    lo: IndexTerm
-    hi: IndexTerm
+    """Nat[lo, hi]: the naturals from index term `lo` to `hi`."""
+    _fields = ("lo", "hi")
 
 
-@dataclass(frozen=True)
 class LinArrow(ix._Syntax):
-    dom: "ModalType"
-    cod: "BasicType"
+    """dom -o cod: a modal type and a basic type."""
+    _fields = ("dom", "cod")
 
 
-@dataclass(frozen=True)
 class ModalType(ix._Syntax):
     """[binder < bound] body: the bound may not mention the binder."""
-    binder: str
-    bound: IndexTerm
-    body: "BasicType"
+    _fields = ("binder", "bound", "body")
 
-    def __post_init__(self):
-        super().__post_init__()
-        if self.binder in free_vars(self.bound):
+    def __init__(self, binder: str, bound: IndexTerm, body: BasicType):
+        if binder in free_vars(bound):
             raise ValueError(
-                f"modal bound {show_index(self.bound)} mentions its own "
-                f"binder {self.binder!r}")
+                f"modal bound {show_index(bound)} mentions its own "
+                f"binder {binder!r}")
+        super().__init__(binder, bound, body)
 
 
 BasicType = Union[NatI, LinArrow]
@@ -149,16 +143,14 @@ def equiv(ctx: ConstraintSet, a, b, oracle: Oracle) -> Verdict:
 # ---------------------------------------------------------------------------
 # Sums of modal types
 
-@dataclass(frozen=True)
-class SumWitness:
+class SumWitness(NamedTuple):
     """Common shape mu for A + B: both summands must be instance ranges of
     [param] mu."""
     param: str
     body: BasicType
 
 
-@dataclass(frozen=True)
-class BoundedSumWitness:
+class BoundedSumWitness(NamedTuple):
     """Shape sigma and per-instance width `per` for a bounded sum over a
     context entry."""
     param: str

@@ -573,7 +573,7 @@ def zapped_annots(**changes):
 def zapped_witness(i, **changes):
     def change(witnesses):
         out = list(witnesses)
-        out[i] = dataclasses.replace(out[i], **{
+        out[i] = out[i]._replace(**{
             key: f(getattr(out[i], key)) for key, f in changes.items()})
         return tuple(out)
     return change

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import pathlib
 import random
@@ -691,7 +690,7 @@ def test_binders_that_are_names_print_back_to_themselves():
 def reference_node(t):
     """The binder of a compound node (None unless its first field is
     `binder`) and its other fields' values, in order."""
-    names = [f.name for f in dataclasses.fields(t)]
+    names = t._fields
     binds = names[0] == "binder"
     return ((t.binder if binds else None),
             tuple(getattr(t, name) for name in names[binds:]))
@@ -972,21 +971,21 @@ def rebuilt(t):
     """An equal copy of the syntax `t` made of new nodes."""
     if isinstance(t, tuple):
         return tuple(map(rebuilt, t))
-    if not dataclasses.is_dataclass(t):
+    if not isinstance(t, ix._Syntax):
         return t
-    return type(t)(*(rebuilt(getattr(t, f.name))
-                     for f in dataclasses.fields(t)))
+    return type(t)(*(rebuilt(getattr(t, f)) for f in t._fields))
 
 
 def with_z(t):
-    """`t` with its first field replaced, by `dataclasses.replace`, with a
-    value that names the variable z wherever it names one."""
-    name = dataclasses.fields(t)[0].name
+    """`t` with its first field replaced, by building its class anew from
+    its fields, with a value that names the variable z wherever it names
+    one."""
+    name, *rest = t._fields
     old = getattr(t, name)
     new = ("z" if isinstance(old, str)
            else tuple(Var("z") for _ in old) if isinstance(old, tuple)
            else 7 if isinstance(old, int) else Var("z"))
-    return dataclasses.replace(t, **{name: new})
+    return type(t)(new, *(getattr(t, f) for f in rest))
 
 
 @given(syntax)
@@ -1000,7 +999,7 @@ def test_free_variables_kept_on_a_node_change_nothing_else(t):
     assert unasked._free == want
     assert t == unasked and unasked == t
     assert hash(t) == hash(unasked) and repr(t) == repr(unasked)
-    # a node made from it by `replace` gets its own
+    # a node made from it with one field changed gets its own
     other = with_z(t)
     assert other._free == reference_free_vars(other)
     assert ix.free_vars(other) == reference_free_vars(other)
@@ -1179,6 +1178,12 @@ def test_the_walkers_and_the_evaluator_handle_terms_5000_deep():
         assert ix.alpha_eq_index(term, variant)
     assert not ix.alpha_eq_index(plus, subst_index(plus, "a", Var("b")))
     assert not ix.alpha_eq_index(sums, subst_index(sums, "x", Var("y")))
+    # each node hashes once, when it is built, so the oracle's tables take
+    # a weight of 5,000 terms
+    assert hash(plus) == hash(plus) and plus in {plus: 0}
+    weight = Constraint(plus, "<=", ix.add(plus, Var("a")))
+    assert (entails(ConstraintSet(("a",)), weight,
+                    Oracle(ix.EMPTY_PROGRAM, bound=4)) == Verified(4))
 
 
 def test_subst_index_renames_at_every_level_of_a_deep_term():

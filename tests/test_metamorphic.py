@@ -18,7 +18,7 @@ from dlpcf import index as ix
 from dlpcf import pcf
 from dlpcf.cli import soundness_rows
 from dlpcf.index import Verified
-from dlpcf.types import LinArrow, erase, parse_basic_type
+from dlpcf.types import LinArrow, ModalType, erase, parse_basic_type
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -176,8 +176,8 @@ def shape_mutants(d):
         yield path, "type", replace_at(d, path, type=other_shape(node.type))
         for j, entry in enumerate(node.context):
             context = list(node.context)
-            context[j] = dataclasses.replace(entry,
-                                             body=other_shape(entry.body))
+            context[j] = ModalType(entry.binder, entry.bound,
+                                   other_shape(entry.body))
             yield path, f"slot {j}", replace_at(d, path,
                                                 context=tuple(context))
         if node.annots.bodytype is not None:

@@ -626,6 +626,8 @@ def test_walkers_handle_a_term_5000_deep():
     assert max_free_index(opened) == 0
     assert same_term(shift(opened, 3), nested_succ(5000, TVar(3)))
     assert same_term(subst(opened, Const(7)), nested_succ(5000, Const(7)))
+    # a term hashes parts first, by a loop, on its first `hash`
+    assert hash(opened) == hash(nested_succ(5000, TVar(0))) != hash(t)
 
 
 # ---------------------------------------------------------------------------
