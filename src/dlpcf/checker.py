@@ -24,16 +24,15 @@ from .fuel import DEFAULT_BOUND, DEFAULT_FUEL
 from .index import (Constraint, ConstraintSet, EquationError,
                     EquationalProgram, IndexTerm, Oracle, Verdict, Verified,
                     alpha_eq_index, free_vars, merge_verdicts,
-                    parse_constraint, parse_index, show_constraint, show_index,
-                    subst_index)
+                    parse_constraint, parse_index, show_index, subst_index)
 from .pcf import (BINDERS, App, Const, Fix, IfZ, Lam, Pred, Succ, Term, TVar,
                   max_free_index, show_pcf_type, subterms)
 from .pcf import pcf_typecheck  # unused: perfbench's tracer patches it here
 from .sexpr import SExprError, SString, parse_sexpr
 from .types import (BasicType, BoundedSumWitness, LinArrow, ModalType, NatI,
                     ShapeMismatch, SumWitness, bounded_sum_modal, erase,
-                    inequality, parse_basic_type, parse_modal_type, show_type,
-                    subtype, sum_modal, well_defined)
+                    inequality, parse_basic_type, parse_modal_type, subtype,
+                    sum_modal, well_defined)
 
 __all__ = [
     "Derivation", "Annotations", "Obligation", "CheckReport",
@@ -188,21 +187,21 @@ class _Checker:
 
     def entail(self, path, node, payload, lhs, rel, rhs) -> None:
         with self.structural(path, payload):
-            v = ix.entails(node.ctx, Constraint(lhs, rel, rhs), self.oracle)
-        self.emit(path, "entailment",
-                  f"{payload}: {show_index(lhs)} {rel} {show_index(rhs)}", v)
+            goal = Constraint(lhs, rel, rhs)
+            v = ix.entails(node.ctx, goal, self.oracle)
+        self.emit(path, "entailment", f"{payload}: {show_index(goal)}", v)
 
     def subtype_ob(self, path, ctx, payload, sub, sup) -> None:
         with self.structural(path, payload):
             v = subtype(ctx, sub, sup, self.oracle, self.precise)
         rel = "==" if self.precise else "<:"
         self.emit(path, "subtyping",
-                  f"{payload}: {show_type(sub)} {rel} {show_type(sup)}", v)
+                  f"{payload}: {show_index(sub)} {rel} {show_index(sup)}", v)
 
     def wd_ob(self, path, node, payload, ty) -> None:
         with self.structural(path, payload):
             v = well_defined(node.ctx, ty, self.oracle)
-        self.emit(path, "well-definedness", f"{payload}: {show_type(ty)}", v)
+        self.emit(path, "well-definedness", f"{payload}: {show_index(ty)}", v)
 
     def annot(self, node: Derivation, path, key: str):
         value = getattr(node.annots, key)
@@ -257,7 +256,8 @@ class _Checker:
     def same(path, got, want, what: str) -> None:
         if not alpha_eq_index(got, want):
             raise StructuralError(
-                path, f"{what}: expected {_show(want)}, got {_show(got)}")
+                path, f"{what}: expected {show_index(want)}, "
+                      f"got {show_index(got)}")
 
     def premise(self, node, path, i, what, ctx, context, weight=None,
                 type=None) -> Derivation:
@@ -474,8 +474,8 @@ class _Checker:
             summed, verdict = bounded_sum_modal(
                 binder, width, entry, witness, node.ctx, self.oracle)
         self.emit(path, "shape",
-                  f"slot {slot}: context entry {show_type(entry)} sums to "
-                  f"{show_type(summed)}", verdict)
+                  f"slot {slot}: context entry {show_index(entry)} sums to "
+                  f"{show_index(summed)}", verdict)
         return summed
 
     def _ctx_join(self, path, node, slot, left, right, witness) -> ModalType:
@@ -485,20 +485,9 @@ class _Checker:
             joined, verdict = sum_modal(left, right, witness, node.ctx,
                                         self.oracle)
         self.emit(path, "shape",
-                  f"slot {slot}: {show_type(left)} joins {show_type(right)} "
-                  f"as {show_type(joined)}", verdict)
+                  f"slot {slot}: {show_index(left)} joins {show_index(right)} "
+                  f"as {show_index(joined)}", verdict)
         return joined
-
-
-def _show(x) -> str:
-    """A constraint context, a type or an index term, printed."""
-    if isinstance(x, ConstraintSet):
-        vs = ", ".join(x.variables) or "(none)"
-        cs = "; ".join(map(show_constraint, x.constraints)) or "(none)"
-        return f"[vars {vs} | {cs}]"
-    if isinstance(x, (NatI, LinArrow, ModalType)):
-        return show_type(x)
-    return show_index(x)
 
 
 def check(d: Derivation, program: EquationalProgram,

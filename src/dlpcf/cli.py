@@ -19,9 +19,8 @@ from . import index as ix
 from . import machine
 from . import pcf
 from .fuel import DEFAULT_BOUND, DEFAULT_FUEL, FuelExhausted
-from .index import (EquationError, IndexUndefined, Refuted, Unknown, Verified,
-                    eval_index, subst_index)
-from .types import LinArrow, NatI, show_type
+from .index import (EquationError, IndexUndefined, LinArrow, NatI, Refuted,
+                    Unknown, Verified, eval_index, show_index)
 
 __all__ = ["main", "RunReport", "SoundnessRow", "eval_report",
            "check_program", "soundness_rows", "SoundnessError"]
@@ -101,13 +100,13 @@ def soundness_rows(deriv: ck.Derivation, term: pcf.Term,
     machine run: steps <= size * (weight + 1), and the value inside the
     declared interval."""
     weight, ty = deriv.weight, deriv.type
+    table: dict = {}    # shared by the rows: it changes no value and no fuel
 
-    def row(term_n, w, lo, hi, label):
+    def row(term_n, rho, lo, hi, label):
         size_n = pcf.size(term_n)
         try:
-            w_v = eval_index(w, {}, program, fuel)
-            lo_v = eval_index(lo, {}, program, fuel)
-            hi_v = eval_index(hi, {}, program, fuel)
+            w_v, lo_v, hi_v = [eval_index(t, rho, program, fuel, table)
+                               for t in (weight, lo, hi)]
         except (IndexUndefined, FuelExhausted) as e:
             raise SoundnessError(f"{label}: cannot evaluate the root bounds: {e}")
         try:
@@ -123,11 +122,11 @@ def soundness_rows(deriv: ck.Derivation, term: pcf.Term,
             interval_ok=lo_v <= result.value <= hi_v)
 
     if isinstance(ty, NatI):
-        return [row(term, weight, ty.lo, ty.hi, program_path)]
+        return [row(term, {}, ty.lo, ty.hi, program_path)]
     if not isinstance(ty, LinArrow) or not isinstance(ty.cod, NatI):
         raise SoundnessError(
             "the root type must be Nat[I,J] or a first-order arrow into it, "
-            f"got {show_type(ty)}")
+            f"got {show_index(ty)}")
     dom = ty.dom
     if not isinstance(dom.body, NatI):
         raise SoundnessError("the arrow argument must be a Nat interval")
@@ -142,15 +141,8 @@ def soundness_rows(deriv: ck.Derivation, term: pcf.Term,
     if not instantiations:
         raise SoundnessError("an arrow-typed root needs at least one -n "
                              "instantiation")
-    rows = []
-    for n in instantiations:
-        term_n = pcf.App(term, pcf.Const(n))
-        w_n = subst_index(weight, var, ix.Lit(n))
-        lo_n = subst_index(ty.cod.lo, var, ix.Lit(n))
-        hi_n = subst_index(ty.cod.hi, var, ix.Lit(n))
-        rows.append(row(term_n, w_n, lo_n, hi_n,
-                        f"{program_path} {var}:={n}"))
-    return rows
+    return [row(pcf.App(term, pcf.Const(n)), {var: n}, ty.cod.lo, ty.cod.hi,
+                f"{program_path} {var}:={n}") for n in instantiations]
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,13 @@ A goal is decided once per assignment of its own free variables, and a
 repeated query is not decided again.  Every node of index syntax holds
 its free variables from when it is built.
 
-Types (`types.NatI`, `LinArrow`, `ModalType`) are this syntax plus three
-constructors.  `walk` takes index terms and types alike, and so do
-`subst_index`, `alpha_eq_index` and `check_symbols`, which are folds over
-it, and `free_vars`.  `Var`, `Lit` and `App` are their own cases; every
-other node is a `record.Record` read field by field.  The binding forms
-`BoundedSum`, `Forest` and `types.ModalType` have `binder` as their first
+Types are this syntax plus three constructors, `NatI`, `LinArrow` and
+`ModalType`, defined here and used through `types`.  `walk` takes index
+terms and types alike, and so do `subst_index`, `alpha_eq_index`,
+`check_symbols` and `show_index`, which are folds over it, and
+`free_vars`.  `Var`, `Lit` and `App` are their own cases; every other
+node is a `record.Record` read field by field.  The binding forms
+`BoundedSum`, `Forest` and `ModalType` have `binder` as their first
 field, bound in the last, `body`, only; the fields between (`bound`, or
 `start` and `count`) are index terms outside its scope.  A node whose first
 field is not `binder` binds nothing.  `_SHAPES` is the one place that reads
@@ -41,6 +42,7 @@ from .record import Record, _put
 
 __all__ = [
     "IndexTerm", "Var", "Lit", "App", "BoundedSum", "Forest",
+    "NatI", "LinArrow", "ModalType",
     "Signature", "Rule", "NatPattern", "EquationalProgram",
     "Assignment", "Constraint", "ConstraintSet", "EMPTY_CTX", "Defined",
     "Verdict", "Verified", "Refuted", "Unknown", "merge_verdicts",
@@ -49,7 +51,7 @@ __all__ = [
     "declare", "register_program", "parse_equations", "load_equations",
     "eval_index", "Oracle", "entails", "free_vars", "subst_index",
     "IDENT", "is_name", "alpha_eq_index", "fresh_name", "check_symbols",
-    "parse_index", "parse_constraint", "show_index", "show_constraint",
+    "parse_index", "parse_constraint", "show_index",
     "tokenize", "Parser", "parse_sum_expr", "add", "monus", "walk",
 ]
 
@@ -118,6 +120,28 @@ class Forest(_Syntax):
 IndexTerm = Union[Var, Lit, App, BoundedSum, Forest]
 
 
+class NatI(_Syntax):
+    """Nat[lo, hi]: the naturals from index term `lo` to `hi`."""
+    _fields = ("lo", "hi")
+
+
+class LinArrow(_Syntax):
+    """dom -o cod: a modal type and a basic type."""
+    _fields = ("dom", "cod")
+
+
+class ModalType(_Syntax):
+    """[binder < bound] body: the bound may not mention the binder."""
+    _fields = ("binder", "bound", "body")
+
+    def __init__(self, binder: str, bound: IndexTerm, body: NatI | LinArrow):
+        if binder in free_vars(bound):
+            raise ValueError(
+                f"modal bound {show_index(bound)} mentions its own "
+                f"binder {binder!r}")
+        super().__init__(binder, bound, body)
+
+
 def add(a: IndexTerm, b: IndexTerm) -> App:
     return App("+", (a, b))
 
@@ -161,11 +185,12 @@ def _parts(t) -> tuple:
 
 def walk(t) -> list[tuple]:
     """Every node of the index term, type, or record or tuple of them `t`
-    in pre-order, with the binders in scope at it: None at the top, else a
-    pair of the innermost binding form and the scope around that.  A form
-    is in its own scope, and its binder is in scope in its last part,
-    `body`, only: its other parts see the scope around it.  Iterative, so
-    the depth of `t` is bounded by memory only."""
+    in pre-order, with the binders in scope at it and its number of parts.
+    The scope is None at the top, else a pair of the innermost binding form
+    and the scope around that.  A form is in its own scope, and its binder
+    is in scope in its last part, `body`, only: its other parts see the
+    scope around it.  Iterative, so the depth of `t` is bounded by memory
+    only."""
     nodes = []
     stack = [(t, None)]
     while stack:
@@ -177,7 +202,7 @@ def walk(t) -> list[tuple]:
             if binds:
                 scope = (node, scope)
                 stack[-len(parts)] = (parts[-1], scope)
-        nodes.append((node, scope))
+        nodes.append((node, scope, len(parts)))
     return nodes
 
 
@@ -198,9 +223,14 @@ def _rebuild(nodes, combine):
     in reverse pre-order, where a node's parts come before it: the value at
     the root."""
     done: list = []
-    for node, scope in reversed(nodes):
-        split = len(done) - len(_parts(node))
-        done[split:] = [combine(node, scope, done[split:][::-1])]
+    for node, scope, n in reversed(nodes):
+        if n:
+            parts = done[-n:]
+            del done[-n:]
+            parts.reverse()
+        else:
+            parts = []
+        done.append(combine(node, scope, parts))
     return done[0]
 
 
@@ -235,7 +265,7 @@ def subst_index(t, name: str, repl: IndexTerm):
     nodes = walk(t)
     # id of a scope -> its form's new binder and its substitutions
     made = {id(None): (None, [(name, repl)])}
-    for node, scope in nodes:
+    for node, scope, _ in nodes:
         if scope is None or scope[0] is not node:
             continue
         around, binder, inside = made[id(scope[1])][1], node.binder, []
@@ -286,16 +316,16 @@ def alpha_eq_index(a, b) -> bool:
     walk_a, walk_b = walk(a), walk(b)
     if len(walk_a) != len(walk_b):
         return False
-    for (x, sx), (y, sy) in zip(walk_a, walk_b):
-        if type(x) is not type(y) or _label(x, sx) != _label(y, sy):
+    for (x, sx, nx), (y, sy, ny) in zip(walk_a, walk_b):
+        if type(x) is not type(y) or _label(x, sx, nx) != _label(y, sy, ny):
             return False
     return True
 
 
-def _label(node, scope):
+def _label(node, scope, n: int):
     """A bound variable's distance to its binder, a free one's name, a
     numeral's value, an application's symbol and arity, any other leaf
-    itself and any other node's number of parts."""
+    itself and any other node's number of parts, `n`."""
     cls = type(node)
     if cls is Var:
         depth = _bound_at(scope, node.name)
@@ -303,9 +333,8 @@ def _label(node, scope):
     if cls is Lit:
         return node.value
     if cls is App:
-        return node.symbol, len(node.args)
-    parts = _parts(node)
-    return len(parts) if parts else node
+        return node.symbol, n
+    return n or node
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +475,7 @@ def check_symbols(t, signature: Signature) -> None:
     """ArityError unless every application in `t` matches `signature`, in
     the order the applications occur: `t` is an index term, a type, or any
     record or tuple of them, and strings and None hold none."""
-    for node, _ in walk(t):
+    for node, _, _ in walk(t):
         if type(node) is App:
             expected = signature.arity(node.symbol)
             if len(node.args) != expected:
@@ -1125,12 +1154,14 @@ def _parse_atom(p: Parser) -> IndexTerm:
     raise IndexSyntaxError(f"unexpected token {tok!r}")
 
 
-def show_index(t: IndexTerm) -> str:
+def show_index(t) -> str:
+    """An index term, a constraint, a constraint set or a type, printed."""
     return _rebuild(walk(t), _show_node)
 
 
-def _show_node(node, _scope, parts: list[str]) -> str:
-    """A node of an index term printed, given its parts printed."""
+def _show_node(node, _scope, parts: list):
+    """A node of index syntax printed, given its parts printed: a string,
+    or for a tuple the list of its items'."""
     cls = type(node)
     if cls is Var:
         return node.name
@@ -1147,11 +1178,28 @@ def _show_node(node, _scope, parts: list[str]) -> str:
         return f"sum({node.binder} < {parts[0]}, {parts[1]})"
     if cls is Forest:
         return "forest({}, {}, {}, {})".format(node.binder, *parts)
-    raise TypeError(f"not an index term: {node!r}")
-
-
-def show_constraint(c: Constraint) -> str:
-    return f"{show_index(c.lhs)} {c.rel} {show_index(c.rhs)}"
+    if cls is NatI:
+        if node.lo == node.hi or alpha_eq_index(node.lo, node.hi):
+            return f"Nat[{parts[0]}]"
+        return f"Nat[{parts[0]}, {parts[1]}]"
+    if cls is LinArrow:
+        return f"{parts[0]} -o {parts[1]}"
+    if cls is ModalType:
+        inner = parts[1]
+        if isinstance(node.body, LinArrow):
+            inner = f"({inner})"
+        return f"[{node.binder} < {parts[0]}] {inner}"
+    if cls is Constraint:
+        return " ".join(parts)
+    if cls is str:
+        return node
+    if cls is tuple:
+        return parts
+    if cls is ConstraintSet:
+        vs = ", ".join(parts[0]) or "(none)"
+        cs = "; ".join(parts[1]) or "(none)"
+        return f"[vars {vs} | {cs}]"
+    raise TypeError(f"cannot print {node!r}")
 
 
 # ---------------------------------------------------------------------------

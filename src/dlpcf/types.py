@@ -2,11 +2,12 @@
 and quantified modal types, with bounded-oracle well-definedness, subtyping,
 equivalence, and the sum operations on modal types.
 
-Types are index syntax: `index.free_vars`, `subst_index`, `alpha_eq_index`
-and `check_symbols` take them as they take index terms.  `ModalType` is a
-binding form by the convention `index` states: `binder` first, bound in the
-last field, `body`, only.  Like index terms, a type holds its free
-variables from when it is built.
+Types are index syntax, and their three constructors are defined in
+`index` with the rest of it: `index.free_vars`, `subst_index`,
+`alpha_eq_index`, `check_symbols` and `show_index` take them as they take
+index terms.  `ModalType` is a binding form by the convention `index`
+states: `binder` first, bound in the last field, `body`, only.  Like index
+terms, a type holds its free variables from when it is built.
 
 All semantic questions reduce to `index.entails` under a constraint context,
 asked of one `index.Oracle`, so every judgement here is three-valued and
@@ -19,39 +20,17 @@ import re
 from typing import NamedTuple, Union
 
 from . import index as ix
-from .index import (Constraint, ConstraintSet, Defined, IndexTerm, Oracle,
-                    Verdict, alpha_eq_index, entails, free_vars, fresh_name,
-                    merge_verdicts, show_index, subst_index)
+from .index import (Constraint, ConstraintSet, Defined, IndexTerm, LinArrow,
+                    ModalType, NatI, Oracle, Verdict, entails, free_vars,
+                    fresh_name, merge_verdicts, show_index, subst_index)
 from .pcf import NAT, Arrow, PcfType
 
 __all__ = [
     "BasicType", "NatI", "LinArrow", "ModalType", "TypingContext",
     "erase", "well_defined", "subtype", "equiv",
     "SumWitness", "BoundedSumWitness", "sum_modal", "bounded_sum_modal",
-    "ShapeMismatch", "parse_basic_type", "parse_modal_type", "show_type", "inequality",
+    "ShapeMismatch", "parse_basic_type", "parse_modal_type", "inequality",
 ]
-
-
-class NatI(ix._Syntax):
-    """Nat[lo, hi]: the naturals from index term `lo` to `hi`."""
-    _fields = ("lo", "hi")
-
-
-class LinArrow(ix._Syntax):
-    """dom -o cod: a modal type and a basic type."""
-    _fields = ("dom", "cod")
-
-
-class ModalType(ix._Syntax):
-    """[binder < bound] body: the bound may not mention the binder."""
-    _fields = ("binder", "bound", "body")
-
-    def __init__(self, binder: str, bound: IndexTerm, body: BasicType):
-        if binder in free_vars(bound):
-            raise ValueError(
-                f"modal bound {show_index(bound)} mentions its own "
-                f"binder {binder!r}")
-        super().__init__(binder, bound, body)
 
 
 BasicType = Union[NatI, LinArrow]
@@ -131,7 +110,7 @@ def subtype(ctx: ConstraintSet, sub, sup, oracle: Oracle,
                         oracle, precise),
                 entails(ctx, Constraint(b2, inequality(precise), b1), oracle))
     raise ShapeMismatch(
-        f"cannot compare {show_type(sub)} with {show_type(sup)}")
+        f"cannot compare {show_index(sub)} with {show_index(sup)}")
 
 
 def equiv(ctx: ConstraintSet, a, b, oracle: Oracle) -> Verdict:
@@ -279,19 +258,3 @@ def _parse_type_atom(p: ix.Parser):
         p.expect(")")
         return t
     raise TypeSyntaxError(f"unexpected token {tok!r} in type")
-
-
-def show_type(t) -> str:
-    match t:
-        case NatI(lo, hi):
-            if lo == hi or alpha_eq_index(lo, hi):
-                return f"Nat[{show_index(lo)}]"
-            return f"Nat[{show_index(lo)}, {show_index(hi)}]"
-        case LinArrow(dom, cod):
-            return f"{show_type(dom)} -o {show_type(cod)}"
-        case ModalType(binder, bnd, body):
-            inner = show_type(body)
-            if isinstance(body, LinArrow):
-                inner = f"({inner})"
-            return f"[{binder} < {show_index(bnd)}] {inner}"
-    raise TypeError(f"not a type: {t!r}")

@@ -143,14 +143,14 @@ def test_criterion_8_subtyping_metamorphic_suite(arith):
     for i in range(500):
         base = gen_basic_type(rng, ("a",), 2)
         refl = ty.subtype(ctx, base, base, oracle)
-        assert not isinstance(refl, Refuted), (i, ty.show_type(base))
+        assert not isinstance(refl, Refuted), (i, ix.show_index(base))
         mid = widen(rng, base)
         top = widen(rng, mid)
         lo = ty.subtype(ctx, base, mid, oracle)
         hi = ty.subtype(ctx, mid, top, oracle)
         assert isinstance(lo, Verified) and isinstance(hi, Verified), i
         span = ty.subtype(ctx, base, top, oracle)
-        assert not isinstance(span, Refuted), (i, ty.show_type(base))
+        assert not isinstance(span, Refuted), (i, ix.show_index(base))
     elapsed = report(8, "subtyping reflexivity and transitivity at bound 6",
                      started)
     assert elapsed < 60.0

@@ -19,9 +19,8 @@ from dlpcf.cli import main
 from dlpcf.index import (App, Constraint, ConstraintSet, EMPTY_CTX, Lit,
                          Oracle, Refuted, Var, Verified, alpha_eq_index,
                          entails, parse_constraint, parse_equations,
-                         parse_index)
-from dlpcf.types import (ModalType, erase, parse_basic_type, parse_modal_type,
-                         show_type)
+                         parse_index, show_index)
+from dlpcf.types import ModalType, erase, parse_basic_type, parse_modal_type
 
 
 def cs(variables="", *constraints):
@@ -545,7 +544,7 @@ def test_unknown_symbol_is_structural(arith):
 
 def zapped_type(t):
     """`t` with its first application of mult made one of zap."""
-    text = show_type(t).replace("mult", "zap", 1)
+    text = show_index(t).replace("mult", "zap", 1)
     return M(text) if isinstance(t, ModalType) else B(text)
 
 

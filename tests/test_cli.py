@@ -4,7 +4,12 @@ import pathlib
 import pytest
 from click.testing import CliRunner
 
-from dlpcf.cli import eval_report, main
+from dlpcf import checker as ck
+from dlpcf import index as ix
+from dlpcf import machine
+from dlpcf import pcf
+from dlpcf.cli import (SoundnessError, SoundnessRow, eval_report,
+                       load_program, main, soundness_rows)
 from dlpcf.fuel import FuelExhausted
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -269,3 +274,60 @@ def test_soundness_gates_on_verification(runner, tmp_path):
                                   "--eqprog", EQS])
     assert result.exit_code == 1
     assert "refuted" in result.output
+
+
+def reference_soundness_rows(deriv, term, program, instantiations, fuel,
+                             program_path, deriv_path):
+    """The rows as `soundness_rows` made them when it substituted n for the
+    root variable in the weight and the interval, and evaluated each closed
+    result with a table of its own."""
+    weight, ty = deriv.weight, deriv.type
+
+    def row(term_n, w, lo, hi, label):
+        size_n = pcf.size(term_n)
+        try:
+            w_v, lo_v, hi_v = [ix.eval_index(t, {}, program, fuel)
+                               for t in (w, lo, hi)]
+        except (ix.IndexUndefined, FuelExhausted) as e:
+            raise SoundnessError(f"{label}: cannot evaluate the root bounds: {e}")
+        try:
+            result = machine.run(term_n, fuel)
+        except FuelExhausted as e:
+            raise SoundnessError(f"{label}: cannot run the machine: {e}")
+        step_bound = size_n * (w_v + 1)
+        return SoundnessRow(
+            label, result.value, result.steps, size_n, result.max_config_size,
+            deriv_path, w_v, step_bound, result.steps <= step_bound,
+            lo_v, hi_v, lo_v <= result.value <= hi_v)
+
+    if isinstance(ty, ix.NatI):
+        return [row(term, weight, ty.lo, ty.hi, program_path)]
+    var = ty.dom.body.lo.name
+    return [row(pcf.App(term, pcf.Const(n)),
+                *[ix.subst_index(t, var, ix.Lit(n))
+                  for t in (weight, ty.cod.lo, ty.cod.hi)],
+                f"{program_path} {var}:={n}")
+            for n in instantiations]
+
+
+def rows_or_error(make, *args):
+    try:
+        return make(*args)
+    except SoundnessError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("name, instantiations", [
+    ("dbl", tuple(range(9)) + (400,)), ("dbl", (3, 0, 3)), ("delay5", ())])
+def test_soundness_rows_evaluate_the_root_bounds_at_the_instance(
+        arith, name, instantiations):
+    # The same rows, values and messages as evaluating the bounds with n
+    # substituted: a variable and a numeral cost one tick each, and the
+    # rewrite table the rows share changes no result and no fuel spent.
+    # The small budgets run out on the root bounds or on the machine.
+    term = load_program(str(FIXTURES / f"{name}.pcf"))
+    deriv = ck.bind(ck.load_derivation(FIXTURES / f"{name}.deriv"), term)
+    for fuel in (*range(1, 130), 250, 10**6):
+        args = (deriv, term, arith, instantiations, fuel, name, "deriv")
+        assert (rows_or_error(soundness_rows, *args)
+                == rows_or_error(reference_soundness_rows, *args))

@@ -11,11 +11,12 @@ from dlpcf import types
 from dlpcf.checker import check
 from dlpcf.fuel import FuelExhausted
 from dlpcf.index import (App, BoundedSum, Constraint, ConstraintSet, Defined,
-                         EMPTY_CTX, Forest, IndexUndefined, Lit, NatPattern,
-                         NonLinearPattern, Oracle, OverlapError, Refuted, Rule,
-                         UnboundRhsVar, Var, Verified, declare, entails,
-                         eval_index, parse_equations, parse_index,
-                         register_program, show_index, subst_index)
+                         EMPTY_CTX, Forest, IndexUndefined, LinArrow, Lit,
+                         ModalType, NatI, NatPattern, NonLinearPattern, Oracle,
+                         OverlapError, Refuted, Rule, UnboundRhsVar, Var,
+                         Verified, declare, entails, eval_index,
+                         parse_equations, parse_index, register_program,
+                         show_index, subst_index)
 
 from genterms import Fuel, gen_basic_type, table_program
 
@@ -682,10 +683,11 @@ def test_binders_that_are_names_print_back_to_themselves():
 # Index syntax walkers and the evaluator loop
 #
 # Recursive copies of `free_vars`, `subst_index`, `alpha_eq_index`,
-# `check_symbols`, `show_index` and the evaluator (`_eval`, `_apply` and
-# `_forest_nodes`) as they were before `walk` and the evaluator's frame
-# stack replaced them: the walkers and the loop must agree with them
-# wherever these do not run out of stack.
+# `check_symbols`, `show_index` (with the cases of `types.show_type`, and of
+# the checker's printer of constraint sets) and the evaluator (`_eval`,
+# `_apply` and `_forest_nodes`) as they were before `walk` and the
+# evaluator's frame stack replaced them: the walkers and the loop must agree
+# with them wherever these do not run out of stack.
 
 def reference_node(t):
     """The binder of a compound node (None unless its first field is
@@ -805,7 +807,27 @@ def reference_show_index(t):
             return (f"forest({binder}, {reference_show_index(start)}, "
                     f"{reference_show_index(count)}, "
                     f"{reference_show_index(body)})")
-    raise TypeError(f"not an index term: {t!r}")
+        case Constraint(lhs, rel, rhs):
+            return (f"{reference_show_index(lhs)} {rel} "
+                    f"{reference_show_index(rhs)}")
+        case ConstraintSet(variables, constraints):
+            vs = ", ".join(variables) or "(none)"
+            cs = "; ".join(map(reference_show_index, constraints)) or "(none)"
+            return f"[vars {vs} | {cs}]"
+        case NatI(lo, hi):
+            if lo == hi or reference_alpha_eq_index(lo, hi):
+                return f"Nat[{reference_show_index(lo)}]"
+            return (f"Nat[{reference_show_index(lo)}, "
+                    f"{reference_show_index(hi)}]")
+        case LinArrow(dom, cod):
+            return (f"{reference_show_index(dom)} -o "
+                    f"{reference_show_index(cod)}")
+        case ModalType(binder, bound, body):
+            inner = reference_show_index(body)
+            if isinstance(body, LinArrow):
+                inner = f"({inner})"
+            return f"[{binder} < {reference_show_index(bound)}] {inner}"
+    raise TypeError(f"cannot print {t!r}")
 
 
 def reference_eval(term, rho, program, gas):
@@ -951,9 +973,10 @@ def alpha_variant(t):
 @settings(max_examples=300, deadline=None)
 def test_syntax_walkers_match_the_recursive_references(t, other, name, repl):
     assert ix.free_vars(t) == reference_free_vars(t)
-    # the same text; on a type, both raise a TypeError
-    shown, want = raised(show_index, t), raised(reference_show_index, t)
-    assert shown == want or shown[0] is want[0] is TypeError
+    goal = Constraint(t, "<=", other)
+    for shown in (t, goal, ConstraintSet(tuple(sorted(ix.free_vars(goal))),
+                                         (goal,))):
+        assert show_index(shown) == reference_show_index(shown)
     got = raised(subst_index, t, name, repl)
     assert got == raised(reference_subst_index, t, name, repl)
     assert ix.free_vars(got) == reference_free_vars(got)
@@ -1015,7 +1038,7 @@ def test_free_variables_kept_on_a_node_change_nothing_else(t):
 def test_every_node_is_built_holding_its_free_variables(t, name, repl):
     # also the nodes `subst_index` builds, where it renames binders
     for term in (t, subst_index(t, name, repl)):
-        for node, _ in ix.walk(term):
+        for node, _, _ in ix.walk(term):
             if isinstance(node, ix._Syntax):
                 assert node._free == reference_free_vars(node)
 
@@ -1104,6 +1127,25 @@ def test_a_shared_rewrite_table_changes_no_result_and_no_fuel(pairs):
                 ix._eval(term, rho, DIFF_PROGRAM, cost - 1, table)
 
 
+@given(query_terms(("x",), NAMES), st.integers(0, 10**3),
+       st.integers(1, DIFF_FUEL))
+@example(parse_index("mult(x, x) + sum(x < x, half(x))"), 400, DIFF_FUEL)
+@settings(max_examples=200, deadline=None)
+def test_a_term_at_an_instance_evaluates_as_the_instance(t, n, fuel):
+    # [[t]]{x: n} = [[t[x := n]]]{}, at the same fuel: a variable and a
+    # numeral each cost one tick.  With a rewrite table shared by both
+    # sides, twice, the same again.
+    instance = subst_index(t, "x", Lit(n))
+    want = raised(eval_index, instance, {}, DIFF_PROGRAM, fuel)
+    assert raised(eval_index, t, {"x": n}, DIFF_PROGRAM, fuel) == want
+    table = {}
+    for _ in range(2):
+        assert raised(eval_index, t, {"x": n}, DIFF_PROGRAM, fuel,
+                      table) == want
+        assert raised(eval_index, instance, {}, DIFF_PROGRAM, fuel,
+                      table) == want
+
+
 def test_a_recorded_call_is_answered_without_rewriting(monkeypatch):
     rewritten = []
     real = ix._rewrite
@@ -1176,6 +1218,12 @@ def test_the_walkers_and_the_evaluator_handle_terms_5000_deep():
         assert ix.alpha_eq_index(term, subst_index(term, "y", Lit(0)))
     for term, variant in zip((sums, forests), deep_terms("b")[1:]):
         assert ix.alpha_eq_index(term, variant)
+    # a type of DEPTH nested arrows prints, as index syntax does
+    arrows = NatI(Lit(0), Lit(0))
+    for _ in range(DEPTH):
+        arrows = LinArrow(ModalType("a", Lit(1), NatI(Var("a"), Lit(1))),
+                          arrows)
+    assert show_index(arrows) == "[a < 1] Nat[a, 1] -o " * DEPTH + "Nat[0]"
     assert not ix.alpha_eq_index(plus, subst_index(plus, "a", Var("b")))
     assert not ix.alpha_eq_index(sums, subst_index(sums, "x", Var("y")))
     # each node hashes once, when it is built, so the oracle's tables take

@@ -33,9 +33,11 @@ def test_only_the_derivation_records_are_dataclasses():
                            hasattr(cls, "__dataclass_fields__")))
     assert {(m, n) for m, n, dc in found if dc} == {
         ("checker", "Derivation"), ("checker", "Annotations")}
-    # the listing reaches every module: these are records of each family
-    assert {("index", "Var", False), ("types", "ModalType", False),
-            ("pcf", "Lam", False), ("machine", "SMark", False)} <= found
+    # the listing reaches every module: these are records of each family,
+    # the types among index syntax, and a class of the type judgements
+    assert {("index", "Var", False), ("index", "ModalType", False),
+            ("types", "SumWitness", False), ("pcf", "Lam", False),
+            ("machine", "SMark", False)} <= found
 
 
 names = st.sampled_from(("a", "b", "x"))

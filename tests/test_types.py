@@ -9,12 +9,11 @@ from dlpcf import pcf
 from dlpcf.index import (App, BoundedSum, ConstraintSet, EMPTY_CTX, Forest,
                          Lit, Oracle, Refuted, Unknown, Var, Verified,
                          alpha_eq_index, declare, free_vars, parse_index,
-                         register_program, subst_index)
+                         register_program, show_index, subst_index)
 from dlpcf.types import (BoundedSumWitness, LinArrow, ModalType, NatI,
                          ShapeMismatch, SumWitness, bounded_sum_modal, equiv,
-                         erase, parse_basic_type,
-                         parse_modal_type, show_type, subtype, sum_modal,
-                         well_defined)
+                         erase, parse_basic_type, parse_modal_type, subtype,
+                         sum_modal, well_defined)
 
 from genterms import gen_basic_type, widen
 
@@ -34,12 +33,12 @@ CTX_A = ConstraintSet(("a",), ())
 # Syntax and erasure
 
 def test_parse_show_roundtrip():
-    assert show_type(B("Nat[3,3]")) == "Nat[3]"
+    assert show_index(B("Nat[3,3]")) == "Nat[3]"
     arrow = B("[a < 5] Nat[a] -o Nat[0]")
     assert isinstance(arrow, LinArrow)
-    assert alpha_eq_index(B(show_type(arrow)), arrow)
+    assert alpha_eq_index(B(show_index(arrow)), arrow)
     nested = M("[v < 2] ([c < a] Nat[c] -o Nat[a])")
-    assert alpha_eq_index(M(show_type(nested)), nested)
+    assert alpha_eq_index(M(show_index(nested)), nested)
 
 
 def test_interval_sugar():
