@@ -42,15 +42,23 @@ NAT = NatT()
 
 
 def show_pcf_type(t: PcfType) -> str:
-    """`t` printed; the arrows of its right spine, by a loop."""
-    pieces = []
-    while isinstance(t, Arrow):
-        left = show_pcf_type(t.dom)
-        pieces.append(f"({left})" if isinstance(t.dom, Arrow) else left)
-        t = t.cod
-    if not isinstance(t, NatT):
-        raise TypeError(f"not a PCF type: {t!r}")
-    return " -> ".join(pieces + ["Nat"])
+    """`t` printed, arrows to the right, a domain that is an arrow in
+    parentheses.  Iterative: `todo` holds, next on top, the types still to
+    print and the text between them."""
+    out = []
+    todo: list = [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, str):
+            out.append(t)
+        elif isinstance(t, Arrow):
+            todo += [t.cod, " -> "]
+            todo += [")", t.dom, "("] if isinstance(t.dom, Arrow) else [t.dom]
+        elif isinstance(t, NatT):
+            out.append("Nat")
+        else:
+            raise TypeError(f"not a PCF type: {t!r}")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -411,9 +419,17 @@ def wh_eval(t: Term, fuel: int = DEFAULT_FUEL) -> tuple[int, int]:
     every other focus that the loop does not descend through ticks once,
     in one place, before it steps or raises.  The ticks before it number
     `steps`, so `steps >= fuel` is the tick that would exhaust the
-    budget."""
+    budget.
+
+    It also keeps the last `Fix` it unfolded and the unfolding.  The focus
+    is closed, and `subst` keeps a closed `Fix` as the same object, so a
+    recursive call meets that very `Fix` again and reuses its unfolding:
+    each run of `dbl` unfolds it once.  It is one entry, not a table, so a
+    `Fix` that substitution rebuilds, such as an inner loop that mentions
+    an outer variable, is not kept past the next unfolding."""
     check_budget(fuel)
     numerals = Numerals()
+    last_fix = unfolding = None      # the last `Fix` unfolded, and to what
     steps = 0
     frames: list[Term] = []
     focus = t
@@ -457,7 +473,9 @@ def wh_eval(t: Term, fuel: int = DEFAULT_FUEL) -> tuple[int, int]:
                 raise StuckTerm(_STUCK[type(frame)])
             focus = subst(focus.body, frame.arg)
         elif kind is Fix:
-            focus = subst(focus.body, focus)
+            if focus is not last_fix:
+                last_fix, unfolding = focus, subst(focus.body, focus)
+            focus = unfolding
         elif kind is TVar:
             raise StuckTerm("free variable in a closed reduction")
         else:
@@ -643,23 +661,32 @@ def _optional_ann(p: _PcfParser) -> Optional[PcfType]:
 
 
 def _parse_type(p: _PcfParser) -> PcfType:
-    left = _parse_type_atom(p)
-    if p.peek() is not None and p.peek().text == "->":
-        p.next()
-        return Arrow(left, _parse_type(p))
-    return left
+    """type ::= atom [-> type], atom ::= Nat | ( type ).
 
-
-def _parse_type_atom(p: _PcfParser) -> PcfType:
-    tok = p.next()
-    if tok.text == "Nat":
-        return NAT
-    if tok.text == "(":
-        t = _parse_type(p)
-        p.expect(")")
-        return t
-    raise PcfSyntaxError(f"expected a type, got {tok.text!r}",
-                         tok.line, tok.col)
+    Iterative: `frames` holds, innermost last, each open parenthesis, as
+    None, and each arrow's domain, whose codomain is being parsed."""
+    frames: list[Optional[PcfType]] = []
+    while True:
+        tok = p.next()               # an atom starts here
+        if tok.text == "(":
+            frames.append(None)
+            continue
+        if tok.text != "Nat":
+            raise PcfSyntaxError(f"expected a type, got {tok.text!r}",
+                                 tok.line, tok.col)
+        t = NAT
+        while True:                  # t is an atom
+            if p.peek() is not None and p.peek().text == "->":
+                p.next()
+                frames.append(t)
+                break
+            # t is a type: close the arrows whose codomain it is
+            while frames and frames[-1] is not None:
+                t = Arrow(frames.pop(), t)
+            if not frames:
+                return t
+            frames.pop()
+            p.expect(")")
 
 
 def term_head(t: Term) -> str:

@@ -93,13 +93,27 @@ def test_eval_deeply_nested_program(runner, tmp_path, source, fields):
     assert result.output == f"{path}\t{fields}\n"
 
 
-def test_eval_deeply_nested_annotation_exits_three(runner, tmp_path):
-    # type annotations are still parsed by recursive descent
+def test_eval_deeply_nested_annotation(runner, tmp_path):
+    # type annotations are parsed by a loop over an explicit stack
     path = tmp_path / "deep.pcf"
     path.write_text(r"(\x: " + "(" * 1200 + "Nat" + ")" * 1200 + ". x) 0\n")
+    result = runner.invoke(main, ["eval", str(path), "--format", "tsv"])
+    assert result.exit_code == 0, result.output
+    assert result.output.split("\t")[1] == "0"
+
+
+@pytest.mark.parametrize("annotation", [
+    "(" * 4999 + "Nat" + " -> Nat)" * 4999 + " -> Nat",
+    "Nat -> " * 5000 + "Nat",
+], ids=["left", "right"])
+def test_eval_rejects_a_5000_deep_arrow_type_in_one_line(runner, tmp_path,
+                                                         annotation):
+    path = tmp_path / "deep.pcf"
+    path.write_text(rf"\x: {annotation}. 0" + "\n")
     result = runner.invoke(main, ["eval", str(path)])
     assert result.exit_code == 3
-    assert result.stderr == "error: input nested too deeply\n"
+    assert result.stderr == ("error: programs must have type Nat, got "
+                             f"({annotation}) -> Nat\n")
 
 
 def test_check_deeply_nested_equation_exits_three(runner, tmp_path):

@@ -1,12 +1,14 @@
+import pathlib
 import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dlpcf import pcf
+from dlpcf import machine, pcf
 from dlpcf.fuel import DEFAULT_FUEL, FuelExhausted
 from dlpcf.machine import Arg, Branches
-from dlpcf.pcf import (NAT, App, Arrow, Const, Fix, IfZ, Lam, PcfSyntaxError,
+from dlpcf.pcf import (NAT, App, Arrow, Const, Fix, IfZ, Lam, NatT,
+                       PcfSyntaxError,
                        PcfTypeError, Pred, StuckTerm, Succ, TVar,
                        max_free_index, parse_term, pcf_typecheck, shift, size,
                        subst, wh_eval)
@@ -15,6 +17,7 @@ from genterms import Fuel, gen_nat_term, open_terms, show_term
 from test_machine import CORPUS, configurations
 
 
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 DBL_TEXT = r"fix f. \x. ifz x then 0 else s(s(f (p x)))"
 DBL = Fix(Lam(IfZ(TVar(0), Const(0), Succ(Succ(App(TVar(1), Pred(TVar(0))))))))
 
@@ -340,6 +343,39 @@ def test_refocusing_matches_iterated_wh_step_on_generated_terms(seed):
     assert_refocusing_matches(gen_nat_term(random.Random(seed), (), 5))
 
 
+# `wh_eval` keeps the unfolding of the `Fix` it last unfolded.  These
+# programs meet `Fix` nodes it must tell apart: an inner `Fix` that is open,
+# so each outer call rebuilds it with its own `y`; two closed fixes whose
+# unfoldings alternate; and `delay5`'s `Fix`, built by a beta step.
+NESTED_FIX = parse_term(r"fix g. \y. ifz y then 0 else "
+                        r"(fix f. \x. ifz x then g (p y) else s(f (p x))) y")
+ALTERNATING_FIXES = parse_term(
+    r"(\d. fix f. \x. ifz x then 0 else s(d (f (p x))))"
+    r" (fix h. \y. ifz y then 0 else s(s(h (p y))))")
+DELAY5 = parse_term((FIXTURES / "delay5.pcf").read_text())
+
+
+@pytest.mark.parametrize("t, value, steps", [
+    (App(NESTED_FIX, Const(0)), 0, 3),
+    (App(NESTED_FIX, Const(1)), 1, 15),
+    (App(NESTED_FIX, Const(3)), 6, 68),
+    (App(NESTED_FIX, Const(9)), 45, 603),
+    (App(ALTERNATING_FIXES, Const(0)), 0, 4),
+    (App(ALTERNATING_FIXES, Const(2)), 3, 40),
+    (App(ALTERNATING_FIXES, Const(3)), 7, 205),
+    (DELAY5, 5, 2),
+], ids=["nested-0", "nested-1", "nested-3", "nested-9", "alternating-0",
+        "alternating-2", "alternating-3", "delay5"])
+def test_each_fix_unfolds_to_its_own_body(t, value, steps):
+    assert wh_eval(t) == (value, steps)
+    assert reference_wh_eval(t) == (value, steps)
+    assert machine.run(t).value == value
+    # every budget on a run of under 50 steps, so the run stops between
+    # any two unfoldings; one in 1 + steps // 50 on a longer run
+    for fuel in range(1, steps + 1, 1 + steps // 50):
+        assert outcome(wh_eval, t, fuel) == outcome(reference_wh_eval, t, fuel)
+
+
 def test_wh_eval_on_constructed_chains_50000_deep():
     # built in the library, not parsed: each contraction pops one frame,
     # so a step costs the same at any depth of the context
@@ -589,9 +625,12 @@ def test_substitution_rebuilds_only_the_paths_to_the_variable(monkeypatch):
     assert body.succ.body.body.fn is DBL
     assert len(calls) == 10
     calls.clear()
+    # a run of dbl at n has n + 1 levels, 258 in all; each level's beta
+    # step rebuilds its 5 nodes, but `wh_eval` keeps the unfolding of the
+    # `Fix` it last unfolded, so each run unfolds `DBL` once: 258 * 5 + 4 * 5
     for n in (43, 56, 70, 85):
         wh_eval(App(DBL, Const(n)))
-    assert len(calls) == 2580
+    assert len(calls) == 1310
 
 
 def nested_succ(depth, inner=Const(0)):
@@ -652,7 +691,7 @@ def _reference_parse_expr(p, scope):
     if tok.text in ("\\", "fix"):
         p.next()
         name = pcf._binder_name(p)
-        ann = pcf._optional_ann(p)
+        ann = _reference_optional_ann(p)
         p.expect(".")
         body = _reference_parse_expr(p, (name,) + scope)
         return Lam(body, ann) if tok.text == "\\" else Fix(body, ann)
@@ -696,12 +735,46 @@ def _reference_parse_unary(p, scope):
     raise PcfSyntaxError(f"unexpected token {tok.text!r}", tok.line, tok.col)
 
 
+def _reference_optional_ann(p):
+    if p.peek() is not None and p.peek().text == ":":
+        p.next()
+        return reference_parse_type(p)
+    return None
+
+
+def reference_parse_type(p):
+    tok = p.next()
+    if tok.text == "Nat":
+        left = NAT
+    elif tok.text == "(":
+        left = reference_parse_type(p)
+        p.expect(")")
+    else:
+        raise PcfSyntaxError(f"expected a type, got {tok.text!r}",
+                             tok.line, tok.col)
+    if p.peek() is not None and p.peek().text == "->":
+        p.next()
+        return Arrow(left, reference_parse_type(p))
+    return left
+
+
+def reference_show_pcf_type(t):
+    if isinstance(t, Arrow):
+        dom = reference_show_pcf_type(t.dom)
+        if isinstance(t.dom, Arrow):
+            dom = f"({dom})"
+        return f"{dom} -> {reference_show_pcf_type(t.cod)}"
+    if isinstance(t, NatT):
+        return "Nat"
+    raise TypeError(f"not a PCF type: {t!r}")
+
+
 def reference_typecheck(gamma, t, path=()):
     def fail(message):
         where = " of ".join(reversed(path)) if path else "the whole term"
         return PcfTypeError(f"{message} (in {where})")
 
-    show = pcf.show_pcf_type
+    show = reference_show_pcf_type
     match t:
         case TVar(k):
             if k >= len(gamma):
@@ -799,6 +872,48 @@ def test_parser_matches_the_recursive_reference(text):
 
 PCF_TYPES = [NAT, Arrow(NAT, NAT), Arrow(Arrow(NAT, NAT), NAT),
              Arrow(NAT, Arrow(NAT, NAT))]
+pcf_types = st.recursive(st.just(NAT), lambda sub: st.builds(Arrow, sub, sub),
+                         max_leaves=8)
+
+
+def parsed_type(parse, text):
+    """The type and the tokens read, or the error's type, message and
+    line:col."""
+    p = pcf._PcfParser(pcf._lex(text))
+    try:
+        return parse(p), p.pos
+    except PcfSyntaxError as e:
+        return type(e), str(e), e.line, e.col
+
+
+TYPE_VOCABULARY = ["Nat", "(", ")", "->", "x", ".", "\n"]
+
+
+@given(pcf_types.map(pcf.show_pcf_type)
+       | st.lists(st.sampled_from(TYPE_VOCABULARY), max_size=16).map(" ".join))
+@example("(Nat -> Nat) -> Nat . x")
+@example("((Nat -> (Nat)) -> Nat")
+@settings(max_examples=400, deadline=None)
+def test_type_parser_matches_the_recursive_reference(text):
+    assert (parsed_type(pcf._parse_type, text)
+            == parsed_type(reference_parse_type, text))
+
+
+@given(pcf_types)
+@settings(max_examples=200, deadline=None)
+def test_type_printer_matches_the_recursive_reference(t):
+    text = pcf.show_pcf_type(t)
+    assert text == reference_show_pcf_type(t)
+    assert parsed_type(pcf._parse_type, text) == (t, len(pcf._lex(text)))
+
+
+def test_type_printer_names_what_is_not_a_type():
+    for bad in (Const(0), Arrow(NAT, Const(1)), Arrow(Arrow(TVar(2), NAT), 3)):
+        with pytest.raises(TypeError) as got:
+            pcf.show_pcf_type(bad)
+        with pytest.raises(TypeError) as want:
+            reference_show_pcf_type(bad)
+        assert str(got.value) == str(want.value)
 
 # Terms with every binder annotation, or none.
 typed_terms = st.recursive(
@@ -868,6 +983,43 @@ def arrows(depth):
     for _ in range(depth):
         ty = Arrow(NAT, ty)
     return ty
+
+
+def left_arrows(depth):
+    """(...((Nat -> Nat) -> Nat)...) -> Nat with `depth` arrows."""
+    ty = NAT
+    for _ in range(depth):
+        ty = Arrow(ty, NAT)
+    return ty
+
+
+def same_type(a, b):
+    """Equality of PCF types without recursion, for types too deep for `==`."""
+    pairs = [(a, b)]
+    while pairs:
+        x, y = pairs.pop()
+        if type(x) is not type(y):
+            return False
+        if isinstance(x, Arrow):
+            pairs += [(x.dom, y.dom), (x.cod, y.cod)]
+    return True
+
+
+LEFT_TEXT = "(" * (DEEP - 1) + "Nat" + " -> Nat)" * (DEEP - 1) + " -> Nat"
+RIGHT_TEXT = "Nat -> " * DEEP + "Nat"
+
+
+@pytest.mark.parametrize("ty, text, shown", [
+    (left_arrows(DEEP), LEFT_TEXT, LEFT_TEXT),
+    (arrows(DEEP), RIGHT_TEXT, RIGHT_TEXT),
+    (NAT, "(" * DEEP + "Nat" + ")" * DEEP, "Nat"),
+], ids=["left", "right", "parentheses"])
+def test_types_5000_deep_parse_and_print(ty, text, shown):
+    t = parse_term(rf"\x: {text}. 0")
+    assert same_type(t.ann, ty)
+    assert pcf.show_pcf_type(t.ann) == shown
+    dom = f"({shown})" if isinstance(ty, Arrow) else shown
+    assert pcf.show_pcf_type(pcf_typecheck((), t)) == f"{dom} -> Nat"
 
 
 def test_typechecker_handles_terms_5000_deep():
