@@ -6,7 +6,8 @@ and the type of the judgement, plus the rule-specific annotations that
 cannot be reconstructed from the conclusion (most importantly for the
 fixpoint rule).  `check` re-derives every side condition of each rule and
 discharges it through the bounded entailment oracle, reporting every
-obligation with its three-valued verdict.
+obligation with its three-valued verdict.  An obligation keeps what its
+rule asked as data, words and index syntax; only a report prints it.
 
 Shape and bookkeeping problems (wrong rule for the subject, missing or
 unread annotations, premise judgements unlike the rule's, unknown symbols)
@@ -95,7 +96,7 @@ class Derivation:
 class Obligation(NamedTuple):
     path: tuple[int, ...]
     kind: str  # entailment | subtyping | well-definedness | shape
-    payload: str
+    parts: tuple  # the rule's words and the index syntax, in print order
     verdict: Verdict
 
 
@@ -173,8 +174,8 @@ class _Checker:
 
     # -- plumbing ----------------------------------------------------------
 
-    def emit(self, path, kind, payload, verdict) -> None:
-        self.obligations.append(Obligation(path, kind, payload, verdict))
+    def emit(self, path, kind, parts, verdict) -> None:
+        self.obligations.append(Obligation(path, kind, parts, verdict))
 
     @contextmanager
     def structural(self, path, what: str = ""):
@@ -185,23 +186,22 @@ class _Checker:
         except (ShapeMismatch, ValueError, EquationError) as e:
             raise StructuralError(path, f"{what}: {e}" if what else str(e)) from e
 
-    def entail(self, path, node, payload, lhs, rel, rhs) -> None:
-        with self.structural(path, payload):
+    def entail(self, path, node, what, lhs, rel, rhs) -> None:
+        with self.structural(path, what):
             goal = Constraint(lhs, rel, rhs)
             v = ix.entails(node.ctx, goal, self.oracle)
-        self.emit(path, "entailment", f"{payload}: {show_index(goal)}", v)
+        self.emit(path, "entailment", (what + ":", goal), v)
 
-    def subtype_ob(self, path, ctx, payload, sub, sup) -> None:
-        with self.structural(path, payload):
+    def subtype_ob(self, path, ctx, what, sub, sup) -> None:
+        with self.structural(path, what):
             v = subtype(ctx, sub, sup, self.oracle, self.precise)
         rel = "==" if self.precise else "<:"
-        self.emit(path, "subtyping",
-                  f"{payload}: {show_index(sub)} {rel} {show_index(sup)}", v)
+        self.emit(path, "subtyping", (what + ":", sub, rel, sup), v)
 
-    def wd_ob(self, path, node, payload, ty) -> None:
-        with self.structural(path, payload):
+    def wd_ob(self, path, node, what, ty) -> None:
+        with self.structural(path, what):
             v = well_defined(node.ctx, ty, self.oracle)
-        self.emit(path, "well-definedness", f"{payload}: {show_index(ty)}", v)
+        self.emit(path, "well-definedness", (what + ":", ty), v)
 
     def annot(self, node: Derivation, path, key: str):
         value = getattr(node.annots, key)
@@ -473,9 +473,8 @@ class _Checker:
         with self.structural(path, f"slot {slot}"):
             summed, verdict = bounded_sum_modal(
                 binder, width, entry, witness, node.ctx, self.oracle)
-        self.emit(path, "shape",
-                  f"slot {slot}: context entry {show_index(entry)} sums to "
-                  f"{show_index(summed)}", verdict)
+        self.emit(path, "shape", (f"slot {slot}: context entry", entry,
+                                  "sums to", summed), verdict)
         return summed
 
     def _ctx_join(self, path, node, slot, left, right, witness) -> ModalType:
@@ -484,9 +483,8 @@ class _Checker:
         with self.structural(path, f"slot {slot}"):
             joined, verdict = sum_modal(left, right, witness, node.ctx,
                                         self.oracle)
-        self.emit(path, "shape",
-                  f"slot {slot}: {show_index(left)} joins {show_index(right)} "
-                  f"as {show_index(joined)}", verdict)
+        self.emit(path, "shape", (f"slot {slot}:", left, "joins", right, "as",
+                                  joined), verdict)
         return joined
 
 

@@ -177,7 +177,8 @@ def render_check_report(report: ck.CheckReport, fmt: str) -> str:
     if fmt == "tsv":
         for ob in report.obligations:
             lines.append("\t".join((ck.path_str(ob.path), ob.kind,
-                                    _verdict_str(ob.verdict), ob.payload)))
+                                    _verdict_str(ob.verdict),
+                                    " ".join(map(show_index, ob.parts)))))
         lines.append("\t".join(("overall", _verdict_str(report.overall),
                                 f"bound={report.bound}", f"fuel={report.fuel}")))
         return "\n".join(lines)
@@ -186,7 +187,7 @@ def render_check_report(report: ck.CheckReport, fmt: str) -> str:
     for ob in report.obligations:
         mark = {0: "ok", 1: "XX", 2: "??"}[_verdict_code(ob.verdict)]
         lines.append(f"{mark}  {ck.path_str(ob.path):<{width}}  "
-                     f"{ob.kind:<16}  {ob.payload}")
+                     f"{ob.kind:<16}  {' '.join(map(show_index, ob.parts))}")
         if _verdict_code(ob.verdict) != 0:
             lines.append(f"      -> {_verdict_str(ob.verdict)}")
     lines.append(f"overall: {_verdict_str(report.overall)} "

@@ -10,9 +10,11 @@ import pytest
 from click.testing import CliRunner
 
 from dlpcf import checker as ck
+from dlpcf import cli
 from dlpcf import index as ix
 from dlpcf import machine
 from dlpcf import pcf
+from dlpcf import types as ty
 from dlpcf.checker import (Annotations, Derivation, StructuralError, bind,
                            check, load_derivation, parse_derivation)
 from dlpcf.cli import main
@@ -268,6 +270,68 @@ def test_obligations_are_deterministic(arith, dbl_derivation):
     second = check(dbl_derivation, arith, bound=4)
     assert first.obligations == second.obligations
     assert first == second
+
+
+def fixture_checks(arith, dbl_derivation):
+    """The derivation and the report of four checks: dbl at bound 4 and
+    delay5 at bound 6, each with and without `precise`."""
+    delay5_derivation, _ = delay5(arith)
+    return [(d, check(d, arith, bound=bound, precise=precise))
+            for d, bound in ((dbl_derivation, 4), (delay5_derivation, 6))
+            for precise in (False, True)]
+
+
+def test_a_check_builds_no_text(arith, dbl_derivation, monkeypatch):
+    """An obligation keeps the index syntax its rule asked about, and only
+    a report prints it: neither `check` nor `soundness` prints any."""
+    def refuse(t):
+        raise AssertionError(f"printed {t!r}")
+
+    for module in (ck, ty, ix):
+        monkeypatch.setattr(module, "show_index", refuse)
+    for _, report in fixture_checks(arith, dbl_derivation):
+        assert isinstance(report.overall, Verified)
+    printed = []
+    monkeypatch.setattr(cli, "show_index", lambda t: printed.append(t) or "")
+    result = CliRunner().invoke(
+        main, ["soundness", str(FIXTURES / "dbl.deriv"),
+               str(FIXTURES / "dbl.pcf"), "--eqprog",
+               str(FIXTURES / "arith.eqs"), "--bound", "4", "-n", "0",
+               "-n", "8"])
+    assert result.exit_code == 0, result.output
+    assert printed == []
+
+
+def test_an_obligation_holds_what_its_rule_asked(arith, dbl_derivation):
+    """Each entailment and well-definedness obligation ends with the goal
+    or type it asked about, and asking again about it at its node gives
+    its verdict, a refutation's witness included."""
+    checks = fixture_checks(arith, dbl_derivation)
+    for _, mutant in mutations(dbl_derivation):
+        try:
+            checks.append((mutant, check(mutant, arith, bound=4)))
+        except StructuralError:
+            pass
+    asked = collections.Counter()
+    for d, report in checks:
+        for ob in report.obligations:
+            assert all(isinstance(part, str) or ix.walk(part)
+                       for part in ob.parts), ob
+            node = d
+            for i in ob.path:
+                node = node.premises[i]
+            oracle = Oracle(arith, report.bound, report.fuel)
+            if ob.kind == "entailment":
+                assert isinstance(ob.parts[-1], Constraint)
+                again = entails(node.ctx, ob.parts[-1], oracle)
+            elif ob.kind == "well-definedness":
+                again = ty.well_defined(node.ctx, ob.parts[-1], oracle)
+            else:
+                continue
+            assert again == ob.verdict, ob
+            asked[ob.kind, type(again)] += 1
+    assert asked.keys() >= {("entailment", Verified), ("entailment", Refuted),
+                            ("well-definedness", Verified)}
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,9 @@ CASES = {
     "check_dbl_human": (CHECK_DBL, {}),
     "check_dbl_tsv": (CHECK_DBL + ["--format", "tsv"], {}),
     "check_dbl_precise": (CHECK_DBL + ["--precise"], {}),
+    # subtyping's "==" relation in the tsv layout
+    "check_dbl_precise_tsv": (CHECK_DBL + ["--precise", "--format", "tsv"],
+                              {}),
     # no --bound: the CLI default, 8
     "check_dbl_default_bound": (CHECK_DBL[:-2], {}),
     "check_negative_bound": (CHECK_DBL[:-1] + ["-1"], {}),
