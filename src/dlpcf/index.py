@@ -38,7 +38,7 @@ from operator import attrgetter, itemgetter
 from typing import Callable, NamedTuple, Optional, Union
 
 from .fuel import FuelExhausted, DEFAULT_BOUND, DEFAULT_FUEL, check_budget
-from .record import Record, _put
+from .record import Interned, Record, _put
 
 __all__ = [
     "IndexTerm", "Var", "Lit", "App", "BoundedSum", "Forest",
@@ -59,7 +59,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Syntax
 
-class _Syntax(Record):
+class _Syntax(Record, metaclass=Interned):
     """What index terms, goals and types share: `_free`, the node's free
     variables, set when it is built.  A `Var` has its name and a `Lit` none;
     any other node has the union of its parts' sets, a binding form's binder
@@ -67,7 +67,7 @@ class _Syntax(Record):
     no walk is needed.  A node shares a part's set that holds all the
     others', but in general holds its own, so a term of n nodes with k
     distinct free variables stores up to n * k names.  It is not a field,
-    so equality, hashing and printing do not read it."""
+    so printing does not read it.  Nodes are interned: `==` is `is`."""
     _free: frozenset[str] = frozenset()
 
     def __init__(self, *values):
@@ -313,6 +313,8 @@ def alpha_eq_index(a, b) -> bool:
     binders: their walks agree node by node in type and `_label`.  Where
     all nodes before agree, the two scopes have the same shape, so two
     bound variables agree when their binders are at the same depth."""
+    if a == b:
+        return True
     walk_a, walk_b = walk(a), walk(b)
     if len(walk_a) != len(walk_b):
         return False
@@ -1179,7 +1181,7 @@ def _show_node(node, _scope, parts: list):
     if cls is Forest:
         return "forest({}, {}, {}, {})".format(node.binder, *parts)
     if cls is NatI:
-        if node.lo == node.hi or alpha_eq_index(node.lo, node.hi):
+        if alpha_eq_index(node.lo, node.hi):
             return f"Nat[{parts[0]}]"
         return f"Nat[{parts[0]}, {parts[1]}]"
     if cls is LinArrow:

@@ -13,7 +13,7 @@ from typing import NamedTuple, Optional, Sequence, TextIO, Union
 from .fuel import DEFAULT_FUEL, FuelExhausted, check_budget
 from .pcf import (App, Const, Fix, IfZ, Lam, Numerals, Pred, Succ, Term,
                   TVar, max_free_index, size, term_head)
-from .record import Record
+from .record import Interned, Record
 
 __all__ = [
     "Closure", "Environment", "Arg", "SMark", "PMark", "Branches",
@@ -34,11 +34,11 @@ class Arg(NamedTuple):
     closure: Closure
 
 
-class SMark(Record):
+class SMark(Record, metaclass=Interned):
     pass
 
 
-class PMark(Record):
+class PMark(Record, metaclass=Interned):
     pass
 
 

@@ -9,10 +9,11 @@ must agree on the value of every program (closed term of type Nat).
 from __future__ import annotations
 
 import re
+from operator import attrgetter
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .fuel import DEFAULT_FUEL, FuelExhausted, check_budget
-from .record import Record, _put
+from .record import Interned, Record, _put
 
 __all__ = [
     "Term", "TVar", "Const", "Succ", "Pred", "Lam", "App", "IfZ", "Fix",
@@ -29,11 +30,11 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Types
 
-class NatT(Record):
+class NatT(Record, metaclass=Interned):
     pass
 
 
-class Arrow(Record):
+class Arrow(Record, metaclass=Interned):
     _fields = ("dom", "cod")
 
 
@@ -71,13 +72,18 @@ class _Node(Record):
     fields, so equality, hashing and printing do not read them.  A numeral
     keeps the class defaults; a variable sets only its bound.
 
-    Unlike an index term, a term gets its hash when it is first hashed,
-    not when it is built: the reducer builds many terms, and hashes none.
-    `__hash__` then hashes every subterm not yet hashed, parts first, by a
-    loop, and keeps each hash, so hashing a deep term does not recurse."""
+    Terms are not interned: the reducer builds many, and hashes none.  A
+    term compares field by field but `ann`, and is hashed when first asked:
+    `__hash__` hashes every subterm not yet hashed, parts first, by a loop,
+    and keeps each hash, so hashing a deep term does not recurse."""
     _bound = 0
     _size = 1
     _hash = None
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        # a tuple even for one field: comparing keys skips identical parts
+        cls._key = attrgetter(*[f for f in cls._fields if f != "ann"], "_tag")
 
     def __init__(self, *parts):
         # The subterms, `_size` and `_bound` of a node with subterms, set
@@ -118,7 +124,7 @@ class _Node(Record):
         return self._hash
 
     def __eq__(self, other):
-        # as `Record.__eq__`, through `hash`, since `_hash` may be unset
+        # through `hash`, since `_hash` may be unset; recurses once a level
         if type(other) is not type(self):
             return NotImplemented
         key = self._key
@@ -154,7 +160,6 @@ class Lam(_Node):
     # Binder annotations come from the surface syntax and only feed the
     # typechecker; they do not affect equality, size, or evaluation.
     _fields = ("body", "ann")
-    _ignored = ("ann",)
 
     def __init__(self, body: Term, ann: Optional[PcfType] = None):
         _Node.__init__(self, body)
@@ -171,7 +176,6 @@ class IfZ(_Node):
 
 class Fix(_Node):
     _fields = ("body", "ann")
-    _ignored = ("ann",)
     __init__ = Lam.__init__     # the same optional annotation
 
 

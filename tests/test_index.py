@@ -1226,9 +1226,12 @@ def test_the_walkers_and_the_evaluator_handle_terms_5000_deep():
     assert show_index(arrows) == "[a < 1] Nat[a, 1] -o " * DEPTH + "Nat[0]"
     assert not ix.alpha_eq_index(plus, subst_index(plus, "a", Var("b")))
     assert not ix.alpha_eq_index(sums, subst_index(sums, "x", Var("y")))
-    # each node hashes once, when it is built, so the oracle's tables take
-    # a weight of 5,000 terms
+    # a node hashes by identity, so the oracle's tables take a weight of
+    # 5,000 terms
     assert hash(plus) == hash(plus) and plus in {plus: 0}
+    # equal chains built apart are one object, so `==` does not recurse
+    again = deep_terms()
+    assert again[0] == plus and again[1] == sums and again[2] == forests
     weight = Constraint(plus, "<=", ix.add(plus, Var("a")))
     assert (entails(ConstraintSet(("a",)), weight,
                     Oracle(ix.EMPTY_PROGRAM, bound=4)) == Verified(4))

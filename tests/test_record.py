@@ -1,21 +1,27 @@
-"""The syntax classes built on `dlpcf.record.Record`: equality, hashing,
-printing and immutability against field-by-field references, and a guard
-that no class of dlpcf but the two derivation records is a dataclass."""
+"""The syntax classes built on `dlpcf.record.Record`: interning, equality,
+hashing, printing and immutability against field-by-field references, and
+a guard that no class of dlpcf but the two derivation records is a
+dataclass."""
 
+import gc
 import importlib
 import inspect
 import pkgutil
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import dlpcf
+from dlpcf import checker as ck
 from dlpcf import index as ix
 from dlpcf import pcf
 from dlpcf import types as ty
 from dlpcf.index import App, BoundedSum, Forest, Lit, Var
-from dlpcf.record import Record
+from dlpcf.machine import PMark, SMark
+from dlpcf.record import Interned, Record
 
 from genterms import gen_basic_type, open_terms
 
@@ -56,7 +62,11 @@ goals = (st.builds(ix.Constraint, index_terms,
 types = st.integers(0, 10**6).map(
     lambda seed: gen_basic_type(random.Random(seed), ("a", "x"), 2,
                                 ("a", "b")))
-nodes = index_terms | goals | types | open_terms
+pcf_types = st.recursive(st.just(pcf.NAT),
+                         lambda sub: st.builds(pcf.Arrow, sub, sub),
+                         max_leaves=4)
+nodes = (index_terms | goals | types | open_terms | pcf_types
+         | st.sampled_from((SMark(), PMark())))
 
 
 def reference_eq(a, b) -> bool:
@@ -111,7 +121,13 @@ def test_equality_and_hash_agree_with_the_fields(s, t):
         assert (a != b) != reference_eq(a, b)
         if reference_eq(a, b):
             assert hash(a) == hash(b)
-    assert copy is not t and repr(copy) == repr(t)
+    # equal index syntax, types, PCF types and marks are one object; a
+    # rebuilt PCF term is a new one
+    interned = not isinstance(t, pcf.Term.__args__)
+    assert (copy is t) == interned and repr(copy) == repr(t)
+    if interned:
+        for a, b in ((s, t), *((t, u) for u in others)):
+            assert (a is b) == reference_eq(a, b)
     assert not any(map(reference_eq, others, [t] * len(others)))
     for name in t._fields + ("_hash", "other"):
         with pytest.raises(AttributeError):
@@ -126,6 +142,9 @@ def test_a_node_equals_no_value_of_another_class():
     assert Var("a") != "a" and Lit(1) != 1 and pcf.Const(1) != Lit(1)
     assert pcf.App(pcf.Const(0), pcf.Const(1)) != (pcf.Const(0), pcf.Const(1))
     assert pcf.NatT() == pcf.NAT and hash(pcf.NatT()) == hash(pcf.NAT)
+    # interning keys on the values' types too, as `True == 1`
+    assert Lit(True) is not Lit(1) and Lit(True) != Lit(1)
+    assert Var("a") is Var("a")
     # a binder's annotation is not compared
     assert pcf.Lam(pcf.TVar(0), pcf.NAT) == pcf.Lam(pcf.TVar(0))
 
@@ -150,3 +169,42 @@ def test_a_node_is_built_from_exactly_its_fields():
                  lambda: pcf.IfZ(pcf.Const(0), pcf.Const(1))):
         with pytest.raises(TypeError):
             make()
+
+
+def test_a_dropped_node_leaves_the_intern_table(arith, dbl_derivation):
+    """The table holds its records weakly, so neither a term nor a whole
+    check keeps a node alive once it is dropped."""
+    gc.collect()
+    before = len(Interned.table)
+    term = ix.add(Var("dropped"), Lit(10**9))
+    assert len(Interned.table) == before + 3
+    del term
+    report = ck.check(dbl_derivation, arith, bound=4)
+    assert len(Interned.table) > before
+    del report
+    gc.collect()
+    assert len(Interned.table) == before
+
+
+def test_threads_that_build_equal_nodes_get_one_object():
+    """Two threads that miss the table for one key at once store one
+    record, so `==` stays identity under threads."""
+    workers, n = 4, 3000
+    built = [None] * workers
+
+    def build(w):
+        built[w] = [ix.add(Var(f"race{j}"), Lit(j)) for j in range(n)]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(w,))
+                   for w in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(a is b for nodes in built[1:] for a, b in zip(nodes, built[0]))
