@@ -339,6 +339,9 @@ def soundness_cmd(derivation, program, eqprog, bound, fuel, instantiations,
                   fmt) -> None:
     """Check the derivation, then confirm its bounds on machine runs."""
     with _exit_on_input_error():
+        for n in instantiations:     # before the check, which may be long
+            if n < 0:
+                raise SoundnessError(f"-n {n}: not a natural number")
         eqs = ix.load_equations(eqprog)
         term = load_program(program)
         deriv = ck.bind(ck.load_derivation(derivation), term)

@@ -9,7 +9,6 @@ must agree on the value of every program (closed term of type Nat).
 from __future__ import annotations
 
 import re
-from operator import attrgetter
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .fuel import DEFAULT_FUEL, FuelExhausted, check_budget
@@ -69,21 +68,12 @@ class _Node(Record):
     """What every term constructor shares: `_size` and `_bound`, which
     `size` and `bound` return.  A node sets them when it is built, from its
     parts' own, so they cost O(1) per node and never change.  They are not
-    fields, so equality, hashing and printing do not read them.  A numeral
-    keeps the class defaults; a variable sets only its bound.
+    fields, so printing does not read them.  A numeral keeps the class
+    defaults; a variable sets only its bound.
 
-    Terms are not interned: the reducer builds many, and hashes none.  A
-    term compares field by field but `ann`, and is hashed when first asked:
-    `__hash__` hashes every subterm not yet hashed, parts first, by a loop,
-    and keeps each hash, so hashing a deep term does not recurse."""
+    Terms are not interned: the reducer builds many short-lived ones."""
     _bound = 0
     _size = 1
-    _hash = None
-
-    def __init_subclass__(cls):
-        super().__init_subclass__()
-        # a tuple even for one field: comparing keys skips identical parts
-        cls._key = attrgetter(*[f for f in cls._fields if f != "ann"], "_tag")
 
     def __init__(self, *parts):
         # The subterms, `_size` and `_bound` of a node with subterms, set
@@ -104,31 +94,6 @@ class _Node(Record):
         if b:                        # a closed node keeps the default 0
             _put(self, "_bound", b)
         _put(self, "_size", n)
-
-    def __hash__(self):
-        if self._hash is not None:
-            return self._hash
-        stack = [self]
-        while stack:
-            node = stack[-1]
-            parts = subterms(node)
-            todo = [sub for sub in parts if sub._hash is None]
-            if todo:
-                stack += todo
-                continue
-            stack.pop()
-            if node._hash is None:   # a shared subterm may be pushed twice
-                _put(node, "_hash", hash(
-                    (node._tag, *[sub._hash for sub in parts]) if parts
-                    else node._key(node)))
-        return self._hash
-
-    def __eq__(self, other):
-        # through `hash`, since `_hash` may be unset; recurses once a level
-        if type(other) is not type(self):
-            return NotImplemented
-        key = self._key
-        return hash(self) == hash(other) and key(self) == key(other)
 
 
 class TVar(_Node):
@@ -158,7 +123,7 @@ class Pred(_Node):
 
 class Lam(_Node):
     # Binder annotations come from the surface syntax and only feed the
-    # typechecker; they do not affect equality, size, or evaluation.
+    # typechecker; they do not affect size or evaluation.
     _fields = ("body", "ann")
 
     def __init__(self, body: Term, ann: Optional[PcfType] = None):

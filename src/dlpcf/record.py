@@ -4,8 +4,7 @@ A subclass of `Record` lists its fields, in order, in `_fields`, and gets
 from here what `@dataclass(frozen=True)` would generate for it, with no
 code generated per class: a constructor that takes the fields in order,
 `__match_args__`, printing as `Cls(field=value, ...)`, and a refusal to
-assign or delete an attribute.  It compares and hashes by identity unless
-its class says otherwise, as `pcf._Node` does.
+assign or delete an attribute.  It compares and hashes by identity.
 
 A class whose metaclass is `Interned` is hash-consed (Filliâtre and
 Conchon, "Type-safe modular hash-consing", ML Workshop 2006): building one

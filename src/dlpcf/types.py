@@ -26,7 +26,7 @@ from .index import (Constraint, ConstraintSet, Defined, IndexTerm, LinArrow,
 from .pcf import NAT, Arrow, PcfType
 
 __all__ = [
-    "BasicType", "NatI", "LinArrow", "ModalType", "TypingContext",
+    "BasicType", "NatI", "LinArrow", "ModalType",
     "erase", "well_defined", "subtype", "equiv",
     "SumWitness", "BoundedSumWitness", "sum_modal", "bounded_sum_modal",
     "ShapeMismatch", "parse_basic_type", "parse_modal_type", "inequality",
@@ -34,7 +34,6 @@ __all__ = [
 
 
 BasicType = Union[NatI, LinArrow]
-TypingContext = tuple[ModalType, ...]
 
 
 class ShapeMismatch(Exception):

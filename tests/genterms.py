@@ -1,7 +1,8 @@
 """Generators shared by the fuzz and corpus tests: random child-count tables
 for forest bodies, random well-typed PCF terms, untyped open PCF terms, and
-random ordered types; `show_term`, the tests' PCF printer; and `Fuel`, the
-countdown the reference evaluators tick."""
+random ordered types; `show_term`, the tests' PCF printer; `same`, the
+tests' structural equality; and `Fuel`, the countdown the reference
+evaluators tick."""
 
 import random
 
@@ -11,6 +12,31 @@ from dlpcf import index as ix
 from dlpcf import pcf
 from dlpcf import types as ty
 from dlpcf.fuel import FuelExhausted, check_budget
+from dlpcf.record import Record
+
+
+def same(a, b) -> bool:
+    """Structural equality, by a loop: records of one class with equal
+    fields, a binder's type annotation left out; tuples, named ones too,
+    item by item; any other values by `==`.  Unlike `==` on records, which
+    is identity, it finds two equal PCF terms built apart equal."""
+    pairs = [(a, b)]
+    while pairs:
+        x, y = pairs.pop()
+        if x is y:
+            continue
+        if type(x) is not type(y):
+            return False
+        if isinstance(x, tuple):
+            if len(x) != len(y):
+                return False
+            pairs += zip(x, y)
+        elif isinstance(x, Record):
+            pairs += [(getattr(x, f), getattr(y, f))
+                      for f in x._fields if f != "ann"]
+        elif x != y:
+            return False
+    return True
 
 
 class Fuel:

@@ -250,6 +250,18 @@ def test_soundness_names_the_row_whose_machine_run_ran_out(runner,
                              "machine: fuel exhausted (budget 1000)\n")
 
 
+def test_soundness_rejects_a_negative_n_before_any_work(runner):
+    result = runner.invoke(main, ["soundness", DERIV, DBL, "--eqprog", EQS,
+                                  "-n", "2", "-n", "-1"])
+    assert (result.exit_code, result.stdout) == (3, "")
+    assert result.stderr == "error: -n -1: not a natural number\n"
+    result = runner.invoke(main, ["soundness", DERIV, DBL, "--eqprog", EQS,
+                                  "-n", "x"])
+    assert result.exit_code == 3 and result.stdout == ""
+    assert "Invalid value for '-n': 'x' is not a valid integer." in (
+        result.stderr)
+
+
 def test_soundness_constant_derivation(runner, tmp_path):
     prog = tmp_path / "five.pcf"
     prog.write_text("5\n")

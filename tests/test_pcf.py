@@ -13,7 +13,7 @@ from dlpcf.pcf import (NAT, App, Arrow, Const, Fix, IfZ, Lam, NatT,
                        max_free_index, parse_term, pcf_typecheck, shift, size,
                        subst, wh_eval)
 
-from genterms import Fuel, gen_nat_term, open_terms, show_term
+from genterms import Fuel, gen_nat_term, open_terms, same, show_term
 from test_machine import CORPUS, configurations
 
 
@@ -26,11 +26,11 @@ DBL = Fix(Lam(IfZ(TVar(0), Const(0), Succ(Succ(App(TVar(1), Pred(TVar(0))))))))
 # Parsing
 
 def test_parse_dbl_shape():
-    assert parse_term(DBL_TEXT) == DBL
+    assert same(parse_term(DBL_TEXT), DBL)
 
 
 def test_parse_identity():
-    assert parse_term(r"\x. x") == Lam(TVar(0))
+    assert same(parse_term(r"\x. x"), Lam(TVar(0)))
 
 
 def test_unbound_identifier_has_position():
@@ -41,28 +41,28 @@ def test_unbound_identifier_has_position():
 
 
 def test_alpha_equivalent_inputs_parse_identically():
-    assert parse_term(r"\x. \y. x y") == parse_term(r"\u. \v. u v")
+    assert same(parse_term(r"\x. \y. x y"), parse_term(r"\u. \v. u v"))
 
 
 def test_shadowing_resolves_to_innermost():
-    assert parse_term(r"\x. \x. x") == Lam(Lam(TVar(0)))
+    assert same(parse_term(r"\x. \x. x"), Lam(Lam(TVar(0))))
 
 
 def test_application_is_left_associative():
-    assert parse_term(r"\f. \x. f x x") == Lam(Lam(App(App(TVar(1), TVar(0)),
-                                                       TVar(0))))
+    assert same(parse_term(r"\f. \x. f x x"),
+                Lam(Lam(App(App(TVar(1), TVar(0)), TVar(0)))))
 
 
 def test_s_p_take_the_next_atom():
-    assert parse_term("p 3") == Pred(Const(3))
-    assert parse_term("s(s 0)") == Succ(Succ(Const(0)))
+    assert same(parse_term("p 3"), Pred(Const(3)))
+    assert same(parse_term("s(s 0)"), Succ(Succ(Const(0))))
 
 
 def test_annotations_survive_parsing():
     t = parse_term(r"\x: Nat -> Nat. x")
     assert isinstance(t, Lam) and t.ann == Arrow(NAT, NAT)
-    # annotations are invisible to equality
-    assert t == Lam(TVar(0))
+    # the annotation is not part of the term's shape
+    assert same(t, Lam(TVar(0)))
 
 
 def test_syntax_error_position():
@@ -198,7 +198,7 @@ def wh_step(t):
 
 
 def test_pred_of_zero_steps_to_zero():
-    assert wh_step(Pred(Const(0))) == Const(0)
+    assert same(wh_step(Pred(Const(0))), Const(0))
 
 
 def test_ifz_on_successor_takes_the_second_branch():
@@ -214,11 +214,11 @@ def test_numerals_and_lambdas_are_normal():
 
 def test_fix_unfolds():
     t = Fix(Lam(TVar(1)))
-    assert wh_step(t) == Lam(Fix(Lam(TVar(1))))
+    assert same(wh_step(t), Lam(Fix(Lam(TVar(1)))))
 
 
 def test_beta_substitutes():
-    assert wh_step(App(Lam(Succ(TVar(0))), Const(1))) == Succ(Const(1))
+    assert same(wh_step(App(Lam(Succ(TVar(0))), Const(1))), Succ(Const(1)))
 
 
 def test_subst_shares_a_closed_replacement_under_binders():
@@ -227,7 +227,7 @@ def test_subst_shares_a_closed_replacement_under_binders():
     assert got.body.body.fn is closed
     # an open replacement is shifted past the two binders
     opened = subst(Lam(Fix(TVar(2))), Succ(TVar(0)))
-    assert opened == Lam(Fix(Succ(TVar(2))))
+    assert same(opened, Lam(Fix(Succ(TVar(2)))))
     # a `Fix` unfolding puts the `Fix` itself under its binder
     fix = Fix(Lam(TVar(1)))
     assert wh_step(fix).body is fix
@@ -235,7 +235,7 @@ def test_subst_shares_a_closed_replacement_under_binders():
 
 def test_reduction_under_contexts():
     t = Succ(Pred(Const(0)))
-    assert wh_step(t) == Succ(Const(0))
+    assert same(wh_step(t), Succ(Const(0)))
 
 
 def test_stuck_on_ill_typed_head():
@@ -397,7 +397,7 @@ def test_capture_avoidance_in_beta():
     # (\x. \y. x) y-free-term keeps the argument out of the inner binder
     const_fn = parse_term(r"(\x. \y. x) 1")
     t = wh_step(const_fn)
-    assert t == Lam(Const(1))
+    assert same(t, Lam(Const(1)))
 
 
 @given(st.integers(0, 10**6))
@@ -418,14 +418,14 @@ def test_subject_reduction_fuzz(seed):
 @settings(max_examples=40, deadline=None)
 def test_wh_step_deterministic(seed):
     t = gen_nat_term(random.Random(seed), (), 4)
-    assert wh_step(t) == wh_step(t)
+    assert same(wh_step(t), wh_step(t))
 
 
 @given(st.integers(0, 10**6))
 @settings(max_examples=60, deadline=None)
 def test_show_parse_roundtrip(seed):
     t = gen_nat_term(random.Random(seed), (), 4)
-    assert parse_term(show_term(t)) == t
+    assert same(parse_term(show_term(t)), t)
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +543,7 @@ def test_walkers_match_the_recursive_references(t, repl, by, cutoff, j):
     for got, want, start in (
             (shift(t, by, cutoff), reference_shift(t, by, cutoff), cutoff),
             (subst(t, repl, j), reference_subst(t, repl, j), j)):
-        assert got == want
+        assert same(got, want)
         assert annotations(got) == annotations(want)
         # the nodes rebuilt hold the bounds they were built with
         assert_built_holding_size_and_bound(got)
@@ -640,33 +640,21 @@ def nested_succ(depth, inner=Const(0)):
     return t
 
 
-def same_term(a, b):
-    """Structural equality without recursion, for terms too deep for `==`."""
-    pairs = [(a, b)]
-    while pairs:
-        x, y = pairs.pop()
-        if type(x) is not type(y):
-            return False
-        if isinstance(x, (TVar, Const)):
-            if x != y:
-                return False
-        else:
-            pairs.extend(zip(pcf.subterms(x), pcf.subterms(y)))
-    return True
-
-
 def test_walkers_handle_a_term_5000_deep():
     t = nested_succ(5000)
     assert size(t) == 10001
     assert max_free_index(t) == -1
-    assert same_term(shift(t, 1), t)
-    assert same_term(subst(t, Const(7)), t)
+    assert same(shift(t, 1), t)
+    assert same(subst(t, Const(7)), t)
     opened = nested_succ(5000, TVar(0))
     assert max_free_index(opened) == 0
-    assert same_term(shift(opened, 3), nested_succ(5000, TVar(3)))
-    assert same_term(subst(opened, Const(7)), nested_succ(5000, Const(7)))
-    # a term hashes parts first, by a loop, on its first `hash`
-    assert hash(opened) == hash(nested_succ(5000, TVar(0))) != hash(t)
+    assert same(shift(opened, 3), nested_succ(5000, TVar(3)))
+    assert same(subst(opened, Const(7)), nested_succ(5000, Const(7)))
+    # terms built apart are two objects, which `==` and `hash` tell apart
+    # without reading a field, so neither recurses
+    twin = nested_succ(5000, TVar(0))
+    assert opened != twin and hash(opened) != hash(twin)
+    assert same(opened, twin) and not same(opened, t)
 
 
 # ---------------------------------------------------------------------------
@@ -867,7 +855,7 @@ def edited_programs(draw):
 @example(r"\f: (Nat -> Nat) -> Nat. f (\x. x) 3")
 @settings(max_examples=600, deadline=None)
 def test_parser_matches_the_recursive_reference(text):
-    assert parsed(parse_term, text) == parsed(reference_parse_term, text)
+    assert same(parsed(parse_term, text), parsed(reference_parse_term, text))
 
 
 PCF_TYPES = [NAT, Arrow(NAT, NAT), Arrow(Arrow(NAT, NAT), NAT),
@@ -959,7 +947,7 @@ def deep_chains():
 
 def test_show_and_parse_handle_terms_5000_deep():
     for name, (t, text) in deep_chains().items():
-        assert same_term(parse_term(text), t), name
+        assert same(parse_term(text), t), name
     annotated = parse_term("".join(f"\\x{d}: Nat. " for d in range(DEEP))
                            + "x0")
     binders, node = [], annotated
@@ -968,12 +956,12 @@ def test_show_and_parse_handle_terms_5000_deep():
         node = node.body
     assert all(b.ann == NAT for b in binders)
     assert len(binders) == DEEP
-    assert node == TVar(DEEP - 1)
-    assert parse_term("(" * DEEP + "0" + ")" * DEEP) == Const(0)
+    assert same(node, TVar(DEEP - 1))
+    assert same(parse_term("(" * DEEP + "0" + ")" * DEEP), Const(0))
     right = Const(0)
     for _ in range(DEEP):
         right = App(TVar(0), right)
-    assert same_term(parse_term(r"\f. " + "f (" * DEEP + "0" + ")" * DEEP),
+    assert same(parse_term(r"\f. " + "f (" * DEEP + "0" + ")" * DEEP),
                      Lam(right))
 
 

@@ -1,5 +1,5 @@
 """The syntax classes built on `dlpcf.record.Record`: interning, equality,
-hashing, printing and immutability against field-by-field references, and
+hashing, printing and immutability against structural equality, and
 a guard that no class of dlpcf but the two derivation records is a
 dataclass."""
 
@@ -23,7 +23,7 @@ from dlpcf.index import App, BoundedSum, Forest, Lit, Var
 from dlpcf.machine import PMark, SMark
 from dlpcf.record import Interned, Record
 
-from genterms import gen_basic_type, open_terms
+from genterms import gen_basic_type, open_terms, same
 
 
 def test_only_the_derivation_records_are_dataclasses():
@@ -69,19 +69,6 @@ nodes = (index_terms | goals | types | open_terms | pcf_types
          | st.sampled_from((SMark(), PMark())))
 
 
-def reference_eq(a, b) -> bool:
-    """Equality as the frozen dataclasses had it: same class and equal
-    fields, a binder's type annotation left out, tuples item by item."""
-    if type(a) is not type(b):
-        return False
-    if type(a) is tuple:
-        return len(a) == len(b) and all(map(reference_eq, a, b))
-    if not isinstance(a, Record):
-        return a == b
-    return all(reference_eq(getattr(a, f), getattr(b, f))
-               for f in a._fields if f != "ann")
-
-
 def rebuilt(t):
     """An equal copy of `t` made of new nodes."""
     if type(t) is tuple:
@@ -115,27 +102,23 @@ def test_equality_and_hash_agree_with_the_fields(s, t):
     copy = rebuilt(t)
     # one field changed, a binder's name or a relation included
     others = [changed(t, f) for f in t._fields if f != "ann"]
+    # every record compares by identity; equal index syntax, types, PCF
+    # types and marks are one object, and a rebuilt PCF term is a new one
+    interned = not isinstance(t, pcf.Term.__args__)
     for a, b in ((s, t), (t, s), (t, copy), (copy, t), (t, t),
                  *((t, u) for u in others)):
-        assert (a == b) == reference_eq(a, b)
-        assert (a != b) != reference_eq(a, b)
-        if reference_eq(a, b):
-            assert hash(a) == hash(b)
-    # equal index syntax, types, PCF types and marks are one object; a
-    # rebuilt PCF term is a new one
-    interned = not isinstance(t, pcf.Term.__args__)
+        assert (a == b) == (a is b) != (a != b)
+        if interned:
+            assert (a is b) == same(a, b)
     assert (copy is t) == interned and repr(copy) == repr(t)
-    if interned:
-        for a, b in ((s, t), *((t, u) for u in others)):
-            assert (a is b) == reference_eq(a, b)
-    assert not any(map(reference_eq, others, [t] * len(others)))
-    for name in t._fields + ("_hash", "other"):
+    assert not any(map(same, others, [t] * len(others)))
+    for name in t._fields + ("_size", "other"):
         with pytest.raises(AttributeError):
             setattr(t, name, None)
         if name in t._fields:
             with pytest.raises(AttributeError):
                 delattr(t, name)
-    assert reference_eq(t, copy)
+    assert same(t, copy)
 
 
 def test_a_node_equals_no_value_of_another_class():
@@ -145,8 +128,8 @@ def test_a_node_equals_no_value_of_another_class():
     # interning keys on the values' types too, as `True == 1`
     assert Lit(True) is not Lit(1) and Lit(True) != Lit(1)
     assert Var("a") is Var("a")
-    # a binder's annotation is not compared
-    assert pcf.Lam(pcf.TVar(0), pcf.NAT) == pcf.Lam(pcf.TVar(0))
+    # terms are not interned: two built apart differ, annotated or not
+    assert pcf.Lam(pcf.TVar(0), pcf.NAT) != pcf.Lam(pcf.TVar(0))
 
 
 def test_nodes_print_as_the_dataclasses_did():
