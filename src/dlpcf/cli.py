@@ -56,7 +56,8 @@ class SoundnessError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Pure command cores (importable without click)
+# Command cores: they take paths and values and return data, and print
+# nothing.  They call nothing of click, but importing this module imports it.
 
 def load_program(path: str) -> pcf.Term:
     with open(path, "r", encoding="utf-8") as fh:
@@ -289,6 +290,9 @@ def main() -> None:
 def eval_cmd(program, fuel, args, trace, debug, fmt) -> None:
     """Run a program on both the machine and the reducer."""
     with _exit_on_input_error():
+        for n in args:               # before the program is read
+            if n < 0:
+                raise ValueError(f"--arg {n}: not a natural number")
         try:
             with (open(trace, "w", encoding="utf-8") if trace is not None
                   else nullcontext()) as fh:

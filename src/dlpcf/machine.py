@@ -115,6 +115,10 @@ def run(t: Term, fuel: int = DEFAULT_FUEL, *, debug: bool = False,
     and a step pushes or pops at most the top stack item, so the stack's
     share changes by that item's size.  The numerals the s and p steps
     make come from a table made for this run, so each is built once.
+    The step kinds are tested in the order of how often they occur on a
+    recursive program such as `dbl`: a numeral consumed by the top of
+    the stack (a `p` mark first), a variable, a `p` push, an `s` push, and
+    then the application, lambda, `ifz` and `fix` steps, one each per call.
     `debug` asserts that the running size equals `config_size`, its
     specification, at every configuration, and that each term saved in a
     closure or a stack item is no larger than `t` when it is saved:
@@ -136,36 +140,17 @@ def run(t: Term, fuel: int = DEFAULT_FUEL, *, debug: bool = False,
         if steps >= fuel:            # the tick of every configuration
             raise FuelExhausted(fuel)
         kind = type(term)
-        if kind is App:
-            arg = term.arg
-            if debug:
-                _saved_within(arg, limit)
-            stack.append(Arg(Closure(arg, env)))
-            stack_size += arg._size
-            term, tag = term.fn, "app"
-        elif kind is TVar:
-            if term.index >= len(env):
-                raise StuckConfiguration(
-                    f"variable {term.index} outside the environment")
-            closure = env[term.index]
-            term, env, tag = closure.term, closure.env, "var"
-        elif kind is Lam:
-            if not stack or type(stack[-1]) is not Arg:
-                raise StuckConfiguration("lambda against a non-argument stack")
-            closure = stack.pop().closure
-            stack_size -= closure.term._size
-            term, env, tag = term.body, (closure,) + env, "lam"
-        elif kind is Const:
+        if kind is Const:
             if not stack:
                 return RunResult(term.value, steps, max_size)
             top = stack.pop()
-            if top is _S:
-                stack_size -= 1
-                term, tag = numerals[term.value + 1], "s-apply"
-            elif top is _P:
+            if top is _P:
                 stack_size -= 1
                 n = term.value
                 term, tag = numerals[n - 1 if n else 0], "p-apply"
+            elif top is _S:
+                stack_size -= 1
+                term, tag = numerals[term.value + 1], "s-apply"
             elif type(top) is Branches:
                 stack_size -= top.zero._size + top.succ._size
                 env = top.env
@@ -175,6 +160,33 @@ def run(t: Term, fuel: int = DEFAULT_FUEL, *, debug: bool = False,
                     term, tag = top.succ, "ifz-succ"
             else:
                 raise StuckConfiguration("numeral applied to an argument")
+        elif kind is TVar:
+            if term.index >= len(env):
+                raise StuckConfiguration(
+                    f"variable {term.index} outside the environment")
+            closure = env[term.index]
+            term, env, tag = closure.term, closure.env, "var"
+        elif kind is Pred:
+            stack.append(_P)
+            stack_size += 1
+            term, tag = term.body, "p-push"
+        elif kind is Succ:
+            stack.append(_S)
+            stack_size += 1
+            term, tag = term.body, "s-push"
+        elif kind is App:
+            arg = term.arg
+            if debug:
+                _saved_within(arg, limit)
+            stack.append(Arg(Closure(arg, env)))
+            stack_size += arg._size
+            term, tag = term.fn, "app"
+        elif kind is Lam:
+            if not stack or type(stack[-1]) is not Arg:
+                raise StuckConfiguration("lambda against a non-argument stack")
+            closure = stack.pop().closure
+            stack_size -= closure.term._size
+            term, env, tag = term.body, (closure,) + env, "lam"
         elif kind is IfZ:
             zero, succ = term.zero, term.succ
             if debug:
@@ -183,14 +195,6 @@ def run(t: Term, fuel: int = DEFAULT_FUEL, *, debug: bool = False,
             stack.append(Branches(zero, succ, env))
             stack_size += zero._size + succ._size
             term, tag = term.scrut, "ifz"
-        elif kind is Succ:
-            stack.append(_S)
-            stack_size += 1
-            term, tag = term.body, "s-push"
-        elif kind is Pred:
-            stack.append(_P)
-            stack_size += 1
-            term, tag = term.body, "p-push"
         elif kind is Fix:
             if debug:
                 _saved_within(term, limit)

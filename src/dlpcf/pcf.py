@@ -22,7 +22,8 @@ __all__ = [
     "PcfSyntaxError",
     "shift", "subst", "wh_eval", "StuckTerm", "bound", "max_free_index",
     "Numerals",
-    "BINDERS", "subterms", "with_subterms", "map_vars",
+    "BINDERS", "subterms", "with_subterms", "map_vars", "find_sites",
+    "rebuild",
 ]
 
 
@@ -178,23 +179,22 @@ def with_subterms(t: Term, parts: Sequence[Term]) -> Term:
     return type(t)(*parts) if parts else t
 
 
-def map_vars(t: Term, on_var: Callable[[int, int], Term],
-             cutoff: int = 0) -> Term:
-    """`t` with each variable `TVar(k)` under `depth` binders, for `k` at
-    or above `cutoff + depth`, replaced by `on_var(k, depth)`.
+def find_sites(t: Term, cutoff: int = 0) -> list[tuple[Term, int]]:
+    """The sites of `map_vars(t, on_var, cutoff)`: the nodes of `t` on the
+    paths to each variable `TVar(k)` under `depth` binders with `k` at or
+    above `cutoff + depth`, in pre-order, each with `cutoff` plus the
+    binders above its subterms (above itself, for a variable).  Empty when
+    `t` has no such variable.
 
-    A subterm whose `bound` is at most `cutoff + depth` has no such
-    variable, so it is kept as the same object and not walked: only the
-    nodes on the paths to the replaced variables are visited and rebuilt.
-    They are listed in pre-order, then rebuilt in reverse, where a node's
-    walked subterms come before it, so nothing recurses."""
-    if bound(t) <= cutoff:
-        return t
-    nodes = []                       # (node, cutoff + depth), in pre-order
+    A subterm whose `bound` is at most that limit has none, so it is not
+    walked.  The sites depend on `t` and `cutoff` only, so one list serves
+    every `rebuild` of the same term."""
+    sites: list[tuple[Term, int]] = []
+    if t._bound <= cutoff:
+        return sites
     stack = [(t, cutoff)]
     while stack:
-        node, limit = pair = stack.pop()
-        nodes.append(pair)
+        node, limit = stack.pop()
         kind = type(node)
         if kind is not TVar:
             limit += kind is Lam or kind is Fix
@@ -202,19 +202,41 @@ def map_vars(t: Term, on_var: Callable[[int, int], Term],
                 sub = getattr(node, f)
                 if sub._bound > limit:
                     stack.append((sub, limit))
+        sites.append((node, limit))
+    return sites
+
+
+def rebuild(sites: list[tuple[Term, int]], on_var: Callable[[int, int], Term],
+            cutoff: int) -> Term:
+    """The term whose non-empty `find_sites(t, cutoff)` are `sites`, with
+    each of its variables there replaced by `on_var(k, depth)`.
+
+    The sites are rebuilt in reverse, where a node's walked subterms come
+    before it, so nothing recurses; every subterm off the paths is kept as
+    the same object."""
     done: list[Term] = []            # the rebuilt subterms, the next on top
-    for node, limit in reversed(nodes):
+    for node, limit in reversed(sites):
         kind = type(node)
         if kind is TVar:
             done.append(on_var(node.index, limit - cutoff))
             continue
-        limit += kind is Lam or kind is Fix
         parts = []
         for f in _SUBTERMS[kind]:
             sub = getattr(node, f)
             parts.append(sub if sub._bound <= limit else done.pop())
         done.append(with_subterms(node, parts))
     return done[0]
+
+
+def map_vars(t: Term, on_var: Callable[[int, int], Term],
+             cutoff: int = 0) -> Term:
+    """`t` with each variable `TVar(k)` under `depth` binders, for `k` at
+    or above `cutoff + depth`, replaced by `on_var(k, depth)`: its
+    `find_sites`, then their `rebuild`.  Only the nodes on the paths to the
+    replaced variables are visited and rebuilt; a term with none is
+    returned as itself."""
+    sites = find_sites(t, cutoff)
+    return rebuild(sites, on_var, cutoff) if sites else t
 
 
 def size(t: Term) -> int:
@@ -251,12 +273,21 @@ def subst(t: Term, repl: Term, j: int = 0) -> Term:
     Under binders `repl` is shifted, and `shift` returns a closed `repl`
     as itself.  As `map_vars` keeps closed subterms too, neither a `Fix`
     unfolding nor the beta step after it rebuilds the `Fix`."""
+    return _subst_at(t, find_sites(t, j), repl, j)
+
+
+def _subst_at(t: Term, sites: list[tuple[Term, int]], repl: Term,
+              j: int) -> Term:
+    """`subst(t, repl, j)`, given `find_sites(t, j)`."""
+    if not sites:
+        return t
+
     def on_var(k: int, d: int) -> Term:
         if k > j + d:
             return TVar(k - 1)
         return shift(repl, d)
 
-    return map_vars(t, on_var, j)
+    return rebuild(sites, on_var, j)
 
 
 # ---------------------------------------------------------------------------
@@ -390,15 +421,21 @@ def wh_eval(t: Term, fuel: int = DEFAULT_FUEL) -> tuple[int, int]:
     `steps`, so `steps >= fuel` is the tick that would exhaust the
     budget.
 
-    It also keeps the last `Fix` it unfolded and the unfolding.  The focus
-    is closed, and `subst` keeps a closed `Fix` as the same object, so a
-    recursive call meets that very `Fix` again and reuses its unfolding:
-    each run of `dbl` unfolds it once.  It is one entry, not a table, so a
-    `Fix` that substitution rebuilds, such as an inner loop that mentions
-    an outer variable, is not kept past the next unfolding."""
+    It also keeps the last `Fix` it unfolded and the unfolding, and the
+    last `Lam` it applied and the `find_sites` of its body.  The focus is
+    closed, and `subst` keeps a closed `Fix` as the same object, so a
+    recursive call meets that very `Fix` again and reuses its unfolding,
+    and then that very `Lam`, whose sites a beta step only rebuilds with
+    the new argument: each run of `dbl` unfolds its `Fix` once and searches
+    its `Lam`'s body once.  A body with no free variable has no sites and
+    is the contractum itself.  Each is one entry, not a table, so a `Fix`
+    or `Lam` that substitution rebuilds, such as an inner loop that
+    mentions an outer variable, is not kept past the next unfolding or
+    beta step, and a long or divergent run holds nothing more."""
     check_budget(fuel)
     numerals = Numerals()
     last_fix = unfolding = None      # the last `Fix` unfolded, and to what
+    last_lam = sites = None          # the last `Lam` applied, its body's sites
     steps = 0
     frames: list[Term] = []
     focus = t
@@ -440,7 +477,9 @@ def wh_eval(t: Term, fuel: int = DEFAULT_FUEL) -> tuple[int, int]:
             frame = frames.pop()
             if type(frame) is not App:
                 raise StuckTerm(_STUCK[type(frame)])
-            focus = subst(focus.body, frame.arg)
+            if focus is not last_lam:
+                last_lam, sites = focus, find_sites(focus.body)
+            focus = _subst_at(focus.body, sites, frame.arg, 0)
         elif kind is Fix:
             if focus is not last_fix:
                 last_fix, unfolding = focus, subst(focus.body, focus)

@@ -53,6 +53,20 @@ def test_eval_rejects_a_fuel_budget_with_no_step(runner):
     assert result.output == "error: fuel budget must be positive\n"
 
 
+def test_eval_rejects_a_negative_arg_before_reading_the_program(
+        runner, tmp_path, monkeypatch):
+    def unread(path):
+        raise AssertionError("the program was read")
+
+    monkeypatch.setattr("dlpcf.cli.load_program", unread)
+    trace = tmp_path / "trace.txt"
+    result = runner.invoke(main, ["eval", DBL, "--arg", "3", "--arg", "-1",
+                                  "--trace", str(trace)])
+    assert (result.exit_code, result.stdout) == (3, "")
+    assert result.stderr == "error: --arg -1: not a natural number\n"
+    assert not trace.exists()
+
+
 def test_eval_report_does_not_depend_on_earlier_runs():
     # each run of the machine and the reducer makes its own numerals, so
     # a diverging run and a larger one leave nothing behind for the next

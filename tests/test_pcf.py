@@ -376,6 +376,44 @@ def test_each_fix_unfolds_to_its_own_body(t, value, steps):
         assert outcome(wh_eval, t, fuel) == outcome(reference_wh_eval, t, fuel)
 
 
+# `wh_eval` also keeps the sites of the last `Lam` it applied.  In the nested
+# program beta steps alternate between the two loops' lambdas, and the inner
+# one is rebuilt at every outer call, so the slot keeps missing; `\k. \y. p y`
+# has a closed body, which every beta step returns as itself; an open argument
+# is shifted under the binder it is substituted below, and the open `Fix`
+# is rebuilt, with its `Lam`, at every call.
+@pytest.mark.parametrize("t", [
+    App(NESTED_FIX, Const(12)),
+    App(parse_term(r"fix f. \x. ifz x then 0 else s(f ((\k. \y. p y) 0 x))"),
+        Const(4)),
+    App(Lam(App(Lam(IfZ(Const(0), Const(2), TVar(1))), Const(0))), TVar(0)),
+    App(Lam(App(Lam(IfZ(TVar(1), Const(2), Const(3))), Const(0))), TVar(0)),
+    App(Fix(Lam(IfZ(TVar(0), TVar(2), App(TVar(1), Pred(TVar(0)))))),
+        Const(3)),
+], ids=["nested-12", "closed-body", "open-arg-unused", "open-arg-stuck",
+        "open-fix"])
+def test_refocusing_matches_when_the_lambda_slot_misses_or_is_closed(t):
+    assert_refocusing_matches(t, fuel=5000)
+
+
+def test_each_run_of_dbl_finds_its_lambda_sites_once(monkeypatch):
+    calls = []
+    original = pcf.find_sites
+
+    def counting(t, cutoff=0):
+        calls.append(t)
+        return original(t, cutoff)
+
+    monkeypatch.setattr(pcf, "find_sites", counting)
+    # 41 beta steps at n = 40, but one search of the `Lam`'s body, at the
+    # first; every later call meets the same `Lam`.  The `Fix` unfolding
+    # searches the `Fix`'s body, and the closed `Fix` it shifts under the
+    # `Lam`, where it finds nothing.
+    assert wh_eval(App(DBL, Const(40))) == (80, 1023)
+    assert [type(t) for t in calls] == [Lam, Fix, IfZ]
+    assert calls[:2] == [DBL.body, DBL]
+
+
 def test_wh_eval_on_constructed_chains_50000_deep():
     # built in the library, not parsed: each contraction pops one frame,
     # so a step costs the same at any depth of the context
