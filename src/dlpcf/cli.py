@@ -283,9 +283,11 @@ def main() -> None:
 @click.option("--arg", "args", multiple=True, type=int,
               help="Apply the program to this numeral (repeatable).")
 @click.option("--trace", type=click.Path(dir_okay=False), default=None,
-              help="Write one line per machine step to this path.")
+              help="Write one line per machine step to this path; a "
+              "traced run steps through every transition.")
 @click.option("--debug", is_flag=True,
-              help="Assert the environment-size invariant at every step.")
+              help="Assert the environment-size invariant at every "
+              "configuration the run visits.")
 @_format_option
 def eval_cmd(program, fuel, args, trace, debug, fmt) -> None:
     """Run a program on both the machine and the reducer."""

@@ -176,6 +176,10 @@ class _Shapes(dict):
 
 
 _SHAPES = _Shapes()
+# As `_SHAPES`, but a `Nat[I, I]` whose bounds are one object has the one
+# part `I`: the printer prints it `Nat[I]`, so it walks `I` once.
+_SHOWN_SHAPES = _Shapes({NatI: (False, lambda t: (t.lo,) if t.lo is t.hi
+                                else (t.lo, t.hi))})
 
 
 def _parts(t) -> tuple:
@@ -183,9 +187,10 @@ def _parts(t) -> tuple:
     return _SHAPES[type(t)][1](t)
 
 
-def walk(t) -> list[tuple]:
+def walk(t, shapes: _Shapes = _SHAPES) -> list[tuple]:
     """Every node of the index term, type, or record or tuple of them `t`
-    in pre-order, with the binders in scope at it and its number of parts.
+    in pre-order, with the binders in scope at it and its number of parts,
+    as `shapes` gives them.
     The scope is None at the top, else a pair of the innermost binding form
     and the scope around that.  A form is in its own scope, and its binder
     is in scope in its last part, `body`, only: its other parts see the
@@ -195,7 +200,7 @@ def walk(t) -> list[tuple]:
     stack = [(t, None)]
     while stack:
         node, scope = stack.pop()
-        binds, get = _SHAPES[type(node)]
+        binds, get = shapes[type(node)]
         parts = get(node)
         if parts:
             stack.extend(zip(reversed(parts), repeat(scope)))
@@ -1158,7 +1163,7 @@ def _parse_atom(p: Parser) -> IndexTerm:
 
 def show_index(t) -> str:
     """An index term, a constraint, a constraint set or a type, printed."""
-    return _rebuild(walk(t), _show_node)
+    return _rebuild(walk(t, _SHOWN_SHAPES), _show_node)
 
 
 def _show_node(node, _scope, parts: list):

@@ -13,7 +13,7 @@ from typing import NamedTuple, Optional, Sequence, TextIO, Union
 from .fuel import DEFAULT_FUEL, FuelExhausted, check_budget
 from .pcf import (App, Const, Fix, IfZ, Lam, Numerals, Pred, Succ, Term,
                   TVar, max_free_index, size, term_head)
-from .record import Interned, Record
+from .record import Interned, Record, _put
 
 __all__ = [
     "Closure", "Environment", "Arg", "SMark", "PMark", "Branches",
@@ -22,9 +22,23 @@ __all__ = [
 ]
 
 
-class Closure(NamedTuple):
-    term: Term
-    env: "Environment"
+class Closure(Record):
+    """A term with the environment its variables index into.
+
+    `memo` stays None until `run` has seen the closure, entered over a
+    stack of some height, reach a numeral over that same height; then it is
+    `(numeral, k, local)`: the numeral, the steps after the entering `var`
+    step up to it, and the largest configuration in between less the stack
+    under it.  Those are the same whatever the stack below holds, since no
+    step in between reads it."""
+    _fields = ("term", "env")
+    memo = None
+
+    def __init__(self, term: Term, env: "Environment"):
+        # every `app` and `fix` step builds one: Record's loop over the
+        # fields made the machine's runs of dbl at n <= 8 about 8% slower
+        _put(self, "term", term)
+        _put(self, "env", env)
 
 
 Environment = tuple[Closure, ...]
@@ -99,7 +113,8 @@ def run(t: Term, fuel: int = DEFAULT_FUEL, *, debug: bool = False,
 
     Reports the exact step count and the maximum configuration size seen.
     `debug` asserts the environment-size invariant; `trace` writes one line
-    per step: step#, rule tag, |C|, term head.
+    per step: step#, rule tag, |C|, term head.  A traced run steps through
+    every transition; an untraced one replays closures, as below.
 
     One loop over the configuration held in local variables: the stack is
     a list with its top at the end, so a push or a pop costs O(1) at any
@@ -111,6 +126,30 @@ def run(t: Term, fuel: int = DEFAULT_FUEL, *, debug: bool = False,
     final one included, ticks once, and the ticks before it number
     `steps`.
 
+    Replay counts call by name with the update of a lazy machine (Sestoft,
+    "Deriving a lazy abstract machine", JFP 1997), for the count only.  A
+    `var` step that enters a closure over a stack of height h opens a
+    segment.  The first numeral over height h closes it, before that
+    numeral pops anything, and records on the closure its `memo` (see
+    `Closure`).  A `lam` step that pops below h abandons the segment: the
+    closure is not a numeral there.  A later `var` step to a recorded
+    closure lands on its numeral with `steps` and the largest size raised
+    as the steps skipped would have raised them, so a recorded closure is
+    not run again however often it is looked up.  Fuel needs nothing
+    more: `steps` only grows, so the tick at the landing configuration
+    raises FuelExhausted whenever a skipped one would have.  While
+    segments are open, `max_size` is the largest size since the innermost
+    one opened, and a segment that closes or is abandoned gives the
+    enclosing one the larger of the two.
+
+    Two rules bound what the open segments hold.  A segment opened over
+    the height of the innermost open one abandons that one, so at most one
+    is open per stack height, as a lazy machine squeezes adjacent update
+    frames.  A closure over a `fix` opens none: at a function type its
+    lambda abandons the segment, and at Nat it reaches a numeral only when
+    its body never needs its own variable; so a loop such as `fix x. s x`,
+    which enters one such closure per stack item, holds no segment.
+
     The configuration size is kept as it goes: every term holds its size,
     and a step pushes or pops at most the top stack item, so the stack's
     share changes by that item's size.  The numerals the s and p steps
@@ -120,10 +159,11 @@ def run(t: Term, fuel: int = DEFAULT_FUEL, *, debug: bool = False,
     the stack (a `p` mark first), a variable, a `p` push, an `s` push, and
     then the application, lambda, `ifz` and `fix` steps, one each per call.
     `debug` asserts that the running size equals `config_size`, its
-    specification, at every configuration, and that each term saved in a
-    closure or a stack item is no larger than `t` when it is saved:
-    closures never change and the run starts with an empty environment,
-    so those are all the terms the environments can reach.
+    specification, at every configuration the run visits, and that each
+    term saved in a closure or a stack item is no larger than `t` when it
+    is saved: closures never change their term or environment and the run
+    starts with an empty environment, so those are all the terms the
+    environments can reach.
     """
     check_budget(fuel)
     if max_free_index(t) >= 0:
@@ -134,6 +174,11 @@ def run(t: Term, fuel: int = DEFAULT_FUEL, *, debug: bool = False,
     env: Environment = ()
     stack: list[StackItem] = []
     stack_size = steps = 0
+    replay = trace is None
+    # open segments, innermost last: (closure, the enclosing segment's
+    # height, steps at entry, stack size at entry, max_size at entry)
+    segments: list[tuple[Closure, int, int, int, int]] = []
+    height = -1                  # of the innermost open segment
     while True:
         if debug:
             assert term._size + stack_size == config_size(term, stack)
@@ -141,6 +186,11 @@ def run(t: Term, fuel: int = DEFAULT_FUEL, *, debug: bool = False,
             raise FuelExhausted(fuel)
         kind = type(term)
         if kind is Const:
+            if len(stack) == height:
+                closure, height, entry, base, saved = segments.pop()
+                _put(closure, "memo", (term, steps - entry, max_size - base))
+                if saved > max_size:
+                    max_size = saved
             if not stack:
                 return RunResult(term.value, steps, max_size)
             top = stack.pop()
@@ -165,7 +215,24 @@ def run(t: Term, fuel: int = DEFAULT_FUEL, *, debug: bool = False,
                 raise StuckConfiguration(
                     f"variable {term.index} outside the environment")
             closure = env[term.index]
-            term, env, tag = closure.term, closure.env, "var"
+            memo = closure.memo
+            if memo is not None:
+                term, skipped, local = memo
+                steps += skipped
+                if local + stack_size > max_size:
+                    max_size = local + stack_size
+            else:
+                if replay and type(closure.term) is not Fix:
+                    if len(stack) == height:
+                        _, height, _, _, saved = segments.pop()
+                        if saved > max_size:
+                            max_size = saved
+                    segments.append((closure, height, steps + 1, stack_size,
+                                     max_size))
+                    height = len(stack)
+                    max_size = 0
+                term, env = closure.term, closure.env
+            tag = "var"
         elif kind is Pred:
             stack.append(_P)
             stack_size += 1
@@ -185,6 +252,10 @@ def run(t: Term, fuel: int = DEFAULT_FUEL, *, debug: bool = False,
             if not stack or type(stack[-1]) is not Arg:
                 raise StuckConfiguration("lambda against a non-argument stack")
             closure = stack.pop().closure
+            if len(stack) < height:
+                _, height, _, _, saved = segments.pop()
+                if saved > max_size:
+                    max_size = saved
             stack_size -= closure.term._size
             term, env, tag = term.body, (closure,) + env, "lam"
         elif kind is IfZ:

@@ -260,6 +260,23 @@ def test_parse_show_roundtrip():
         assert ix.alpha_eq_index(parse_index(show_index(term)), term)
 
 
+def test_show_walks_the_one_bound_of_a_nat_once(monkeypatch):
+    # Nat[I, I] prints as Nat[I]: when both bounds are one object the
+    # printer visits the nodes of I once; alpha-equal bounds built apart
+    # are both visited and printed once
+    shown = []
+    show_node = ix._show_node
+    monkeypatch.setattr(ix, "_show_node", lambda node, *rest: (
+        shown.append(node), show_node(node, *rest))[1])
+    lo = parse_index("sum(b < a, b + 1) + a")
+    assert show_index(NatI(lo, lo)) == "Nat[sum(b < a, b + 1) + a]"
+    assert len(shown) == 1 + len(ix.walk(lo))
+    shown.clear()
+    hi = parse_index("sum(c < a, c + 1) + a")
+    assert show_index(NatI(lo, hi)) == "Nat[sum(b < a, b + 1) + a]"
+    assert len(shown) == 1 + 2 * len(ix.walk(lo))
+
+
 # ---------------------------------------------------------------------------
 # Entailment
 

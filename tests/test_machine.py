@@ -1,6 +1,7 @@
 import io
 import random
 import time
+import tracemalloc
 from typing import NamedTuple, Union
 
 import pytest
@@ -117,14 +118,20 @@ def reference_run(t, fuel=DEFAULT_FUEL, *, trace=None):
         current = nxt
 
 
+def result(evaluate, t, fuel, **options):
+    """The run's result or the type and message of the exception it
+    raised."""
+    try:
+        return evaluate(t, fuel, **options)
+    except (StuckConfiguration, ClosedTermRequired, FuelExhausted) as e:
+        return (type(e), str(e))
+
+
 def outcome(evaluate, t, fuel, **options):
     """The run's result or the type and message of the exception it raised,
     with the bytes it traced."""
     buf = io.StringIO()
-    try:
-        got = evaluate(t, fuel, trace=buf, **options)
-    except (StuckConfiguration, ClosedTermRequired, FuelExhausted) as e:
-        got = (type(e), str(e))
+    got = result(evaluate, t, fuel, trace=buf, **options)
     return got, buf.getvalue()
 
 
@@ -138,6 +145,20 @@ def assert_run_matches_spec(t, cap=200, budget=10**5):
     for fuel in range(1, min(steps + 1, cap) + 1):
         assert outcome(run, t, fuel) == outcome(reference_run, t, fuel), (
             show_term(t), fuel)
+
+
+def assert_replay_matches_spec(t, cap=200, budget=10**5):
+    """Untraced `run`, which replays the closures it has run to a numeral,
+    with and without `debug`, against the specification: equal results or
+    errors at `budget` and at every budget from 1 to one past the step
+    count, capped at `cap`."""
+    full = result(reference_run, t, budget)
+    steps = full.steps if isinstance(full, RunResult) else cap
+    for fuel in [budget, *range(1, min(steps + 1, cap) + 1)]:
+        expected = full if fuel == budget else result(reference_run, t, fuel)
+        for debug in (False, True):
+            assert result(run, t, fuel, debug=debug) == expected, (
+                show_term(t), fuel, debug)
 
 
 def P(text):
@@ -160,6 +181,10 @@ CORPUS = [
     (P(r"(\x. (\x. x) 2) 1"), 2),                    # shadowing
     (P(r"(\f. \x. f (f x)) (\y. s y) 3"), 5),        # higher order
     (P(r"(\f. f 3) (\x. s(s x))"), 5),
+    # a function called twice in turn: its lambda pops below the height it
+    # was looked up at, and the numeral its first call later leaves at that
+    # height is not the function's value
+    (P(r"(\f. ifz f 0 then 5 else f 1) (\y. s(s y))"), 3),
     (P("ifz 0 then 7 else 8"), 7),
     (P("ifz 3 then 7 else 8"), 8),
     (P("ifz p 1 then 7 else 8"), 7),
@@ -443,3 +468,67 @@ def test_run_matches_the_specification_on_generated_terms(seed):
 def test_run_matches_the_specification_on_untyped_terms(t):
     # open terms, stuck configurations, and fixpoints that never stop
     assert_run_matches_spec(t, cap=30, budget=2000)
+
+
+# ---------------------------------------------------------------------------
+# Untraced runs replay each closure they have run to a numeral: the same
+# results and errors as the specification, at every fuel budget
+
+def test_replay_matches_the_specification_on_the_corpus(dbl_term):
+    for term, _ in CORPUS:
+        assert_replay_matches_spec(term)
+    for text, _ in STUCK:
+        assert_replay_matches_spec(P(text))
+    for n in (0, 1, 5, 12):
+        assert_replay_matches_spec(App(dbl_term, Const(n)))
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=100, deadline=None)
+def test_replay_matches_the_specification_on_generated_terms(seed):
+    assert_replay_matches_spec(gen_nat_term(random.Random(seed), (), 5))
+
+
+@given(open_terms)
+@settings(max_examples=200, deadline=None)
+def test_replay_matches_the_specification_on_untyped_terms(t):
+    assert_replay_matches_spec(t, cap=30, budget=2000)
+
+
+def test_replay_counts_dbl_at_20000(dbl_term):
+    # 600,250,006 counted steps; stepping through each of them takes about
+    # 100 s, while each closure of the chain p(...(p x)) is run once
+    started = time.monotonic()
+    r = run(App(dbl_term, Const(20_000)), fuel=10**9)
+    elapsed = time.monotonic() - started
+    assert tuple(r) == (40_000, 600_250_006, 60_012)
+    assert elapsed < 5.0
+
+
+def test_replay_exhausts_a_budget_of_10_to_the_8(omega_term):
+    # omega re-runs its chain of argument closures at every call as dbl
+    # does; replayed, the budget runs out after a few hundred thousand
+    # transitions
+    started = time.monotonic()
+    with pytest.raises(FuelExhausted) as err:
+        run(App(omega_term, Const(1)), fuel=10**8)
+    elapsed = time.monotonic() - started
+    assert err.value.budget == 10**8
+    assert elapsed < 5.0
+
+
+@pytest.mark.parametrize("text", [r"fix x. (\y. y) x", "fix x. s x"])
+def test_replay_keeps_a_divergent_run_small(text):
+    # the first enters a new closure at one stack height every four steps,
+    # the second a new closure over its fix one item higher every three: at
+    # most one segment is open per height and a closure over a fix opens
+    # none, so neither holds more than its stack (about 2 and 3 MB each if
+    # every closure entered kept its segment open)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FuelExhausted):
+            run(P(text), fuel=30_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
