@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from typing import Callable, NamedTuple, Optional, Sequence, Union
+from weakref import WeakKeyDictionary
 
 from .fuel import DEFAULT_FUEL, FuelExhausted, check_budget
 from .record import Interned, Record, _put
@@ -431,11 +432,32 @@ def wh_eval(t: Term, fuel: int = DEFAULT_FUEL) -> tuple[int, int]:
     is the contractum itself.  Each is one entry, not a table, so a `Fix`
     or `Lam` that substitution rebuilds, such as an inner loop that
     mentions an outer variable, is not kept past the next unfolding or
-    beta step, and a long or divergent run holds nothing more."""
+    beta step.
+
+    And it replays what it has reduced before: Sestoft's update ("Deriving
+    a lazy abstract machine", JFP 1997), used only to count.  A term in the
+    hole of an `s`, `p` or `ifz` frame reduces on its own until it is a
+    normal form, and is stuck there unless it is a numeral, so a term that
+    has reached a numeral there does so again, in as many steps, wherever
+    it is met.  Descending into such a hole opens a segment: the focus, the
+    frame height and `steps`.  The next numeral at that height closes it
+    and records the focus's numeral and the steps it took.  Opening one
+    abandons the last, so at most one is open.  A later descent into the
+    very same object adds the recorded steps and lands on the numeral,
+    whose fuel tick raises `FuelExhausted(fuel)` if stepping would have
+    exhausted the budget on the way, as `steps` only grows.  `subst` shares
+    what it substitutes, so the `ifz x` of each call of `dbl` tests `p` of
+    the very term the call before it tested, and costs O(1), not O(n).  The
+    memo is the call's own and holds its terms weakly, so an entry lives
+    no longer than its term: a divergent loop that builds a new scrutinee
+    at every call keeps none of the old ones."""
     check_budget(fuel)
     numerals = Numerals()
     last_fix = unfolding = None      # the last `Fix` unfolded, and to what
     last_lam = sites = None          # the last `Lam` applied, its body's sites
+    memo = WeakKeyDictionary()       # focus -> (its numeral, steps taken)
+    opened = start = None            # the open segment's focus and steps,
+    depth = 0                        # and its frame height, 0 if none is open
     steps = 0
     frames: list[Term] = []
     focus = t
@@ -445,19 +467,25 @@ def wh_eval(t: Term, fuel: int = DEFAULT_FUEL) -> tuple[int, int]:
             frames.append(focus)
             focus = focus.fn
             continue
-        if kind is Succ or kind is Pred:
+        if kind is Succ or kind is Pred or kind is IfZ:
             frames.append(focus)
-            focus = focus.body
-            continue
-        if kind is IfZ:
-            frames.append(focus)
-            focus = focus.scrut
+            focus = focus.scrut if kind is IfZ else focus.body
+            if type(focus) is not Const:
+                done = memo.get(focus)
+                if done is None:
+                    opened, depth, start = focus, len(frames), steps
+                else:
+                    focus, taken = done
+                    steps += taken
             continue
         if kind is Const and not frames:
             return focus.value, steps
         if steps >= fuel:
             raise FuelExhausted(fuel)
         if kind is Const:
+            if len(frames) == depth:
+                memo[opened] = focus, steps - start
+                depth = 0
             # a numeral fills the hole of the innermost frame
             frame = frames.pop()
             frame_kind = type(frame)

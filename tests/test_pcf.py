@@ -1,5 +1,8 @@
+import ast
 import pathlib
 import random
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -299,16 +302,20 @@ def outcome(evaluate, t, fuel):
         return type(e), str(e)
 
 
-def assert_refocusing_matches(t, fuel=DEFAULT_FUEL):
-    got = outcome(wh_eval, t, fuel)
-    assert got == outcome(reference_wh_eval, t, fuel), show_term(t)
-    if isinstance(got[0], int) and got[1] > 0:
-        steps = got[1]
-        assert wh_eval(t, fuel=steps) == got
-        if steps > 1:
-            with pytest.raises(FuelExhausted) as err:
-                wh_eval(t, fuel=steps - 1)
-            assert err.value.budget == steps - 1
+def assert_refocusing_matches(t, budget=DEFAULT_FUEL, cap=200):
+    """Equal outcomes at `budget`, at every budget from 1 to one past the
+    step count, capped at `cap` (`None` for no cap), and at the step count
+    and the budget below it, where `wh_eval`'s replay must run out as
+    stepping does."""
+    full = outcome(reference_wh_eval, t, budget)
+    assert outcome(wh_eval, t, budget) == full, show_term(t)
+    steps = full[1] if isinstance(full[0], int) else cap
+    fuels = set(range(1, steps + 2 if cap is None else min(steps + 1, cap) + 1))
+    if isinstance(full[0], int):
+        fuels |= {n for n in (steps - 1, steps) if n > 0}
+    for fuel in sorted(fuels):
+        assert outcome(wh_eval, t, fuel) == outcome(reference_wh_eval, t,
+                                                    fuel), (show_term(t), fuel)
 
 
 # Normal forms in every frame, free variables, and divergence.
@@ -327,14 +334,15 @@ STUCK_OR_DIVERGENT = [
 ]
 
 
-def test_refocusing_matches_iterated_wh_step_on_the_corpus():
+def test_refocusing_matches_iterated_wh_step_on_the_corpus(dbl_term):
     for t, _ in CORPUS:
         assert_refocusing_matches(t)
+    for n in (0, 1, 5, 12):
+        assert_refocusing_matches(App(dbl_term, Const(n)))
     for t in STUCK_OR_DIVERGENT:
-        assert_refocusing_matches(t, fuel=500)
-        for fuel in range(1, 6):
-            assert outcome(wh_eval, t, fuel) == outcome(reference_wh_eval, t,
-                                                        fuel)
+        # a divergent term grows at each step, so its references cost the
+        # cube of the cap
+        assert_refocusing_matches(t, budget=500, cap=60)
 
 
 @given(st.integers(0, 10**6))
@@ -393,7 +401,7 @@ def test_each_fix_unfolds_to_its_own_body(t, value, steps):
 ], ids=["nested-12", "closed-body", "open-arg-unused", "open-arg-stuck",
         "open-fix"])
 def test_refocusing_matches_when_the_lambda_slot_misses_or_is_closed(t):
-    assert_refocusing_matches(t, fuel=5000)
+    assert_refocusing_matches(t, budget=5000)
 
 
 def test_each_run_of_dbl_finds_its_lambda_sites_once(monkeypatch):
@@ -429,6 +437,116 @@ def test_wh_eval_on_constructed_chains_50000_deep():
     with pytest.raises(FuelExhausted) as err:
         wh_eval(succs, fuel=49_999)
     assert err.value.budget == 49_999
+
+
+# ---------------------------------------------------------------------------
+# Replay: `wh_eval` records each term it reduces to a numeral in the hole of
+# an s, p or ifz frame, and a later descent into the very same object adds
+# its steps.  `assert_refocusing_matches` holds it to iterating `wh_step` at
+# every budget up to its cap; these cases aim at replay itself.
+
+def test_a_landing_on_the_last_frame_ticks_the_fuel():
+    # both `p 5` are one object: the scrutinee records 4 in one step, and
+    # `s (p 5)` lands on 4 at its fourth step, where one more step ends
+    # the run; a budget of 4 runs out at the landing, not past it
+    t = parse_term(r"(\y: Nat. ifz y then 0 else s y) (p 5)")
+    assert wh_eval(t) == (5, 5)
+    with pytest.raises(FuelExhausted) as err:
+        wh_eval(t, fuel=4)
+    assert err.value.budget == 4
+
+
+# dbl through a function argument: `g` is applied once per positive call
+# and passed on at every one.  And a branching call tree: each positive call
+# tests `f (p x)` and, when it is 0, calls it again, on a copy of `p x` that
+# substitution built apart from the scrutinee's.
+HIGHER_ORDER_DBL = (r"(fix it: (Nat -> Nat) -> Nat -> Nat. \g: Nat -> Nat."
+                    r" \x: Nat. ifz x then 0 else g (it g (p x)))"
+                    r" (\y: Nat. s(s y))")
+BRANCHING = (r"fix f: Nat -> Nat. \x: Nat."
+             r" ifz x then 0 else ifz f (p x) then f (p x) else 0")
+
+
+@pytest.mark.parametrize("text, values, machine_steps", [
+    (HIGHER_ORDER_DBL, [0, 2, 4, 6, 8, 10], [8, 28, 52, 80, 112, 148]),
+    (BRANCHING, [0] * 6, [6, 28, 84, 220, 540, 1276]),
+], ids=["higher-order-dbl", "branching"])
+def test_replay_matches_on_a_function_argument_and_a_call_tree(
+        text, values, machine_steps):
+    program = parse_term(text)
+    assert pcf_typecheck((), program) == Arrow(NAT, NAT)
+    for n, (value, steps) in enumerate(zip(values, machine_steps)):
+        t = App(program, Const(n))
+        assert wh_eval(t)[0] == value
+        r = machine.run(t)
+        assert (r.value, r.steps) == (value, steps)
+        assert_refocusing_matches(t, cap=None)
+
+
+@pytest.mark.parametrize("text, n", [
+    (DBL_TEXT, 12), (HIGHER_ORDER_DBL, 5), (BRANCHING, 4),
+], ids=["dbl", "higher-order-dbl", "branching"])
+def test_earlier_runs_on_the_same_term_change_no_outcome(text, n):
+    # one term object, run to the end and then at every smaller budget,
+    # gives at each what a freshly parsed copy gives: the same input gives
+    # the same report whatever ran before it
+    t = App(parse_term(text), Const(n))
+    value, steps = wh_eval(t)
+    assert (value, steps) == wh_eval(App(parse_term(text), Const(n)))
+    for fuel in range(steps - 1, 0, -1):
+        assert outcome(wh_eval, t, fuel) == outcome(
+            wh_eval, App(parse_term(text), Const(n)), fuel), fuel
+
+
+def test_replay_counts_dbl_at_20000(dbl_term):
+    # n(n+1)/2 + 5n + 3 steps; stepping through each of them takes about
+    # 50 s, while each call's `ifz x` lands on the numeral of `p` of the
+    # term the call before it tested
+    started = time.monotonic()
+    assert wh_eval(App(dbl_term, Const(20_000)), fuel=10**9) == (
+        40_000, 200_110_003)
+    assert time.monotonic() - started < 5.0
+
+
+@pytest.mark.parametrize("text, limit", [
+    ("fix x: Nat. s x", 10**6),
+    (r"(fix f: Nat -> Nat. \x: Nat. s (f x)) 0", 12 * 10**6),
+    (r"(fix f: Nat -> Nat. \x: Nat. ifz (\y: Nat. y) x then 0 else f x) 1",
+     10**6),
+], ids=["fix-succ", "succ-of-call", "rebuilt-scrutinee"])
+def test_replay_keeps_a_divergent_run_small(text, limit):
+    # the first two push an s frame every few steps and open a segment at
+    # each, which the next one abandons: at most one segment is open, so
+    # each holds no more than its frames (0.80 and 10.45 MB without
+    # replay).  The third builds a new scrutinee at every call, reduces it
+    # to a numeral and drops it: the memo holds its terms weakly, so it
+    # forgets each with its term (about 5 MB if it kept them)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FuelExhausted):
+            wh_eval(parse_term(text), fuel=10**5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < limit
+
+
+def test_the_reducer_imports_nothing_from_the_machine():
+    # the reducer is the machine's differential oracle, so it shares no
+    # code with it
+    source = pathlib.Path(pcf.__file__).read_text()
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, [
+                "dlpcf" if node.level else None, node.module]))
+            imported.add(base)
+            imported.update(f"{base}.{alias.name}" for alias in node.names)
+    assert imported
+    assert not [name for name in imported
+                if name == "dlpcf.machine" or name.startswith("dlpcf.machine.")]
 
 
 def test_capture_avoidance_in_beta():
@@ -560,12 +678,14 @@ def annotations(t):
     return [u.ann for u in _subterms(t) if isinstance(u, (Lam, Fix))]
 
 
-@given(open_terms, st.integers(1, 30))
+@given(open_terms)
 @settings(max_examples=300, deadline=None)
-def test_refocusing_matches_iterated_wh_step_on_open_terms(t, fuel):
+def test_refocusing_matches_iterated_wh_step_on_open_terms(t):
     # untyped and open: every StuckTerm message, and fuel running out
-    # before, at and after a stuck step
-    assert outcome(wh_eval, t, fuel) == outcome(reference_wh_eval, t, fuel)
+    # before, at and after a stuck step.  The reference recurses on a term
+    # that a fixpoint grows at each step, so the budget is 300 where the
+    # machine's tests take 2000
+    assert_refocusing_matches(t, budget=300, cap=30)
 
 
 @given(open_terms, open_terms, st.integers(0, 3), st.integers(0, 3),
