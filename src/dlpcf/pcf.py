@@ -23,8 +23,7 @@ __all__ = [
     "PcfSyntaxError",
     "shift", "subst", "wh_eval", "StuckTerm", "bound", "max_free_index",
     "Numerals",
-    "BINDERS", "subterms", "with_subterms", "map_vars", "find_sites",
-    "rebuild",
+    "BINDERS", "subterms", "map_vars", "find_sites", "rebuild",
 ]
 
 
@@ -68,34 +67,14 @@ def show_pcf_type(t: PcfType) -> str:
 
 class _Node(Record):
     """What every term constructor shares: `_size` and `_bound`, which
-    `size` and `bound` return.  A node sets them when it is built, from its
-    parts' own, so they cost O(1) per node and never change.  They are not
-    fields, so printing does not read them.  A numeral keeps the class
-    defaults; a variable sets only its bound.
+    `size` and `bound` return.  Each constructor sets them when it builds a
+    node, inline from its parts' own, so they cost O(1) per node and never
+    change.  They are not fields, so printing does not read them.  A closed
+    node keeps the class default `_bound = 0`, a numeral both defaults.
 
     Terms are not interned: the reducer builds many short-lived ones."""
     _bound = 0
     _size = 1
-
-    def __init__(self, *parts):
-        # The subterms, `_size` and `_bound` of a node with subterms, set
-        # in one pass; the leaves have their own.
-        kind = type(self)
-        names = _SUBTERMS[kind]
-        if len(parts) != len(names):
-            raise TypeError(f"{kind._tag} takes {len(names)} subterms, "
-                            f"got {len(parts)}")
-        b, n = 0, 2 if kind is Succ or kind is Pred else 1
-        for name, sub in zip(names, parts):
-            _put(self, name, sub)
-            n += sub._size
-            if sub._bound > b:
-                b = sub._bound
-        if b and (kind is Lam or kind is Fix):
-            b -= 1
-        if b:                        # a closed node keeps the default 0
-            _put(self, "_bound", b)
-        _put(self, "_size", n)
 
 
 class TVar(_Node):
@@ -118,9 +97,16 @@ class Const(_Node):
 class Succ(_Node):
     _fields = ("body",)
 
+    def __init__(self, body: Term):
+        _put(self, "body", body)
+        _put(self, "_size", body._size + 2)
+        if body._bound:
+            _put(self, "_bound", body._bound)
+
 
 class Pred(_Node):
     _fields = ("body",)
+    __init__ = Succ.__init__
 
 
 class Lam(_Node):
@@ -129,16 +115,38 @@ class Lam(_Node):
     _fields = ("body", "ann")
 
     def __init__(self, body: Term, ann: Optional[PcfType] = None):
-        _Node.__init__(self, body)
+        _put(self, "body", body)
         _put(self, "ann", ann)
+        _put(self, "_size", body._size + 1)
+        if body._bound > 1:
+            _put(self, "_bound", body._bound - 1)
 
 
 class App(_Node):
     _fields = ("fn", "arg")
 
+    def __init__(self, fn: Term, arg: Term):
+        _put(self, "fn", fn)
+        _put(self, "arg", arg)
+        _put(self, "_size", fn._size + arg._size + 1)
+        b = fn._bound if fn._bound > arg._bound else arg._bound
+        if b:
+            _put(self, "_bound", b)
+
 
 class IfZ(_Node):
     _fields = ("scrut", "zero", "succ")
+
+    def __init__(self, scrut: Term, zero: Term, succ: Term):
+        _put(self, "scrut", scrut)
+        _put(self, "zero", zero)
+        _put(self, "succ", succ)
+        _put(self, "_size", scrut._size + zero._size + succ._size + 1)
+        b = scrut._bound if scrut._bound > zero._bound else zero._bound
+        if succ._bound > b:
+            b = succ._bound
+        if b:
+            _put(self, "_bound", b)
 
 
 class Fix(_Node):
@@ -160,7 +168,8 @@ class Numerals(dict):
 
 
 # Each constructor's subterm fields, in order; `Lam` and `Fix` bind de
-# Bruijn index 0 in theirs.  Every structural pass reads this table.
+# Bruijn index 0 in theirs.  The walkers read this table; `rebuild` and
+# the constructors name each kind's fields themselves.
 _SUBTERMS = {TVar: (), Const: (), Succ: ("body",), Pred: ("body",),
              Lam: ("body",), Fix: ("body",), App: ("fn", "arg"),
              IfZ: ("scrut", "zero", "succ")}
@@ -170,14 +179,6 @@ BINDERS = (Lam, Fix)
 def subterms(t: Term) -> tuple[Term, ...]:
     """The immediate subterms of `t`, in field order."""
     return tuple(getattr(t, f) for f in _SUBTERMS[type(t)])
-
-
-def with_subterms(t: Term, parts: Sequence[Term]) -> Term:
-    """`t` with its immediate subterms replaced by `parts`, in the order of
-    `subterms`; a binder keeps its annotation."""
-    if isinstance(t, BINDERS):
-        return type(t)(*parts, t.ann)
-    return type(t)(*parts) if parts else t
 
 
 def find_sites(t: Term, cutoff: int = 0) -> list[tuple[Term, int]]:
@@ -213,19 +214,28 @@ def rebuild(sites: list[tuple[Term, int]], on_var: Callable[[int, int], Term],
     each of its variables there replaced by `on_var(k, depth)`.
 
     The sites are rebuilt in reverse, where a node's walked subterms come
-    before it, so nothing recurses; every subterm off the paths is kept as
-    the same object."""
+    before it, on top of `done` in field order, so nothing recurses; every
+    subterm off the paths is kept as the same object."""
     done: list[Term] = []            # the rebuilt subterms, the next on top
     for node, limit in reversed(sites):
         kind = type(node)
         if kind is TVar:
             done.append(on_var(node.index, limit - cutoff))
-            continue
-        parts = []
-        for f in _SUBTERMS[kind]:
-            sub = getattr(node, f)
-            parts.append(sub if sub._bound <= limit else done.pop())
-        done.append(with_subterms(node, parts))
+        elif kind is Succ or kind is Pred:
+            done.append(kind(done.pop()))   # a site's one part is on a path
+        elif kind is App:
+            fn, arg = node.fn, node.arg
+            fn = done.pop() if fn._bound > limit else fn
+            arg = done.pop() if arg._bound > limit else arg
+            done.append(App(fn, arg))
+        elif kind is IfZ:
+            scrut, zero, succ = node.scrut, node.zero, node.succ
+            scrut = done.pop() if scrut._bound > limit else scrut
+            zero = done.pop() if zero._bound > limit else zero
+            succ = done.pop() if succ._bound > limit else succ
+            done.append(IfZ(scrut, zero, succ))
+        else:                        # a binder, whose body is on a path
+            done.append(kind(done.pop(), node.ann))
     return done[0]
 
 

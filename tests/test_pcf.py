@@ -155,49 +155,58 @@ def test_branch_types_must_agree():
 # ---------------------------------------------------------------------------
 # Weak-head reduction
 
+# Each frame's first part, where it steps, and the normal form it consumes
+# there; any other normal form there is stuck, with the frame's message.
+FIRST = {Succ: "body", Pred: "body", App: "fn", IfZ: "scrut"}
+CONSUMES = {Succ: Const, Pred: Const, App: Lam, IfZ: Const}
+STUCK_IN = {Succ: "s applied to a non-numeral normal form",
+            Pred: "p applied to a non-numeral normal form",
+            App: "applying a non-function normal form",
+            IfZ: "ifz scrutinee is a non-numeral normal form"}
+
+
 def wh_step(t):
     """One weak-head step, or None when `t` is normal (numerals, lambdas):
-    the one-step specification of the refocusing `wh_eval`."""
+    the one-step specification of the refocusing `wh_eval`.
+
+    Iterative, so a term any number of frames deep takes a step: `path`
+    holds, root first, the frames above the redex, each of which steps in
+    its first part, and the contractum is put back under them, innermost
+    first."""
+    path = []
+    while type(t) in FIRST:
+        first = getattr(t, FIRST[type(t)])
+        if type(first) is CONSUMES[type(t)]:
+            break                    # `t` is the redex
+        path.append(t)
+        t = first
     match t:
         case Const() | Lam():
+            if path:
+                raise StuckTerm(STUCK_IN[type(path[-1])])
             return None
         case TVar():
             raise StuckTerm("free variable in a closed reduction")
         case Succ(Const(n)):
-            return Const(n + 1)
-        case Succ(b):
-            inner = wh_step(b)
-            if inner is None:
-                raise StuckTerm("s applied to a non-numeral normal form")
-            return Succ(inner)
-        case Pred(Const(0)):
-            return Const(0)
+            t = Const(n + 1)
         case Pred(Const(n)):
-            return Const(n - 1)
-        case Pred(b):
-            inner = wh_step(b)
-            if inner is None:
-                raise StuckTerm("p applied to a non-numeral normal form")
-            return Pred(inner)
+            t = Const(n - 1 if n else 0)
         case App(Lam(body), arg):
-            return subst(body, arg)
-        case App(f, a):
-            inner = wh_step(f)
-            if inner is None:
-                raise StuckTerm("applying a non-function normal form")
-            return App(inner, a)
-        case IfZ(Const(0), z, _):
-            return z
-        case IfZ(Const(_), _, u):
-            return u
-        case IfZ(s, z, u):
-            inner = wh_step(s)
-            if inner is None:
-                raise StuckTerm("ifz scrutinee is a non-numeral normal form")
-            return IfZ(inner, z, u)
+            t = subst(body, arg)
+        case IfZ(Const(n), z, u):
+            t = u if n else z
         case Fix(body):
-            return subst(body, t)
-    raise TypeError(f"not a term: {t!r}")
+            t = subst(body, t)
+        case _:
+            raise TypeError(f"not a term: {t!r}")
+    for frame in reversed(path):
+        if type(frame) is App:
+            t = App(t, frame.arg)
+        elif type(frame) is IfZ:
+            t = IfZ(t, frame.zero, frame.succ)
+        else:
+            t = type(frame)(t)
+    return t
 
 
 def test_pred_of_zero_steps_to_zero():
@@ -531,6 +540,31 @@ def test_replay_keeps_a_divergent_run_small(text, limit):
     assert peak < limit
 
 
+def test_each_call_builds_its_own_empty_memo(monkeypatch):
+    # replay is exact, so no outcome tells a memo shared across calls from
+    # a run-local one: watch the memos themselves.  Each call builds one,
+    # empty, and records its segments there and nowhere else
+    memos = []
+
+    class Watched(pcf.WeakKeyDictionary):
+        def __init__(self):          # empty: no initial contents
+            super().__init__()
+            self.writes = 0
+            memos.append(self)
+
+        def __setitem__(self, key, value):
+            self.writes += 1
+            super().__setitem__(key, value)
+
+    monkeypatch.setattr(pcf, "WeakKeyDictionary", Watched)
+    for calls, n in enumerate((5, 5, 8), start=1):
+        before = [m.writes for m in memos]
+        assert wh_eval(App(DBL, Const(n)))[0] == 2 * n
+        assert len(memos) == calls
+        assert [m.writes for m in memos[:-1]] == before
+        assert memos[-1].writes > 0
+
+
 def test_the_reducer_imports_nothing_from_the_machine():
     # the reducer is the machine's differential oracle, so it shares no
     # code with it
@@ -682,10 +716,8 @@ def annotations(t):
 @settings(max_examples=300, deadline=None)
 def test_refocusing_matches_iterated_wh_step_on_open_terms(t):
     # untyped and open: every StuckTerm message, and fuel running out
-    # before, at and after a stuck step.  The reference recurses on a term
-    # that a fixpoint grows at each step, so the budget is 300 where the
-    # machine's tests take 2000
-    assert_refocusing_matches(t, budget=300, cap=30)
+    # before, at and after a stuck step, at the machine's tests' budget
+    assert_refocusing_matches(t, budget=2000, cap=30)
 
 
 @given(open_terms, open_terms, st.integers(0, 3), st.integers(0, 3),
@@ -764,15 +796,37 @@ def assert_kept_where_nothing_changes(t, got, start):
                                                       pcf.subterms(v)))
 
 
+def built_nodes(result, *inputs):
+    """The nodes of `result` that are not objects of `inputs`, each once:
+    the nodes a pass that made `result` from `inputs` built."""
+    seen = {id(u): u for t in inputs for u in _subterms(t)}
+    built, todo = [], [result]
+    while todo:
+        u = todo.pop()
+        if id(u) not in seen:
+            seen[id(u)] = u
+            built.append(u)
+            todo.extend(pcf.subterms(u))
+    return built
+
+
 def test_substitution_rebuilds_only_the_paths_to_the_variable(monkeypatch):
-    calls = []                       # the nodes `map_vars` rebuilt
-    original = pcf.with_subterms
+    counts = []                      # the nodes each `rebuild` built
+    original = pcf.rebuild
 
-    def counting(t, parts):
-        calls.append(t)
-        return original(t, parts)
+    def counting(sites, on_var, cutoff):
+        # a replacement `on_var` returns is an input, not a rebuilt node
+        replacements = []
 
-    monkeypatch.setattr(pcf, "with_subterms", counting)
+        def recorded(k, depth):
+            replacements.append(on_var(k, depth))
+            return replacements[-1]
+
+        got = original(sites, recorded, cutoff)
+        counts.append(len(built_nodes(got, sites[0][0], *replacements)))
+        return got
+
+    monkeypatch.setattr(pcf, "rebuild", counting)
     # one level of dbl: its `Fix` unfolds (the `Lam`, `IfZ`, two `Succ` and
     # the `App` above the recursive call) and its `Lam` meets a numeral (the
     # `IfZ`, two `Succ`, the `App` and the `Pred` above the two `x`); the
@@ -781,14 +835,14 @@ def test_substitution_rebuilds_only_the_paths_to_the_variable(monkeypatch):
     assert lam.body.succ.body.body.fn is DBL
     body = subst(lam.body, Const(3))
     assert body.succ.body.body.fn is DBL
-    assert len(calls) == 10
-    calls.clear()
+    assert sum(counts) == 10
+    counts.clear()
     # a run of dbl at n has n + 1 levels, 258 in all; each level's beta
     # step rebuilds its 5 nodes, but `wh_eval` keeps the unfolding of the
     # `Fix` it last unfolded, so each run unfolds `DBL` once: 258 * 5 + 4 * 5
     for n in (43, 56, 70, 85):
         wh_eval(App(DBL, Const(n)))
-    assert len(calls) == 1310
+    assert sum(counts) == 1310
 
 
 def nested_succ(depth, inner=Const(0)):
